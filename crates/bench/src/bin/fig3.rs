@@ -20,12 +20,12 @@
 //! stores and assembles reports bit-identical to a monolithic run.
 
 use std::time::Instant;
-use synrd::benchmark::{run_paper_with_stores, PaperReport};
+use synrd::benchmark::PaperReport;
 use synrd::parity::{never_reproduced, paper_summary};
 use synrd::report::render_fig3_block;
 use synrd_bench::{
-    assemble_from_shards, cli_from_args, print_fit_summary, print_store_summary, run_shard_mode,
-    selected_publications, with_cell_store, with_fit_store,
+    assemble_from_shards, cli_from_args, print_summary, run_papers, run_shard_mode,
+    selected_publications,
 };
 
 fn print_report(report: &PaperReport, started: Instant) {
@@ -65,14 +65,13 @@ fn main() {
     // Shard mode: populate the store with this slice of the cell list and
     // stop — rendering happens after a merge.
     if let Some(shard) = cli.store.shard {
-        let (cache, fit_cache) = run_shard_mode(&cli, &papers, shard);
-        print_store_summary(&cache);
-        print_fit_summary(&fit_cache);
+        let stores = run_shard_mode(&cli, &papers, shard);
+        print_summary(&stores.cells, Some(&stores.fits));
         return;
     }
 
     // Merge mode: union shard stores, then assemble every report purely
-    // from cached cells (no fits at all).
+    // from cached cells (no fits at all, so no `[fits]` line either).
     if !cli.store.merge_shards.is_empty() {
         let started = Instant::now();
         let (cache, results) = assemble_from_shards(&cli, &papers);
@@ -82,43 +81,16 @@ fn main() {
                 Err(e) => println!("  {name} failed: {e}\n"),
             }
         }
-        print_store_summary(&cache);
+        print_summary(&cache, None);
         return;
     }
 
-    // Monolithic mode, optionally backed by the store. The fit store must
-    // outlive the paper loop: its session view is what lets later papers
-    // reuse fits an earlier paper computed on the same dataset.
-    let cache = cli.store.open_cache(config);
-    let fit_cache = cli.store.open_fit_cache(config);
-    let run = |fits: Option<&dyn synrd::benchmark::FitStore>| {
-        for paper in &papers {
-            let started = Instant::now();
-            let result = match &cache {
-                Some(cache) => with_cell_store(cache, cli.store.resume, |store| {
-                    run_paper_with_stores(paper.as_ref(), config, Some(store), fits)
-                }),
-                None => run_paper_with_stores(paper.as_ref(), config, None, fits),
-            };
-            match result {
-                Ok(report) => {
-                    if let Some(cache) = &cache {
-                        let _ = cache.write_report(&report);
-                    }
-                    print_report(&report, started);
-                }
-                Err(e) => println!("  {} failed: {e}\n", paper.name()),
-            }
-        }
-    };
-    match &fit_cache {
-        Some(fit_cache) => with_fit_store(fit_cache, cli.store.resume, |fits| run(Some(fits))),
-        None => run(None),
-    }
-    if let Some(cache) = &cache {
-        print_store_summary(cache);
-    }
-    if let Some(fit_cache) = &fit_cache {
-        print_fit_summary(fit_cache);
+    // Monolithic mode, optionally backed by the store.
+    let stores = run_papers(&cli, &papers, |paper, result, started| match result {
+        Ok(report) => print_report(&report, started),
+        Err(e) => println!("  {} failed: {e}\n", paper.name()),
+    });
+    if let Some(stores) = &stores {
+        print_summary(&stores.cells, Some(&stores.fits));
     }
 }

@@ -14,12 +14,12 @@
 //! computes one deterministic slice of the cell list, and
 //! `--merge-shards` unions shard stores before aggregating.
 
-use synrd::benchmark::{run_grid_with_stores, PaperReport};
+use synrd::benchmark::PaperReport;
 use synrd::parity::aggregate;
 use synrd::report::render_fig4;
 use synrd_bench::{
-    assemble_from_shards, cli_from_args, print_fit_summary, print_store_summary, run_shard_mode,
-    selected_publications, with_cell_store, with_fit_store,
+    assemble_from_shards, cli_from_args, print_summary, run_papers, run_shard_mode,
+    selected_publications,
 };
 use synrd_store::JsonCodec;
 
@@ -33,39 +33,23 @@ fn main() {
     );
 
     if let Some(shard) = cli.store.shard {
-        let (cache, fit_cache) = run_shard_mode(&cli, &papers, shard);
-        print_store_summary(&cache);
-        print_fit_summary(&fit_cache);
+        let stores = run_shard_mode(&cli, &papers, shard);
+        print_summary(&stores.cells, Some(&stores.fits));
         return;
     }
 
     let mut reports: Vec<PaperReport> = Vec::new();
-    let fit_cache = if cli.store.merge_shards.is_empty() {
-        cli.store.open_fit_cache(config)
-    } else {
-        None // merged reports assemble from cells; no fitting at all
-    };
-    let cache = if cli.store.merge_shards.is_empty() {
-        let cache = cli.store.open_cache(config);
-        let grid = |fits: Option<&dyn synrd::benchmark::FitStore>| match &cache {
-            Some(c) => with_cell_store(c, cli.store.resume, |store| {
-                run_grid_with_stores(&papers, config, Some(store), fits)
-            }),
-            None => run_grid_with_stores(&papers, config, None, fits),
-        };
-        for (name, result) in match &fit_cache {
-            Some(f) => with_fit_store(f, cli.store.resume, |fits| grid(Some(fits))),
-            None => grid(None),
-        } {
-            match result {
-                Ok(report) => {
-                    println!("  finished {}", report.paper_name);
-                    reports.push(report);
-                }
-                Err(e) => println!("  {name} failed: {e}"),
+    // The store's cells, and its fits unless the reports were assembled
+    // from merged shards (no fitting at all).
+    let (cells, fits) = if cli.store.merge_shards.is_empty() {
+        let stores = run_papers(&cli, &papers, |paper, result, _| match result {
+            Ok(report) => {
+                println!("  finished {}", report.paper_name);
+                reports.push(report);
             }
-        }
-        cache
+            Err(e) => println!("  {} failed: {e}", paper.name()),
+        });
+        stores.map(|s| (s.cells, s.fits)).unzip()
     } else {
         let (cache, results) = assemble_from_shards(&cli, &papers);
         for (name, result) in results {
@@ -77,7 +61,7 @@ fn main() {
                 Err(e) => println!("  {name} failed: {e}"),
             }
         }
-        Some(cache)
+        (Some(cache), None)
     };
 
     let agg = match aggregate(&reports) {
@@ -90,8 +74,8 @@ fn main() {
     print!("\n{}", render_fig4(&agg));
 
     // Persist the aggregated series next to the per-paper reports.
-    if let Some(cache) = &cache {
-        let path = cache.root().join("fig4_series.json");
+    if let Some(cells) = &cells {
+        let path = cells.root().join("fig4_series.json");
         if let Err(e) = std::fs::write(&path, agg.to_json_text()) {
             eprintln!("could not write {}: {e}", path.display());
         }
@@ -109,10 +93,7 @@ fn main() {
         let min = finite.iter().cloned().fold(f64::INFINITY, f64::min);
         println!("  {:>10}: {:.3}", kind.name(), max - min);
     }
-    if let Some(cache) = &cache {
-        print_store_summary(cache);
-    }
-    if let Some(fit_cache) = &fit_cache {
-        print_fit_summary(fit_cache);
+    if let Some(cells) = &cells {
+        print_summary(cells, fits.as_ref());
     }
 }

@@ -16,19 +16,22 @@
 //! and our ablations.
 
 use std::path::PathBuf;
+use std::time::Instant;
 use synrd::benchmark::{
-    assemble_report, run_grid_sharded_with_stores, BenchmarkConfig, CellStore, FitStore,
-    PaperReport, Shard,
+    assemble_report, fits_performed, rows_sampled, run_grid_sharded_with_stores,
+    run_paper_with_stores, BenchmarkConfig, CellStore, FitStore, PaperReport, Shard,
 };
 use synrd::Publication;
-use synrd_store::{merge_shard_dirs, DiskCellCache, DiskFitCache, SessionFits, WriteOnly};
+use synrd_store::{
+    hex16, merge_shard_dirs, DiskCellCache, DiskFitCache, DiskStore, Keyspace, Session,
+};
 
 /// Result-store flags shared by the grid binaries (`fig3`, `fig4`).
 #[derive(Debug, Default)]
 pub struct StoreOptions {
     /// `--out-dir DIR`: root of the persistent result store.
     pub out_dir: Option<PathBuf>,
-    /// `--resume`: serve cached cells instead of recomputing them.
+    /// `--resume`: serve stored cells and fits instead of recomputing them.
     pub resume: bool,
     /// `--shard i/n`: compute only this shard of the global cell list.
     pub shard: Option<Shard>,
@@ -36,66 +39,56 @@ pub struct StoreOptions {
     pub merge_shards: Vec<PathBuf>,
 }
 
+/// The result store at `--out-dir`: both keyspaces under one root. Cells
+/// live under `cells/`, fits under `fits/`, and `synrd serve` later
+/// answers sampling requests from the same tree.
+#[derive(Debug)]
+pub struct Stores {
+    /// Finished cells and assembled reports.
+    pub cells: DiskCellCache,
+    /// Fitted synthesizer states.
+    pub fits: DiskFitCache,
+}
+
 impl StoreOptions {
     /// Open the store at `--out-dir` (if given) for `config`, exiting with
     /// a message on I/O failure.
-    pub fn open_cache(&self, config: &BenchmarkConfig) -> Option<DiskCellCache> {
+    pub fn open(&self, config: &BenchmarkConfig) -> Option<Stores> {
         let dir = self.out_dir.as_ref()?;
-        match DiskCellCache::open(dir, config) {
-            Ok(cache) => Some(cache),
+        let opened = DiskCellCache::open(dir, config).and_then(|cells| {
+            Ok(Stores {
+                cells,
+                fits: DiskFitCache::open(dir, config)?,
+            })
+        });
+        match opened {
+            Ok(stores) => Some(stores),
             Err(e) => {
                 eprintln!("cannot open result store {}: {e}", dir.display());
                 std::process::exit(2);
             }
         }
     }
+}
 
-    /// Open the fit cache sharing `--out-dir` with the cell store, exiting
-    /// with a message on I/O failure. Fits live under `fits/`, cells under
-    /// `cells/` — one directory serves both, and `synrd serve` later
-    /// answers sampling requests from the same tree.
-    pub fn open_fit_cache(&self, config: &BenchmarkConfig) -> Option<DiskFitCache> {
-        let dir = self.out_dir.as_ref()?;
-        match DiskFitCache::open(dir, config) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("cannot open fit cache {}: {e}", dir.display());
-                std::process::exit(2);
-            }
+impl Stores {
+    /// Run `body` with both keyspaces viewed through `--resume` semantics.
+    /// With the flag, every stored cell and fit is served. Without it, each
+    /// keyspace is read through a [`Session`]: a fresh run distrusts what
+    /// earlier processes left on disk and recomputes (and rewrites) every
+    /// cell, but still shares fits *within* the run, so papers whose
+    /// generators produce the same dataset fit each `(synthesizer, ε,
+    /// seed)` once. Served entries are bit-identical to recomputing them.
+    pub fn with_views<R>(
+        &self,
+        resume: bool,
+        body: impl FnOnce(&dyn CellStore, &dyn FitStore) -> R,
+    ) -> R {
+        if resume {
+            body(&self.cells, &self.fits)
+        } else {
+            body(&Session(&self.cells), &Session(&self.fits))
         }
-    }
-}
-
-/// Run `body` with the store viewed through `--resume` semantics: with the
-/// flag, cells are served from disk; without it, the cache is write-only
-/// (cells are recomputed and rewritten).
-pub fn with_cell_store<R>(
-    cache: &DiskCellCache,
-    resume: bool,
-    body: impl FnOnce(&dyn CellStore) -> R,
-) -> R {
-    if resume {
-        body(cache)
-    } else {
-        body(&WriteOnly(cache))
-    }
-}
-
-/// The fit-cache twin of [`with_cell_store`]. `--resume` serves every
-/// stored fit; a fresh run distrusts prior on-disk state but still shares
-/// fits *within* the run (papers whose generators produce the same dataset
-/// fit each `(synthesizer, ε, seed)` once — the redundant-refit fix),
-/// repopulating the cache as it goes. Fits are keyed by dataset content,
-/// so loads are bit-identical to refitting either way.
-pub fn with_fit_store<R>(
-    cache: &DiskFitCache,
-    resume: bool,
-    body: impl FnOnce(&dyn FitStore) -> R,
-) -> R {
-    if resume {
-        body(cache)
-    } else {
-        body(&SessionFits::new(cache))
     }
 }
 
@@ -108,9 +101,26 @@ pub struct CliOptions {
     pub papers: Vec<String>,
     /// Result-store options.
     pub store: StoreOptions,
+    /// `--ml-backend`, validated; [`cli_from_args`] applies it.
+    pub ml_backend: Option<String>,
 }
 
-/// Parse common CLI flags shared by the figure binaries.
+/// Parse the process arguments with [`parse_cli`] and apply
+/// `--ml-backend`. Bad input exits with code 2 and the parser's message.
+pub fn cli_from_args() -> CliOptions {
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+    if let Some(name) = &cli.ml_backend {
+        // The process-global selection: the grid's worker threads pick it
+        // up through every `BatchWorkspace` they construct.
+        synrd_synth::ml_backend::set_global(Some(name)).expect("validated by parse_cli");
+    }
+    cli
+}
+
+/// Parse the flags shared by the figure binaries.
 ///
 /// Supported flags:
 /// * `--paper-scale` — full protocol (expect hours of compute);
@@ -118,8 +128,8 @@ pub struct CliOptions {
 /// * `--seeds K` / `--bootstraps B` / `--scale F` — override grid knobs;
 /// * `--threads N` — worker threads for the grid (1 = sequential; results
 ///   are bit-identical either way);
-/// * `--out-dir DIR` — persist cells/reports into a result store;
-/// * `--resume` — serve already-stored cells instead of refitting;
+/// * `--out-dir DIR` — persist cells/fits/reports into a result store;
+/// * `--resume` — serve already-stored cells and fits instead of refitting;
 /// * `--shard i/n` — compute only shard `i` of `n` (requires `--out-dir`);
 /// * `--merge-shards a,b,c` — union shard stores into `--out-dir` and
 ///   assemble reports purely from cached cells;
@@ -131,15 +141,13 @@ pub struct CliOptions {
 ///   (the default) derives it from the core budget (`threads / live cells`,
 ///   floored at 1); `N` pins it. Fits are bit-identical at any thread
 ///   count, so this too changes throughput only.
-pub fn config_from_args() -> (BenchmarkConfig, Vec<String>) {
-    let cli = cli_from_args();
-    (cli.config, cli.papers)
-}
-
-/// Full CLI parse, including the result-store flags (see
-/// [`config_from_args`] for the flag list).
-pub fn cli_from_args() -> CliOptions {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+///
+/// # Errors
+/// A message naming the flag for an unknown paper id, a value that does
+/// not parse, a missing value, or `--shard`/`--merge-shards` without
+/// `--out-dir`.
+pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
+    let args: Vec<String> = args.into_iter().collect();
     let mut config = if args.iter().any(|a| a == "--paper-scale") {
         BenchmarkConfig::paper()
     } else {
@@ -147,113 +155,126 @@ pub fn cli_from_args() -> CliOptions {
     };
     let mut papers: Vec<String> = Vec::new();
     let mut store = StoreOptions::default();
-    let mut it = args.iter().peekable();
+    let mut ml_backend = None;
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--papers" => {
-                if let Some(list) = it.next() {
-                    papers = list.split(',').map(|s| s.trim().to_string()).collect();
+                papers = split_list(&flag_value("--papers", it.next())?);
+                if let Some(bad) = papers
+                    .iter()
+                    .find(|id| synrd::publication_by_id(id).is_none())
+                {
+                    let valid: Vec<&str> = synrd::all_publications()
+                        .iter()
+                        .map(|p| p.dataset().id())
+                        .collect();
+                    return Err(format!(
+                        "unknown paper id '{bad}' in --papers; valid ids: {}",
+                        valid.join(" ")
+                    ));
+                }
+                if papers.is_empty() {
+                    return Err("--papers requires at least one paper id".to_string());
                 }
             }
-            "--seeds" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.seeds = v;
-                }
-            }
-            "--bootstraps" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.bootstraps = v;
-                }
-            }
-            "--scale" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.data_scale = v;
-                }
-            }
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.threads = v;
-                }
-            }
+            "--seeds" => config.seeds = parsed_value("--seeds", it.next())?,
+            "--bootstraps" => config.bootstraps = parsed_value("--bootstraps", it.next())?,
+            "--scale" => config.data_scale = parsed_value("--scale", it.next())?,
+            "--threads" => config.threads = parsed_value("--threads", it.next())?,
             "--out-dir" => {
-                store.out_dir = Some(PathBuf::from(flag_value("--out-dir", it.next())));
+                store.out_dir = Some(PathBuf::from(flag_value("--out-dir", it.next())?));
             }
-            "--resume" => {
-                store.resume = true;
-            }
+            "--resume" => store.resume = true,
             "--shard" => {
-                let spec = flag_value("--shard", it.next());
-                store.shard = Some(parse_shard(&spec).unwrap_or_else(|msg| {
-                    eprintln!("bad --shard '{spec}': {msg}");
-                    std::process::exit(2);
-                }));
+                let spec = flag_value("--shard", it.next())?;
+                let shard =
+                    parse_shard(&spec).map_err(|msg| format!("bad --shard '{spec}': {msg}"))?;
+                store.shard = Some(shard);
             }
             "--merge-shards" => {
-                store.merge_shards = flag_value("--merge-shards", it.next())
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
+                store.merge_shards = split_list(&flag_value("--merge-shards", it.next())?)
+                    .into_iter()
                     .map(PathBuf::from)
                     .collect();
             }
             "--fit-threads" => {
-                let spec = flag_value("--fit-threads", it.next());
+                let spec = flag_value("--fit-threads", it.next())?;
                 config.fit_threads = match spec.as_str() {
                     "auto" => None,
                     n => match n.parse::<usize>() {
                         Ok(v) if v >= 1 => Some(v),
                         _ => {
-                            eprintln!("bad --fit-threads '{spec}': expected 'auto' or a positive thread count");
-                            std::process::exit(2);
+                            return Err(format!(
+                                "bad --fit-threads '{spec}': expected 'auto' or a positive \
+                                 thread count"
+                            ))
                         }
                     },
                 };
             }
             "--ml-backend" => {
-                let name = flag_value("--ml-backend", it.next());
-                // Applied immediately to the process-global selection: the
-                // grid's worker threads pick it up through every
-                // `BatchWorkspace` they construct.
-                if let Err(e) = synrd_synth::ml_backend::set_global(Some(&name)) {
-                    eprintln!("bad --ml-backend '{name}': {e}");
-                    std::process::exit(2);
-                }
+                let name = flag_value("--ml-backend", it.next())?;
+                synrd_synth::ml_backend::select(Some(&name))
+                    .map_err(|e| format!("bad --ml-backend '{name}': {e}"))?;
+                ml_backend = Some(name);
             }
             _ => {}
         }
     }
     if (store.shard.is_some() || !store.merge_shards.is_empty()) && store.out_dir.is_none() {
-        eprintln!("--shard and --merge-shards require --out-dir");
-        std::process::exit(2);
+        return Err("--shard and --merge-shards require --out-dir".to_string());
     }
-    CliOptions {
+    Ok(CliOptions {
         config,
         papers,
         store,
+        ml_backend,
+    })
+}
+
+/// Monolithic mode, shared by the grid binaries: run every paper in order,
+/// backed by the store at `--out-dir` when given, persist each report under
+/// `reports/`, and hand each result to `each` (with the paper's start time)
+/// as it finishes. Returns the store for the summary lines.
+///
+/// One view of each keyspace spans the whole loop: that is what lets later
+/// papers reuse fits an earlier paper computed on the same dataset.
+pub fn run_papers(
+    cli: &CliOptions,
+    papers: &[Box<dyn Publication>],
+    mut each: impl FnMut(&dyn Publication, synrd::Result<PaperReport>, Instant),
+) -> Option<Stores> {
+    let stores = cli.store.open(&cli.config);
+    let mut run = |cells: Option<&dyn CellStore>, fits: Option<&dyn FitStore>| {
+        for paper in papers {
+            let started = Instant::now();
+            let result = run_paper_with_stores(paper.as_ref(), &cli.config, cells, fits);
+            if let (Some(stores), Ok(report)) = (&stores, &result) {
+                let _ = stores.cells.write_report(report);
+            }
+            each(paper.as_ref(), result, started);
+        }
+    };
+    match &stores {
+        Some(s) => s.with_views(cli.store.resume, |cells, fits| run(Some(cells), Some(fits))),
+        None => run(None, None),
     }
+    stores
 }
 
 /// `--shard i/n` mode, shared by the grid binaries: open the store, compute
 /// the owned slice of the global cell list, print the partition summary,
-/// and hand back the cache for the final `[store]` line. Exits on failure.
-pub fn run_shard_mode(
-    cli: &CliOptions,
-    papers: &[Box<dyn Publication>],
-    shard: Shard,
-) -> (DiskCellCache, DiskFitCache) {
-    let cache = cli
+/// and hand back the store for the summary lines. Exits on failure.
+pub fn run_shard_mode(cli: &CliOptions, papers: &[Box<dyn Publication>], shard: Shard) -> Stores {
+    let stores = cli
         .store
-        .open_cache(&cli.config)
+        .open(&cli.config)
         .expect("--shard requires --out-dir");
-    let fit_cache = cli
-        .store
-        .open_fit_cache(&cli.config)
-        .expect("--shard requires --out-dir");
-    match with_cell_store(&cache, cli.store.resume, |store| {
-        with_fit_store(&fit_cache, cli.store.resume, |fits| {
-            run_grid_sharded_with_stores(papers, &cli.config, store, Some(fits), shard)
-        })
-    }) {
+    let result = stores.with_views(cli.store.resume, |cells, fits| {
+        run_grid_sharded_with_stores(papers, &cli.config, cells, Some(fits), shard)
+    });
+    match result {
         Ok(s) => println!(
             "shard {}/{}: owned {} of {} cells ({} computed, {} already stored)",
             shard.index(),
@@ -268,15 +289,16 @@ pub fn run_shard_mode(
             std::process::exit(1);
         }
     }
-    (cache, fit_cache)
+    stores
 }
 
 /// `--merge-shards` mode, shared by the grid binaries: union the shard
-/// stores into `--out-dir`, then assemble every report purely from cached
-/// cells (no fits), persisting each under `reports/`. Results are paired
-/// with paper names so callers can print-and-continue. Exits when the
-/// merge itself fails.
-#[allow(clippy::type_complexity)] // (name, Result) pairs mirror run_grid's shape
+/// stores (cells and fits, so the merged store can feed `synrd serve`)
+/// into `--out-dir`, then assemble every report purely from cached cells
+/// (no fits), persisting each under `reports/`. Results are paired with
+/// paper names so callers can print-and-continue. Exits when the merge
+/// itself fails.
+#[allow(clippy::type_complexity)] // (name, Result) pairs, one per paper
 pub fn assemble_from_shards(
     cli: &CliOptions,
     papers: &[Box<dyn Publication>],
@@ -296,16 +318,6 @@ pub fn assemble_from_shards(
             std::process::exit(1);
         }
     };
-    // Union the shards' fit caches too, so the merged store can feed
-    // `synrd serve` (report assembly itself never fits).
-    if let Some(fit_cache) = cli.store.open_fit_cache(&cli.config) {
-        for shard in &cli.store.merge_shards {
-            if let Err(e) = fit_cache.merge_from(shard) {
-                eprintln!("merging fits from {} failed: {e}", shard.display());
-                std::process::exit(1);
-            }
-        }
-    }
     let results = papers
         .iter()
         .map(|paper| {
@@ -319,56 +331,63 @@ pub fn assemble_from_shards(
     (cache, results)
 }
 
-/// One-line store/run telemetry: cache counters plus the process-wide grid
-/// fit count. CI's cache end-to-end job greps this for `misses=0` and
-/// `fits=0` on a warm rerun.
-pub fn print_store_summary(cache: &DiskCellCache) {
-    let stats = cache.stats();
+/// One-line store telemetry per keyspace: the `[store]` line carries the
+/// cell counters plus the process-wide grid fit and sampled-row counts,
+/// and the `[fits]` line (when `fits` is given) the fit counters. CI's
+/// end-to-end jobs grep these for `misses=0`, `fits=0` and `hits=` to
+/// prove a warm rerun served cells and fits instead of recomputing them.
+pub fn print_summary(cells: &DiskCellCache, fits: Option<&DiskFitCache>) {
     println!(
-        "[store] dir={} fingerprint={} hits={} misses={} stores={} errors={} fits={} \
-         sampled_rows={}",
-        cache.root().display(),
-        synrd_store::hex16(cache.fingerprint()),
-        stats.hits,
-        stats.misses,
-        stats.stores,
-        stats.errors,
-        synrd::benchmark::fits_performed(),
-        synrd::benchmark::rows_sampled(),
+        "{} fits={} sampled_rows={}",
+        summary_line("store", cells),
+        fits_performed(),
+        rows_sampled()
     );
-}
-
-/// One-line fit-cache telemetry, printed next to the `[store]` line. CI's
-/// end-to-end job greps `hits=` here to prove a warm rerun loaded every
-/// fit instead of recomputing it.
-pub fn print_fit_summary(cache: &DiskFitCache) {
-    let stats = cache.stats();
-    println!(
-        "[fits] dir={} fingerprint={} hits={} misses={} stores={} errors={}",
-        cache.root().display(),
-        synrd_store::hex16(cache.fingerprint()),
-        stats.hits,
-        stats.misses,
-        stats.stores,
-        stats.errors,
-    );
-}
-
-/// The value for a store flag that requires one: missing values and values
-/// that look like another flag are user errors, not directory names — both
-/// would otherwise silently disable or misdirect persistence.
-fn flag_value(flag: &str, next: Option<&String>) -> String {
-    match next {
-        Some(v) if !v.starts_with("--") => v.clone(),
-        Some(v) => {
-            eprintln!("{flag} requires a value, but got the flag '{v}'");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        }
+    if let Some(fits) = fits {
+        println!("{}", summary_line("fits", fits));
     }
+}
+
+/// `[tag] dir=… fingerprint=… hits=… misses=… stores=… errors=…`.
+fn summary_line<K: Keyspace>(tag: &str, store: &DiskStore<K>) -> String {
+    let stats = store.stats();
+    format!(
+        "[{tag}] dir={} fingerprint={} hits={} misses={} stores={} errors={}",
+        store.root().display(),
+        hex16(store.fingerprint()),
+        stats.hits,
+        stats.misses,
+        stats.stores,
+        stats.errors,
+    )
+}
+
+/// The value for a flag that requires one: missing values and values that
+/// look like another flag are user errors, not values — both would
+/// otherwise silently disable or misdirect the flag.
+fn flag_value(flag: &str, next: Option<&String>) -> Result<String, String> {
+    match next {
+        Some(v) if !v.starts_with("--") => Ok(v.clone()),
+        Some(v) => Err(format!("{flag} requires a value, but got the flag '{v}'")),
+        None => Err(format!("{flag} requires a value")),
+    }
+}
+
+/// The parsed value for a numeric flag.
+fn parsed_value<T: std::str::FromStr>(flag: &str, next: Option<&String>) -> Result<T, String> {
+    let value = flag_value(flag, next)?;
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} '{value}': expected a number"))
+}
+
+/// The non-empty items of a comma-separated list.
+fn split_list(list: &str) -> Vec<String> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
 /// Parse `i/n` into a [`Shard`].
@@ -495,4 +514,103 @@ pub fn marginal_bench_dataset(rows: usize, shape: &[usize]) -> synrd_data::Datas
         .collect();
     synrd_data::Dataset::new(synrd_data::Domain::new(attrs), columns)
         .expect("generated codes are in range")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+        parse_cli(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_override_the_quick_config() {
+        let cli = parse(&[
+            "--papers",
+            "saw2018, lee2021",
+            "--seeds",
+            "2",
+            "--bootstraps",
+            "3",
+            "--scale",
+            "0.5",
+            "--threads",
+            "4",
+            "--fit-threads",
+            "2",
+            "--ml-backend",
+            "cpu",
+            "--out-dir",
+            "store",
+            "--resume",
+            "--shard",
+            "1/3",
+        ])
+        .unwrap();
+        assert_eq!(cli.papers, ["saw2018", "lee2021"]);
+        assert_eq!(
+            (cli.config.seeds, cli.config.bootstraps, cli.config.threads),
+            (2, 3, 4)
+        );
+        assert_eq!(cli.config.data_scale, 0.5);
+        assert_eq!(cli.config.fit_threads, Some(2));
+        assert_eq!(cli.ml_backend.as_deref(), Some("cpu"));
+        assert_eq!(cli.store.out_dir, Some(PathBuf::from("store")));
+        assert!(cli.store.resume);
+        assert_eq!(cli.store.shard, Some(Shard::new(1, 3).unwrap()));
+
+        let defaults = parse(&[]).unwrap();
+        assert!(defaults.papers.is_empty());
+        assert_eq!(defaults.config.seeds, BenchmarkConfig::quick().seeds);
+        assert_eq!(
+            parse(&["--paper-scale"]).unwrap().config.seeds,
+            BenchmarkConfig::paper().seeds
+        );
+    }
+
+    #[test]
+    fn unknown_paper_ids_are_rejected() {
+        let err = parse(&["--papers", "saw2018,nobody2020"]).unwrap_err();
+        assert!(err.contains("'nobody2020'"), "{err}");
+        assert!(
+            err.contains("lee2021"),
+            "the message lists valid ids: {err}"
+        );
+        assert!(parse(&["--papers", " , "]).is_err(), "an empty list");
+    }
+
+    #[test]
+    fn unparseable_values_are_rejected() {
+        for flag in ["--seeds", "--bootstraps", "--scale", "--threads"] {
+            let err = parse(&[flag, "many"]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("'many'"), "{err}");
+        }
+        for flag in ["--seeds", "--bootstraps", "--threads"] {
+            assert!(parse(&[flag, "-1"]).is_err(), "{flag} is a count");
+        }
+        assert!(parse(&["--fit-threads", "0"]).is_err());
+        assert!(parse(&["--ml-backend", "gpu"]).is_err());
+        assert!(parse(&["--shard", "3/3", "--out-dir", "store"]).is_err());
+    }
+
+    #[test]
+    fn flags_missing_their_value_are_rejected() {
+        for flag in ["--papers", "--seeds", "--scale", "--out-dir", "--shard"] {
+            assert!(parse(&[flag]).is_err(), "{flag} at the end");
+            let err = parse(&[flag, "--resume"]).unwrap_err();
+            assert!(err.contains("got the flag '--resume'"), "{err}");
+        }
+    }
+
+    #[test]
+    fn shard_modes_require_an_out_dir() {
+        assert!(parse(&["--shard", "0/2"]).is_err());
+        assert!(parse(&["--merge-shards", "a,b"]).is_err());
+        let cli = parse(&["--merge-shards", "a, b,", "--out-dir", "m"]).unwrap();
+        assert_eq!(
+            cli.store.merge_shards,
+            [PathBuf::from("a"), PathBuf::from("b")]
+        );
+    }
 }

@@ -414,6 +414,8 @@ pub struct ShardSummary {
 /// Per-paper ground truth shared by every execution mode: the generated
 /// real dataset, the findings, and their statistics on the real data.
 struct PaperGround {
+    /// The paper's benchmark id — the draw-seed and cell-store key component.
+    paper_id: &'static str,
     real: synrd_data::Dataset,
     findings: Vec<crate::finding::Finding>,
     real_stats: Vec<Vec<f64>>,
@@ -446,6 +448,7 @@ fn ground_truth(paper: &dyn Publication, config: &BenchmarkConfig) -> Result<Pap
     }
     let dataset_digest = real.content_digest();
     Ok(PaperGround {
+        paper_id: paper.dataset().id(),
         real,
         findings,
         real_stats,
@@ -534,28 +537,17 @@ fn report_from(
 /// Fails if a finding cannot be evaluated on the *real* data (that would
 /// make parity meaningless); synthetic-side failures are folded into parity.
 pub fn run_paper(paper: &dyn Publication, config: &BenchmarkConfig) -> Result<PaperReport> {
-    run_paper_with(paper, config, None)
+    run_paper_with_stores(paper, config, None, None)
 }
 
-/// [`run_paper`] with an optional persistent cell store: each cell is looked
-/// up before fitting and written back after. Results are bit-identical with
-/// and without a store — every cell is a pure function of
+/// [`run_paper`] with optional persistent stores. Each cell is looked up in
+/// `store` before it runs and written back after; inside every cell that
+/// runs, each individual fit is looked up in `fits` before fitting and
+/// written back after. Results are bit-identical with and without either
+/// store: every cell is a pure function of
 /// `(master seed, paper, synthesizer, ε)` via [`synrd_dp::grid_seed`].
-///
-/// # Errors
-/// Same contract as [`run_paper`].
-pub fn run_paper_with(
-    paper: &dyn Publication,
-    config: &BenchmarkConfig,
-    store: Option<&dyn CellStore>,
-) -> Result<PaperReport> {
-    run_paper_with_stores(paper, config, store, None)
-}
-
-/// [`run_paper_with`] plus an optional [`FitStore`]: inside every cell that
-/// is not served whole from the cell store, each individual fit is looked
-/// up before fitting and written back after. Results are bit-identical
-/// with and without either store.
+/// Fits are keyed by dataset content, so papers sharing a dataset and run
+/// over one fit store fit each `(synthesizer, ε, seed)` once.
 ///
 /// # Errors
 /// Same contract as [`run_paper`].
@@ -573,61 +565,18 @@ pub fn run_paper_with_stores(
     let control = control_row(paper, &ground, config)?;
 
     let grid = full_grid(config);
-    let paper_id = paper.dataset().id();
     let fit_threads = CoreBudget::from_config(config).fit_threads(grid.len());
-    let cell = |&(s_idx, e_idx): &(usize, usize)| -> CellOutcome {
-        let kind = config.synthesizers[s_idx];
-        let epsilon = config.epsilons[e_idx];
-        if let Some(st) = store {
-            if let Some(hit) = st.load(paper_id, kind, epsilon) {
-                return hit;
-            }
-        }
-        let out = run_cell(paper_id, &ground, config, kind, epsilon, fits, fit_threads);
-        if let Some(st) = store {
-            st.save(paper_id, kind, epsilon, &out);
-        }
-        out
-    };
+    let cell = grid_cell(&ground, config, store, store, fits, fit_threads);
     let outcomes = execute_cells(&grid, config, cell)?;
     let cells = into_rows(outcomes, config);
     Ok(report_from(paper, config, &ground, control, cells))
 }
 
-/// Run every paper in order through [`run_paper_with`], pairing each result
-/// with the paper's display name so sweeps can print-and-continue.
-pub fn run_grid(
-    papers: &[Box<dyn Publication>],
-    config: &BenchmarkConfig,
-    store: Option<&dyn CellStore>,
-) -> Vec<(&'static str, Result<PaperReport>)> {
-    run_grid_with_stores(papers, config, store, None)
-}
-
-/// [`run_grid`] plus an optional [`FitStore`] (see
-/// [`run_paper_with_stores`]). Because fits are keyed by dataset content,
-/// papers sharing a dataset in one sweep fit each
-/// `(synthesizer, ε, seed)` once and reuse it everywhere else.
-pub fn run_grid_with_stores(
-    papers: &[Box<dyn Publication>],
-    config: &BenchmarkConfig,
-    store: Option<&dyn CellStore>,
-    fits: Option<&dyn FitStore>,
-) -> Vec<(&'static str, Result<PaperReport>)> {
-    papers
-        .iter()
-        .map(|p| {
-            (
-                p.name(),
-                run_paper_with_stores(p.as_ref(), config, store, fits),
-            )
-        })
-        .collect()
-}
-
 /// Compute (and persist) only the cells owned by `shard` out of the global
 /// (paper × synthesizer × ε) cell list, in the fixed order given by
-/// `papers`. Owned cells already present in the store are not recomputed.
+/// `papers`. Owned cells already present in the store are not recomputed,
+/// and papers with nothing left to compute generate no data. Each computed
+/// cell's fits go through `fits` as in [`run_paper_with_stores`].
 ///
 /// Global cell indices are
 /// `paper_index · (S·E) + synth_index · E + eps_index`, so the partition is
@@ -637,20 +586,6 @@ pub fn run_grid_with_stores(
 ///
 /// # Errors
 /// Ground-truth failures propagate, as do worker panics.
-pub fn run_grid_sharded(
-    papers: &[Box<dyn Publication>],
-    config: &BenchmarkConfig,
-    store: &dyn CellStore,
-    shard: Shard,
-) -> Result<ShardSummary> {
-    run_grid_sharded_with_stores(papers, config, store, None, shard)
-}
-
-/// [`run_grid_sharded`] plus an optional [`FitStore`] (see
-/// [`run_paper_with_stores`]).
-///
-/// # Errors
-/// Same contract as [`run_grid_sharded`].
 pub fn run_grid_sharded_with_stores(
     papers: &[Box<dyn Publication>],
     config: &BenchmarkConfig,
@@ -687,15 +622,8 @@ pub fn run_grid_sharded_with_stores(
         // actually have work in this shard.
         let ground = ground_truth(paper.as_ref(), config)?;
         let fit_threads = CoreBudget::from_config(config).fit_threads(todo.len());
-        let cell = |&(s_idx, e_idx): &(usize, usize)| -> CellOutcome {
-            let kind = config.synthesizers[s_idx];
-            let epsilon = config.epsilons[e_idx];
-            let out = run_cell(paper_id, &ground, config, kind, epsilon, fits, fit_threads);
-            store.save(paper_id, kind, epsilon, &out);
-            out
-        };
-        let computed = execute_cells(&todo, config, cell)?;
-        summary.cells_computed += computed.len();
+        let cell = grid_cell(&ground, config, None, Some(store), fits, fit_threads);
+        summary.cells_computed += execute_cells(&todo, config, cell)?.len();
     }
     Ok(summary)
 }
@@ -737,6 +665,35 @@ pub fn assemble_report(
     Ok(report_from(paper, config, &ground, control, cells))
 }
 
+/// The per-cell work of every grid path: serve cell `(s_idx, e_idx)` from
+/// `cached` when it holds it, otherwise run it and save it to `store`.
+///
+/// The sharded path passes no `cached` store: it has already filtered out
+/// stored cells, before generating any data, and a second load would only
+/// count a second miss per cell.
+fn grid_cell<'a>(
+    ground: &'a PaperGround,
+    config: &'a BenchmarkConfig,
+    cached: Option<&'a dyn CellStore>,
+    store: Option<&'a dyn CellStore>,
+    fits: Option<&'a dyn FitStore>,
+    fit_threads: usize,
+) -> impl Fn(&(usize, usize)) -> CellOutcome + Sync + 'a {
+    move |&(s_idx, e_idx)| {
+        let kind = config.synthesizers[s_idx];
+        let epsilon = config.epsilons[e_idx];
+        let paper_id = ground.paper_id;
+        if let Some(hit) = cached.and_then(|st| st.load(paper_id, kind, epsilon)) {
+            return hit;
+        }
+        let out = run_cell(ground, config, kind, epsilon, fits, fit_threads);
+        if let Some(st) = store {
+            st.save(paper_id, kind, epsilon, &out);
+        }
+        out
+    }
+}
+
 /// One (synthesizer, ε) cell: k fits × B draws.
 ///
 /// Fit `seed_idx` takes word `seed_idx` of the
@@ -750,7 +707,6 @@ pub fn assemble_report(
 /// the fit entirely and does not count in [`fits_performed`]) and written
 /// back after; outcomes are bit-identical either way.
 fn run_cell(
-    paper_id: &str,
     ground: &PaperGround,
     config: &BenchmarkConfig,
     kind: SynthKind,
@@ -759,6 +715,7 @@ fn run_cell(
     fit_threads: usize,
 ) -> CellOutcome {
     let PaperGround {
+        paper_id,
         real,
         findings,
         real_stats,
@@ -1005,10 +962,12 @@ mod tests {
     #[test]
     fn grid_panic_is_an_error_not_an_abort() {
         // A panic in one cell must come back as Err so a multi-paper sweep
-        // (fig3/fig4 print-and-continue) survives — on both grid paths.
+        // (fig3/fig4 print-and-continue) survives — on both grid paths. Two
+        // cells, so the 4-thread run really spawns workers, and the error
+        // must carry the cell's own panic message.
         for threads in [1usize, 4] {
             let config = BenchmarkConfig {
-                epsilons: vec![1.0],
+                epsilons: vec![1.0, 2.0],
                 seeds: 1,
                 bootstraps: 1,
                 data_scale: 0.01,
@@ -1023,7 +982,7 @@ mod tests {
             let err =
                 run_paper(&PanickyPaper, &config).expect_err("cell panic must surface as an error");
             assert!(
-                err.to_string().contains("panicked"),
+                err.to_string().contains("boom in cell"),
                 "unexpected error ({threads} threads): {err}"
             );
         }

@@ -39,8 +39,7 @@ pub mod report;
 pub mod visual;
 
 pub use benchmark::{
-    assemble_report, fits_performed, paper_epsilons, run_grid, run_grid_sharded,
-    run_grid_sharded_with_stores, run_grid_with_stores, run_paper, run_paper_with,
+    assemble_report, fits_performed, paper_epsilons, run_grid_sharded_with_stores, run_paper,
     run_paper_with_stores, BenchmarkConfig, CellOutcome, CellStatus, CellStore, FitStore,
     PaperReport, Shard, ShardSummary,
 };

@@ -2,11 +2,16 @@
 //! two papers over the same generated dataset share every
 //! `(synthesizer, ε, seed)` fit — and serving a fit from the store must not
 //! change a single bit of any report.
+//!
+//! Every test counts fits through its own store: the grid saves each fit
+//! it performs, so a run that adds no saves performed no fits. (The
+//! process-wide `fits_performed()` counter would also see the fits of
+//! sibling tests running concurrently in this binary.)
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use synrd::benchmark::{fits_performed, run_paper_with_stores, BenchmarkConfig, FitStore};
+use synrd::benchmark::{run_paper_with_stores, BenchmarkConfig, FitStore};
 use synrd::finding::{Check, Finding, FindingType};
 use synrd::Publication;
 use synrd_data::{Attribute, BenchmarkDataset, Dataset, Domain};
@@ -21,6 +26,16 @@ struct MemFitStore {
     fits: Mutex<HashMap<FitKey, FittedState>>,
     hits: AtomicU64,
     stores: AtomicU64,
+}
+
+impl MemFitStore {
+    /// `(saves, hits)` so far: every fit the grid performs is saved.
+    fn counts(&self) -> (u64, u64) {
+        (
+            self.stores.load(Ordering::Relaxed),
+            self.hits.load(Ordering::Relaxed),
+        )
+    }
 }
 
 impl FitStore for MemFitStore {
@@ -186,25 +201,24 @@ fn papers_sharing_a_dataset_share_every_fit() {
     let baseline_b = run_paper_with_stores(&ProportionPaper, &config, None, None).unwrap();
 
     // Cold paper A: every (synth, ε, seed) fit happens once and is stored.
-    let before = fits_performed();
     let report_a = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
-    assert_eq!(fits_performed() - before, expected_fits, "cold run fits");
-    assert_eq!(store.stores.load(Ordering::Relaxed), expected_fits);
+    assert_eq!(store.counts(), (expected_fits, 0), "cold run fits");
 
     // Paper B shares the dataset: zero fits, everything served.
-    let before = fits_performed();
     let report_b = run_paper_with_stores(&ProportionPaper, &config, None, Some(&store)).unwrap();
     assert_eq!(
-        fits_performed() - before,
-        0,
+        store.counts(),
+        (expected_fits, expected_fits),
         "shared-dataset paper must refit nothing"
     );
-    assert_eq!(store.hits.load(Ordering::Relaxed), expected_fits);
 
     // Warm rerun of paper A: zero fits too.
-    let before = fits_performed();
     let report_a_warm = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
-    assert_eq!(fits_performed() - before, 0, "warm rerun fits");
+    assert_eq!(
+        store.counts(),
+        (expected_fits, 2 * expected_fits),
+        "warm rerun fits"
+    );
 
     // Served fits change nothing: bit-identical to the store-free runs.
     assert!(report_a.bitwise_eq(&baseline_a));
@@ -230,7 +244,7 @@ fn fit_cache_hits_across_ml_backends() {
 
     ml_backend::set_global(Some("cpu")).unwrap();
     let cpu_report = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
-    assert_eq!(store.stores.load(Ordering::Relaxed), expected_fits);
+    assert_eq!(store.counts(), (expected_fits, 0));
 
     // Rerun on the SIMD backend where the CPU supports it (the test still
     // checks cross-run hits on machines without it, just cpu-to-cpu).
@@ -240,16 +254,14 @@ fn fit_cache_hits_across_ml_backends() {
         "cpu"
     };
     ml_backend::set_global(Some(other)).unwrap();
-    let before = fits_performed();
     let other_report = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
     ml_backend::set_global(Some("auto")).unwrap();
 
     assert_eq!(
-        fits_performed() - before,
-        0,
+        store.counts(),
+        (expected_fits, expected_fits),
         "cpu-backend fits must serve a {other}-backend run"
     );
-    assert_eq!(store.hits.load(Ordering::Relaxed), expected_fits);
     assert!(
         other_report.bitwise_eq(&cpu_report),
         "served fits must be backend-independent bit for bit"
@@ -272,20 +284,18 @@ fn fit_cache_hits_across_fit_thread_counts() {
     let expected_fits = (config.seeds * config.synthesizers.len() * config.epsilons.len()) as u64;
 
     let seq_report = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
-    assert_eq!(store.stores.load(Ordering::Relaxed), expected_fits);
+    assert_eq!(store.counts(), (expected_fits, 0));
 
     let mt_config = BenchmarkConfig {
         fit_threads: Some(4),
         ..config
     };
-    let before = fits_performed();
     let mt_report = run_paper_with_stores(&MeanPaper, &mt_config, None, Some(&store)).unwrap();
     assert_eq!(
-        fits_performed() - before,
-        0,
+        store.counts(),
+        (expected_fits, expected_fits),
         "sequential fits must serve a 4-thread run"
     );
-    assert_eq!(store.hits.load(Ordering::Relaxed), expected_fits);
     assert!(
         mt_report.bitwise_eq(&seq_report),
         "served fits must be thread-count-independent bit for bit"
@@ -314,14 +324,15 @@ fn unrestorable_states_degrade_to_refits() {
     let store = SabotagedStore(MemFitStore::default());
     let baseline = run_paper_with_stores(&MeanPaper, &config, None, None).unwrap();
     let cold = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
+    let (cold_saves, _) = store.0.counts();
 
     // Warm rerun: MST states come back variant-swapped and fail to
-    // restore, so MST refits; GEM states are untouched and serve.
-    let before = fits_performed();
+    // restore, so MST refits (and saves again); GEM states are untouched
+    // and serve.
     let warm = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
     let mst_fits = (config.seeds * config.epsilons.len()) as u64;
     assert_eq!(
-        fits_performed() - before,
+        store.0.counts().0 - cold_saves,
         mst_fits,
         "only the sabotaged synthesizer refits"
     );

@@ -1,9 +1,9 @@
-//! FNV-1a 64-bit digests — the content-address of the cell cache.
+//! FNV-1a 64-bit digests — the content-address of the store.
 //!
 //! FNV-1a is deliberately chosen over a cryptographic hash: the cache is a
 //! correctness-preserving accelerator (a wrong hit is guarded against by
-//! the key block embedded in every cell file, see [`crate::cache`]), the
-//! key space per store is a few thousand cells, and FNV is dependency-free
+//! the key block embedded in every entry, see [`crate::store`]), the
+//! key space per store is a few thousand entries, and FNV is dependency-free
 //! and stable across platforms and releases.
 
 /// FNV-1a offset basis.

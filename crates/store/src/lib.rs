@@ -12,22 +12,19 @@
 //! * [`codec`] — [`codec::JsonCodec`] implementations for
 //!   [`synrd::CellOutcome`], [`synrd::PaperReport`],
 //!   [`synrd::AggregateSeries`] and [`synrd::BenchmarkConfig`].
-//! * [`cache`] — [`cache::DiskCellCache`], a content-addressed on-disk cell
-//!   cache keyed by an FNV-1a digest of
-//!   `(config fingerprint, paper, synthesizer, ε)`, implementing
-//!   [`synrd::CellStore`] so the grid driver consults it before fitting and
-//!   writes back after; plus [`cache::merge_shard_dirs`] for recombining
-//!   sharded runs into stores that [`synrd::benchmark::assemble_report`]
-//!   can rebuild full reports from, bit-identical to a monolithic run.
 //! * [`fitted`] — [`codec::JsonCodec`] implementations for
 //!   [`synrd_synth::FittedState`] and its parts (junction-tree models,
 //!   PrivBayes networks, GEM logits, the PATECTGAN generator MLP).
-//! * [`fit_cache`] — [`fit_cache::DiskFitCache`], the fit-level sibling of
-//!   the cell cache: fitted states keyed by
-//!   `(master seed, dataset content digest, synthesizer, ε, trial seed)`,
-//!   implementing [`synrd::benchmark::FitStore`] so papers sharing a
-//!   dataset — or reruns whose cell keys changed but whose fits did not —
-//!   never refit what any earlier run already fitted.
+//! * [`store`] — [`store::DiskStore`], one content-addressed on-disk store
+//!   with two keyspaces under the same `--out-dir`: finished cells
+//!   ([`DiskCellCache`], a [`synrd::CellStore`]) and fitted states keyed by
+//!   dataset content ([`DiskFitCache`], a [`synrd::benchmark::FitStore`]),
+//!   so the grid never reruns a cell or refits a model a run already
+//!   stored. A store is read directly (`--resume`) or through a
+//!   [`Session`] that serves back only what this handle wrote.
+//!   [`merge_shard_dirs`] recombines sharded runs into a store that
+//!   [`synrd::benchmark::assemble_report`] rebuilds full reports from,
+//!   bit-identical to a monolithic run.
 //!
 //! The intended flow for incremental / distributed evaluation:
 //!
@@ -37,24 +34,27 @@
 //! rerun anytime:   fig3 --out-dir merged --resume        # zero fits
 //! ```
 
-pub mod cache;
 pub mod codec;
 pub mod digest;
-pub mod fit_cache;
 pub mod fitted;
 pub mod intern;
 pub mod json;
 pub mod parse;
+pub mod store;
 
-pub use cache::{
-    cell_digest, config_fingerprint, merge_shard_dirs, CacheStats, DiskCellCache, WriteOnly,
-};
 pub use codec::JsonCodec;
 pub use digest::{fnv1a64, hex16, Fnv1a};
-pub use fit_cache::{fit_digest, fit_fingerprint, DiskFitCache, SessionFits, WriteOnlyFits};
 pub use intern::intern;
 pub use json::JsonValue;
 pub use parse::parse;
+/// The [`Session`] view under its cell-store name: write-only in effect.
+pub use store::Session as WriteOnly;
+/// The [`Session`] view under its fit-store name.
+pub use store::Session as SessionFits;
+pub use store::{
+    cell_digest, config_fingerprint, fit_digest, fit_fingerprint, merge_shard_dirs, CacheStats,
+    Cells, DiskCellCache, DiskFitCache, DiskStore, Fits, Keyspace, Session,
+};
 
 use std::fmt;
 

@@ -13,7 +13,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 use synrd::benchmark::{
-    assemble_report, fits_performed, run_grid_sharded, run_paper_with, BenchmarkConfig, Shard,
+    assemble_report, fits_performed, run_grid_sharded_with_stores, run_paper_with_stores,
+    BenchmarkConfig, Shard,
 };
 use synrd::publication::{publication_by_id, Publication};
 use synrd_store::{merge_shard_dirs, DiskCellCache};
@@ -60,7 +61,7 @@ fn sharded_run_merges_bitwise_identical_to_monolithic() {
     // Monolithic reference run, no store involved.
     let monolithic: Vec<_> = papers
         .iter()
-        .map(|p| run_paper_with(p.as_ref(), &config, None).expect("monolithic run"))
+        .map(|p| run_paper_with_stores(p.as_ref(), &config, None, None).expect("monolithic run"))
         .collect();
 
     // Three shards into three independent store directories.
@@ -70,10 +71,11 @@ fn sharded_run_merges_bitwise_identical_to_monolithic() {
     let mut computed_total = 0;
     for (i, dir) in shard_dirs.iter().enumerate() {
         let cache = DiskCellCache::open(dir, &config).expect("open shard store");
-        let summary = run_grid_sharded(
+        let summary = run_grid_sharded_with_stores(
             &papers,
             &config,
             &cache,
+            None,
             Shard::new(i, N).expect("valid shard"),
         )
         .expect("shard run");
@@ -131,7 +133,8 @@ fn warm_cache_rerun_is_exact_and_fit_free() {
     // Cold run: populates the store and must actually fit synthesizers.
     let cache = DiskCellCache::open(&dir, &config).expect("open store");
     let fits_before_cold = fits_performed();
-    let cold = run_paper_with(paper.as_ref(), &config, Some(&cache)).expect("cold run");
+    let cold =
+        run_paper_with_stores(paper.as_ref(), &config, Some(&cache), None).expect("cold run");
     let cold_fits = fits_performed() - fits_before_cold;
     assert!(cold_fits > 0, "cold run must fit synthesizers");
     assert_eq!(cache.stats().hits, 0);
@@ -140,7 +143,8 @@ fn warm_cache_rerun_is_exact_and_fit_free() {
     // Warm rerun through a fresh handle: zero fits, bit-identical report.
     let warm_cache = DiskCellCache::open(&dir, &config).expect("reopen store");
     let fits_before_warm = fits_performed();
-    let warm = run_paper_with(paper.as_ref(), &config, Some(&warm_cache)).expect("warm run");
+    let warm =
+        run_paper_with_stores(paper.as_ref(), &config, Some(&warm_cache), None).expect("warm run");
     assert_eq!(
         fits_performed() - fits_before_warm,
         0,
@@ -158,7 +162,8 @@ fn warm_cache_rerun_is_exact_and_fit_free() {
     changed.data_seed += 1;
     let changed_cache = DiskCellCache::open(&dir, &changed).expect("reopen for new config");
     let fits_before_changed = fits_performed();
-    let _ = run_paper_with(paper.as_ref(), &changed, Some(&changed_cache)).expect("changed run");
+    let _ = run_paper_with_stores(paper.as_ref(), &changed, Some(&changed_cache), None)
+        .expect("changed run");
     assert!(
         fits_performed() > fits_before_changed,
         "a changed config fingerprint must invalidate the cache"

@@ -3,13 +3,20 @@
 //! calls build the flattened `TreeSampler` tables at most once per fitted
 //! model, and every draw is bit-identical to the old rebuild-per-draw
 //! behavior.
+//!
+//! Both tests build samplers, and the construction counter is process-wide,
+//! so they serialize on a mutex: the oracle's samplers would otherwise land
+//! in the other test's delta.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 use synrd_data::{Attribute, Dataset, Domain};
 use synrd_dp::{derive_seed, Privacy};
 use synrd_pgm::{samplers_built, TreeSampler};
 use synrd_synth::{Aim, Mst, PrivMrf, Synthesizer};
+
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn chain_data(n: usize) -> Dataset {
     let domain = Domain::new(vec![
@@ -38,6 +45,7 @@ fn columns(ds: &Dataset) -> Vec<Vec<u32>> {
 /// rebuild-per-draw loop exactly, bootstrap draw by bootstrap draw.
 #[test]
 fn cached_sampler_is_bit_identical_to_rebuild_per_draw() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
     let data = chain_data(3_000);
     let mut synth = Mst::default();
     synth
@@ -57,6 +65,7 @@ fn cached_sampler_is_bit_identical_to_rebuild_per_draw() {
 /// At-most-once construction, for each of the three PGM synthesizers.
 #[test]
 fn repeated_draws_construct_the_sampler_at_most_once() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
     let data = chain_data(2_000);
     let synths: Vec<Box<dyn Synthesizer>> = vec![
         Box::new(Aim::default()),
