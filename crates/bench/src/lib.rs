@@ -101,23 +101,15 @@ pub struct CliOptions {
     pub papers: Vec<String>,
     /// Result-store options.
     pub store: StoreOptions,
-    /// `--ml-backend`, validated; [`cli_from_args`] applies it.
-    pub ml_backend: Option<String>,
 }
 
-/// Parse the process arguments with [`parse_cli`] and apply
-/// `--ml-backend`. Bad input exits with code 2 and the parser's message.
+/// Parse the process arguments with [`parse_cli`]. Bad input exits with
+/// code 2 and the parser's message.
 pub fn cli_from_args() -> CliOptions {
-    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|msg| {
+    parse_cli(std::env::args().skip(1)).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2);
-    });
-    if let Some(name) = &cli.ml_backend {
-        // The process-global selection: the grid's worker threads pick it
-        // up through every `BatchWorkspace` they construct.
-        synrd_synth::ml_backend::set_global(Some(name)).expect("validated by parse_cli");
-    }
-    cli
+    })
 }
 
 /// Parse the flags shared by the figure binaries.
@@ -133,18 +125,14 @@ pub fn cli_from_args() -> CliOptions {
 /// * `--shard i/n` — compute only shard `i` of `n` (requires `--out-dir`);
 /// * `--merge-shards a,b,c` — union shard stores into `--out-dir` and
 ///   assemble reports purely from cached cells;
-/// * `--ml-backend auto|cpu|simd` — execution backend for the batched ML
-///   kernels (PATE-CTGAN training). Every backend is bit-identical, so this
-///   changes throughput only: results, fingerprints and cached fits are
-///   unaffected. Defaults to the `SYNRD_ML_BACKEND` env var, then `auto`;
 /// * `--fit-threads auto|N` — intra-fit thread allowance per cell. `auto`
 ///   (the default) derives it from the core budget (`threads / live cells`,
 ///   floored at 1); `N` pins it. Fits are bit-identical at any thread
-///   count, so this too changes throughput only.
+///   count, so this changes throughput only.
 ///
 /// # Errors
-/// A message naming the flag for an unknown paper id, a value that does
-/// not parse, a missing value, or `--shard`/`--merge-shards` without
+/// A message naming the flag for an unknown flag or paper id, a value that
+/// does not parse, a missing value, or `--shard`/`--merge-shards` without
 /// `--out-dir`.
 pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
     let args: Vec<String> = args.into_iter().collect();
@@ -155,10 +143,10 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
     };
     let mut papers: Vec<String> = Vec::new();
     let mut store = StoreOptions::default();
-    let mut ml_backend = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--paper-scale" => {}
             "--papers" => {
                 papers = split_list(&flag_value("--papers", it.next())?);
                 if let Some(bad) = papers
@@ -213,13 +201,7 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
                     },
                 };
             }
-            "--ml-backend" => {
-                let name = flag_value("--ml-backend", it.next())?;
-                synrd_synth::ml_backend::select(Some(&name))
-                    .map_err(|e| format!("bad --ml-backend '{name}': {e}"))?;
-                ml_backend = Some(name);
-            }
-            _ => {}
+            _ => return Err(format!("unknown flag '{arg}'")),
         }
     }
     if (store.shard.is_some() || !store.merge_shards.is_empty()) && store.out_dir.is_none() {
@@ -229,7 +211,6 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
         config,
         papers,
         store,
-        ml_backend,
     })
 }
 
@@ -539,8 +520,6 @@ mod tests {
             "4",
             "--fit-threads",
             "2",
-            "--ml-backend",
-            "cpu",
             "--out-dir",
             "store",
             "--resume",
@@ -555,7 +534,6 @@ mod tests {
         );
         assert_eq!(cli.config.data_scale, 0.5);
         assert_eq!(cli.config.fit_threads, Some(2));
-        assert_eq!(cli.ml_backend.as_deref(), Some("cpu"));
         assert_eq!(cli.store.out_dir, Some(PathBuf::from("store")));
         assert!(cli.store.resume);
         assert_eq!(cli.store.shard, Some(Shard::new(1, 3).unwrap()));
@@ -590,7 +568,10 @@ mod tests {
             assert!(parse(&[flag, "-1"]).is_err(), "{flag} is a count");
         }
         assert!(parse(&["--fit-threads", "0"]).is_err());
-        assert!(parse(&["--ml-backend", "gpu"]).is_err());
+        for flag in ["--ml-backend", "--seed", "saw2018"] {
+            let err = parse(&["--papers", "saw2018", flag, "1"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag '{flag}'"));
+        }
         assert!(parse(&["--shard", "3/3", "--out-dir", "store"]).is_err());
     }
 

@@ -4,15 +4,16 @@
 
 use std::process::Command;
 
-fn fig3(args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .args(args)
-        .output()
-        .expect("fig3 runs");
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn fig3(args: &[&str]) -> (Option<i32>, String) {
+    run(env!("CARGO_BIN_EXE_fig3"), args)
 }
 
 #[test]
@@ -27,4 +28,18 @@ fn unparseable_numbers_exit_with_code_2() {
     let (code, stderr) = fig3(&["--papers", "saw2018", "--seeds", "three"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("bad --seeds 'three'"), "{stderr}");
+}
+
+#[test]
+fn unknown_flags_exit_with_code_2() {
+    // Misspelled flags must not fall back to the defaults they meant to
+    // override, and removed flags must not be dropped silently.
+    let (code, stderr) = fig3(&["--papers", "saw2018", "--seed", "1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag '--seed'"), "{stderr}");
+    for bin in [env!("CARGO_BIN_EXE_fig3"), env!("CARGO_BIN_EXE_fig4")] {
+        let (code, stderr) = run(bin, &["--papers", "saw2018", "--ml-backend", "cpu"]);
+        assert_eq!(code, Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains("unknown flag '--ml-backend'"), "{stderr}");
+    }
 }

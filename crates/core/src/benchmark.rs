@@ -48,11 +48,10 @@ pub fn paper_epsilons() -> Vec<f64> {
 
 /// Execution configuration.
 ///
-/// The ML backend (`synrd_synth::ml_backend`) is deliberately *not* a
-/// field here: backends are bit-identical, so backend choice changes
-/// throughput only, never results. Keeping it process-global keeps the
-/// config fingerprint — and therefore every cached fit and result digest
-/// — backend-free.
+/// The ML backend is deliberately *not* a field here: backends are
+/// bit-identical, so every grid fit runs on the `auto` backend its
+/// [`FitContext`] picks, and the config fingerprint — and therefore every
+/// cached fit and result digest — stays backend-free.
 #[derive(Debug, Clone)]
 pub struct BenchmarkConfig {
     /// ε values to sweep.
@@ -170,26 +169,6 @@ impl CoreBudget {
             None => (self.total / self.total.min(cells).max(1)).max(1),
         }
     }
-}
-
-/// Process-wide cache of grid thread pools, one per thread count: the grid
-/// drivers run many batches per process (per paper, per shard) and pool
-/// construction is not free, so `execute_cells` reuses one pool per count
-/// instead of building a fresh pool per invocation.
-fn shared_pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = pools.lock().expect("grid pool cache poisoned");
-    Arc::clone(map.entry(threads).or_insert_with(|| {
-        Arc::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction cannot fail"),
-        )
-    }))
 }
 
 /// Why a cell has no parity numbers.
@@ -474,7 +453,11 @@ where
 {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if config.threads > 1 {
-            shared_pool(config.threads).install(|| coords.par_iter().map(&f).collect())
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(config.threads)
+                .build()
+                .expect("thread pool construction cannot fail")
+                .install(|| coords.par_iter().map(&f).collect())
         } else {
             coords.iter().map(&f).collect()
         }

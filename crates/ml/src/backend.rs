@@ -8,7 +8,7 @@
 //! optimizer step through a `Backend`. Two implementations exist:
 //! the scalar reference [`CpuBackend`] and the lane-blocked [`SimdBackend`]
 //! (AVX on x86-64, scalar elsewhere), selected at runtime through
-//! [`select`] / [`AnyBackend`] or the process-global [`global`] dispatch.
+//! [`select`] / [`AnyBackend`].
 //!
 //! # Reduction-order contract
 //!
@@ -33,18 +33,17 @@
 //!
 //! # Runtime dispatch
 //!
-//! [`select`] maps `auto | cpu | simd` to an [`AnyBackend`]; `auto` picks
-//! SIMD when the CPU supports it. A process-global selection — initialized
-//! lazily from the `SYNRD_ML_BACKEND` environment variable, overridable via
-//! [`set_global`] (the `--ml-backend` CLI flags) — feeds
-//! [`BatchWorkspace::new`](crate::BatchWorkspace::new), so synthesizer code
-//! picks the selected backend up without plumbing. Because every backend is
-//! bit-identical, the selection affects throughput only: fitted states,
-//! cache fingerprints and golden digests are the same under any backend.
+//! [`select`] maps `auto | cpu | simd` to an [`AnyBackend`]; `auto`
+//! ([`AnyBackend::default`]) picks SIMD when the CPU supports it. A
+//! backend is a value, never a process setting: each
+//! [`BatchWorkspace`](crate::BatchWorkspace) carries the one it was built
+//! with, and a synthesizer fit takes its backend from the `FitContext` it
+//! is given. Because every backend is bit-identical, the choice affects
+//! throughput only: fitted states, cache fingerprints and golden digests
+//! are the same under any backend.
 
 use crate::error::{MlError, Result};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The compute primitives behind the batched MLP passes: three GEMM-shaped
 /// kernels plus the element-wise Adam update.
@@ -1008,8 +1007,7 @@ pub fn weight_grad_gemm_mt<B: Backend + Sync>(
 }
 
 // ---------------------------------------------------------------------------
-// Runtime dispatch: `auto | cpu | simd` selection and the process-global
-// active backend.
+// Runtime dispatch: `auto | cpu | simd` selection.
 // ---------------------------------------------------------------------------
 
 /// A runtime-selected backend: the closed set of registered [`Backend`]
@@ -1030,6 +1028,18 @@ impl AnyBackend {
         match self {
             AnyBackend::Cpu => "cpu",
             AnyBackend::Simd => "simd",
+        }
+    }
+}
+
+impl Default for AnyBackend {
+    /// The `auto` selection: [`SimdBackend`] when the CPU supports it,
+    /// [`CpuBackend`] otherwise.
+    fn default() -> AnyBackend {
+        if SimdBackend::supported() {
+            AnyBackend::Simd
+        } else {
+            AnyBackend::Cpu
         }
     }
 }
@@ -1137,11 +1147,7 @@ impl Backend for AnyBackend {
 /// [`MlError::BackendUnsupported`] when `"simd"` is forced without AVX.
 pub fn select(name: Option<&str>) -> Result<AnyBackend> {
     match name.unwrap_or("auto") {
-        "auto" => Ok(if SimdBackend::supported() {
-            AnyBackend::Simd
-        } else {
-            AnyBackend::Cpu
-        }),
+        "auto" => Ok(AnyBackend::default()),
         "cpu" => Ok(AnyBackend::Cpu),
         "simd" => {
             if SimdBackend::supported() {
@@ -1165,67 +1171,10 @@ pub fn registered_backends() -> Vec<AnyBackend> {
     all
 }
 
-// Process-global selection, encoded for the atomic: 0 = not yet
-// initialized, otherwise `encode(backend)`.
-static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-fn encode(backend: AnyBackend) -> u8 {
-    match backend {
-        AnyBackend::Cpu => 1,
-        AnyBackend::Simd => 2,
-    }
-}
-
-fn decode(v: u8) -> Option<AnyBackend> {
-    match v {
-        1 => Some(AnyBackend::Cpu),
-        2 => Some(AnyBackend::Simd),
-        _ => None,
-    }
-}
-
-fn init_from_env() -> AnyBackend {
-    let chosen = match std::env::var("SYNRD_ML_BACKEND") {
-        Ok(v) => select(Some(&v)).unwrap_or_else(|e| {
-            // A bad env value must not abort a fit; degrade loudly to auto.
-            eprintln!("[synrd-ml] SYNRD_ML_BACKEND ignored: {e}");
-            select(None).expect("auto selection cannot fail")
-        }),
-        Err(_) => select(None).expect("auto selection cannot fail"),
-    };
-    GLOBAL_BACKEND.store(encode(chosen), Ordering::Relaxed);
-    chosen
-}
-
-/// The process-global active backend, used by
-/// [`BatchWorkspace::new`](crate::BatchWorkspace::new). Initialized lazily
-/// from `SYNRD_ML_BACKEND` (`auto` when unset or invalid, with a warning on
-/// invalid values); changeable at any time via [`set_global`]. Workspaces
-/// capture the selection at construction time.
-pub fn global() -> AnyBackend {
-    match decode(GLOBAL_BACKEND.load(Ordering::Relaxed)) {
-        Some(b) => b,
-        // Benign race: concurrent initializers compute the same value.
-        None => init_from_env(),
-    }
-}
-
-/// Name of the process-global active backend (`"cpu"` or `"simd"`).
+/// Name of the backend `auto` selects on this CPU (`"cpu"` or `"simd"`):
+/// the one every fit runs on unless its `FitContext` names another.
 pub fn global_name() -> &'static str {
-    global().name()
-}
-
-/// Set the process-global backend from a CLI-style name (see [`select`]).
-/// Returns the resolved backend. Only workspaces constructed *after* this
-/// call pick up the change.
-///
-/// # Errors
-/// Propagates [`select`]'s errors; the global selection is unchanged on
-/// error.
-pub fn set_global(name: Option<&str>) -> Result<AnyBackend> {
-    let backend = select(name)?;
-    GLOBAL_BACKEND.store(encode(backend), Ordering::Relaxed);
-    Ok(backend)
+    AnyBackend::default().name()
 }
 
 /// The x86-64 feature probes behind [`SimdBackend::supported`], for
@@ -1495,18 +1444,6 @@ mod tests {
             select(Some("gpu")),
             Err(MlError::UnknownBackend(_))
         ));
-    }
-
-    #[test]
-    fn global_selection_is_switchable() {
-        // Whatever the ambient env says, an explicit set wins; restore auto
-        // afterwards so parallel tests in this binary see a sane global.
-        assert_eq!(set_global(Some("cpu")).expect("cpu"), AnyBackend::Cpu);
-        assert_eq!(global_name(), "cpu");
-        assert!(set_global(Some("nope")).is_err());
-        assert_eq!(global_name(), "cpu", "failed set leaves global unchanged");
-        let auto = set_global(None).expect("auto");
-        assert_eq!(global(), auto);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum MlError {
     InvalidParameter { name: &'static str, value: f64 },
     /// A serialized network snapshot contains no layers.
     EmptyNetwork,
-    /// A backend name (CLI flag or `SYNRD_ML_BACKEND`) is not recognized.
+    /// A backend name passed to `select` is not recognized.
     UnknownBackend(String),
     /// A recognized backend cannot run on this CPU.
     BackendUnsupported(&'static str),

@@ -12,11 +12,11 @@
 //! execute one matrix-matrix pass per layer over row-major `[batch × dim]`
 //! activation arenas held in a reusable [`BatchWorkspace`] (zero-alloc after
 //! warm-up) and route every GEMM through a [`Backend`]. Each workspace
-//! captures the process-global backend selection
-//! ([`backend::global`](crate::backend::global) — the SIMD kernels when the
-//! CPU supports them, overridable via `SYNRD_ML_BACKEND` / `--ml-backend`)
-//! at construction, so synthesizer code picks up SIMD execution without
-//! naming a backend; the `*_with` variants take one explicitly.
+//! carries the backend it was built with: [`BatchWorkspace::new`] takes
+//! the `auto` selection (the SIMD kernels when the CPU supports them), and
+//! [`BatchWorkspace::with_backend`] takes one explicitly, as PATE-CTGAN's
+//! fit does with its `FitContext`'s backend; the `*_with` variants take
+//! one per call.
 //!
 //! The reduction order is pinned: each output cell sums its dot product in
 //! ascending index order, and batch gradients accumulate example-major. A
@@ -159,9 +159,8 @@ impl ForwardCache {
 /// first round. A workspace holds the forward caches
 /// [`Mlp::backward_apply_batch`] and [`Mlp::input_gradient_batch`] consume,
 /// so each network being trained needs its own workspace. It also carries
-/// the [`Backend`] the default batched passes execute on, captured from the
-/// process-global selection at construction (see
-/// [`BatchWorkspace::with_backend`] to pin one explicitly).
+/// the [`Backend`] the default batched passes execute on, fixed at
+/// construction.
 #[derive(Debug)]
 pub struct BatchWorkspace {
     /// Backend for the default batched passes.
@@ -194,11 +193,10 @@ impl Default for BatchWorkspace {
 }
 
 impl BatchWorkspace {
-    /// Fresh, empty workspace on the process-global backend
-    /// ([`backend::global`](crate::backend::global)); arenas are sized
-    /// lazily on first use.
+    /// Fresh, empty workspace on the `auto` backend
+    /// ([`AnyBackend::default`]); arenas are sized lazily on first use.
     pub fn new() -> BatchWorkspace {
-        BatchWorkspace::with_backend(backend::global())
+        BatchWorkspace::with_backend(AnyBackend::default())
     }
 
     /// Fresh, empty workspace pinned to an explicit backend.

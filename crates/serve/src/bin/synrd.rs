@@ -1,9 +1,7 @@
 //! The `synrd` serve-mode binary.
 //!
 //! ```text
-//! synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N]
-//!             [--ml-backend auto|cpu|simd] [--fit-threads auto|N]
-//!             [grid knobs]
+//! synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N] [grid knobs]
 //! synrd request ADDR 'JSON'        # one request line, prints the response
 //! synrd bench-serve [--quick] [--out BENCH_serve.json]
 //! ```
@@ -12,7 +10,8 @@
 //! run left under `--out-dir` (see `synrd_serve` for the protocol). The
 //! grid knobs (`--seeds`, `--scale`, ...) must match the run that
 //! populated the store — they determine the dataset digests and the fit
-//! fingerprint requests resolve against.
+//! fingerprint requests resolve against — so an unknown flag or a value
+//! that does not parse exits with code 2 before anything binds.
 //!
 //! `bench-serve` measures the serve-path win and writes `BENCH_serve.json`:
 //! cold fit-and-sample versus warm serve-mode sampling from a cached fit.
@@ -53,60 +52,70 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// The grid knobs that change dataset digests / the fit fingerprint.
-fn config_from(args: &[String]) -> BenchmarkConfig {
+/// `synrd serve`'s command line.
+struct ServeOptions {
+    out_dir: String,
+    addr: String,
+    workers: usize,
+    /// The grid knobs that set dataset digests and the fit fingerprint.
+    config: BenchmarkConfig,
+}
+
+/// Parse `serve`'s flags: the store, the listener and the grid knobs
+/// (`--paper-scale`, `--seeds`, `--bootstraps`, `--scale`).
+///
+/// # Errors
+/// A message naming the flag for an unknown flag, a missing or
+/// unparseable value, or a missing `--out-dir`.
+fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
     let mut config = if args.iter().any(|a| a == "--paper-scale") {
         BenchmarkConfig::paper()
     } else {
         BenchmarkConfig::quick()
     };
-    if let Some(v) = flag_value(args, "--seeds").and_then(|v| v.parse().ok()) {
-        config.seeds = v;
+    let mut out_dir = None;
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut workers = 4;
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--out-dir" => out_dir = Some(parsed(flag, it.next())?),
+            "--addr" => addr = parsed(flag, it.next())?,
+            "--workers" => workers = parsed(flag, it.next())?,
+            "--paper-scale" => {}
+            "--seeds" => config.seeds = parsed(flag, it.next())?,
+            "--bootstraps" => config.bootstraps = parsed(flag, it.next())?,
+            "--scale" => config.data_scale = parsed(flag, it.next())?,
+            _ => return Err(format!("unknown flag '{flag}' for synrd serve")),
+        }
     }
-    if let Some(v) = flag_value(args, "--bootstraps").and_then(|v| v.parse().ok()) {
-        config.bootstraps = v;
-    }
-    if let Some(v) = flag_value(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.data_scale = v;
-    }
-    config
+    Ok(ServeOptions {
+        out_dir: out_dir.ok_or("serve requires --out-dir (the grid run's result store)")?,
+        addr,
+        workers,
+        config,
+    })
+}
+
+/// The parsed value after `flag`.
+fn parsed<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} '{value}': expected a number"))
 }
 
 fn cmd_serve(args: &[String]) {
-    let Some(out_dir) = flag_value(args, "--out-dir") else {
-        eprintln!("serve requires --out-dir (the grid run's result store)");
+    let ServeOptions {
+        out_dir,
+        addr,
+        workers,
+        config,
+    } = parse_serve(args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
         std::process::exit(2);
-    };
-    // Backend for any ML work the service performs (bit-identical across
-    // backends; the `stats` response reports the active one).
-    if let Some(name) = flag_value(args, "--ml-backend") {
-        if let Err(e) = synrd_synth::ml_backend::set_global(Some(&name)) {
-            eprintln!("bad --ml-backend '{name}': {e}");
-            std::process::exit(2);
-        }
-    }
-    // Intra-fit thread allowance for any fits the process performs
-    // (bit-identical at any count; the `stats` response reports it).
-    // `auto` keeps the default (`SYNRD_FIT_THREADS`, else sequential).
-    if let Some(spec) = flag_value(args, "--fit-threads") {
-        match spec.as_str() {
-            "auto" => {}
-            n => match n.parse::<usize>() {
-                Ok(v) if v >= 1 => synrd_synth::set_default_fit_threads(v),
-                _ => {
-                    eprintln!(
-                        "bad --fit-threads '{spec}': expected 'auto' or a positive thread count"
-                    );
-                    std::process::exit(2);
-                }
-            },
-        }
-    }
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let workers = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let service = match FitService::open(&out_dir, config_from(args)) {
+    });
+    let service = match FitService::open(&out_dir, config) {
         Ok(service) => Arc::new(service),
         Err(e) => {
             eprintln!("cannot open fit cache {out_dir}: {e}");

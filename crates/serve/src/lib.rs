@@ -318,19 +318,11 @@ fn handle_stats(service: &FitService) -> JsonValue {
             "restored_in_memory",
             JsonValue::Uint(service.restored.read().unwrap().len() as u64),
         ),
-        // Active ML execution backend (`--ml-backend` / `SYNRD_ML_BACKEND`).
-        // Informational: backends are bit-identical, so serving results do
-        // not depend on it.
+        // The ML backend `auto` selects on this CPU. Informational:
+        // backends are bit-identical, so serving results do not depend on it.
         (
             "ml_backend",
             JsonValue::Str(synrd_synth::ml_backend::global_name().to_string()),
-        ),
-        // Active intra-fit thread allowance (`--fit-threads` /
-        // `SYNRD_FIT_THREADS`). Informational for the same reason: fits are
-        // bit-identical at any thread count.
-        (
-            "fit_threads",
-            JsonValue::Uint(synrd_synth::default_fit_threads() as u64),
         ),
     ])
 }

@@ -864,36 +864,6 @@ mod fit_tests {
     }
 
     #[test]
-    fn ml_backend_selection_never_reaches_the_fingerprint() {
-        // Backends are bit-identical, so backend choice must stay out of
-        // fit identity: the fingerprint is computed from the config alone
-        // and a fit saved under one backend loads under any other.
-        use synrd_synth::ml_backend;
-        let dir = tmp_dir("backend");
-        let config = BenchmarkConfig::quick();
-        let fp_auto = fit_fingerprint(&config);
-        ml_backend::set_global(Some("cpu")).unwrap();
-        let cache = DiskFitCache::open(&dir, &config).unwrap();
-        assert_eq!(cache.fingerprint(), fp_auto);
-        cache.save(6, SynthKind::Mst, 1.0, 0, &fitted_state(2));
-
-        let other = if ml_backend::select(Some("simd")).is_ok() {
-            "simd"
-        } else {
-            "cpu"
-        };
-        ml_backend::set_global(Some(other)).unwrap();
-        assert_eq!(fit_fingerprint(&config), fp_auto);
-        let reopened = DiskFitCache::open(&dir, &config).unwrap();
-        assert!(
-            reopened.load(6, SynthKind::Mst, 1.0, 0).is_some(),
-            "a cpu-backend fit must hit under the {other} backend"
-        );
-        ml_backend::set_global(Some("auto")).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn fit_thread_allowance_never_reaches_the_fingerprint() {
         // Intra-fit parallelism is bit-identical at any thread count, so the
         // allowance must stay out of fit identity: configs differing only in

@@ -10,10 +10,9 @@
 //! materializes anything larger than a pair marginal, GEM runs on domains
 //! that defeat every PGM-based method (e.g. Jeong et al.'s 1e43).
 //!
-//! The analytic trainer contains no GEMM, so the process-global ML
-//! backend selection (`--ml-backend`, `SYNRD_ML_BACKEND`) passes through
-//! this synthesizer with no effect — only PATE-CTGAN's batched MLP passes
-//! route through `synrd_ml::backend`.
+//! The analytic trainer contains no GEMM, so `FitContext::backend` has no
+//! effect here — only PATE-CTGAN's batched MLP passes route through
+//! `synrd_ml::backend`.
 
 use crate::common::{dataset_from_columns, measure_gaussian};
 use crate::error::{Result, SynthError};

@@ -41,96 +41,54 @@ pub use workload::{all_pairs, all_pairs_under, WorkloadQuery};
 // marginal counting counter), re-exported so the grid driver and tests can
 // read them without a direct synrd-pgm dependency.
 pub use synrd_pgm::{rows_sampled, sampling_passes};
-// The ML backend dispatch (`auto | cpu | simd`), re-exported so the grid
-// driver and the serve binary can apply `--ml-backend` / report the active
-// backend without a direct synrd-ml dependency. Backend selection changes
-// throughput only — every backend is bit-identical, so fitted states and
-// cache fingerprints do not depend on it.
+// The ML backend dispatch (`auto | cpu | simd`), re-exported so callers can
+// name a backend for [`FitContext::backend`] without a direct synrd-ml
+// dependency.
 pub use synrd_ml::backend as ml_backend;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use synrd_data::{Dataset, Domain};
 use synrd_dp::{delta_for_n, Privacy};
+use synrd_ml::backend::AnyBackend;
 use synrd_ml::MlpState;
 use synrd_pgm::FittedModel;
 
-// Process-global default fit-thread allowance, encoded for the atomic:
-// 0 = not yet initialized, otherwise the allowance itself.
-static FIT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-fn init_fit_threads_from_env() -> usize {
-    let chosen = match std::env::var("SYNRD_FIT_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| {
-                // A bad env value must not abort a fit; degrade loudly.
-                eprintln!(
-                    "[synrd-synth] SYNRD_FIT_THREADS ignored: {v:?} is not a positive integer"
-                );
-                1
-            }),
-        Err(_) => 1,
-    };
-    FIT_THREADS.store(chosen, Ordering::Relaxed);
-    chosen
-}
-
-/// The process-global default fit-thread allowance, used by
-/// [`Synthesizer::fit`] (the no-context convenience). Initialized lazily
-/// from `SYNRD_FIT_THREADS` (`1` — fully sequential — when unset or
-/// invalid, with a warning on invalid values); changeable at any time via
-/// [`set_default_fit_threads`]. Like the ML backend selection this is a
-/// throughput knob only: fits are bit-identical at every thread count, so
-/// it never reaches fitted states or cache fingerprints.
-pub fn default_fit_threads() -> usize {
-    match FIT_THREADS.load(Ordering::Relaxed) {
-        0 => init_fit_threads_from_env(),
-        t => t,
-    }
-}
-
-/// Set the process-global default fit-thread allowance (the `--fit-threads`
-/// CLI flags); clamped to at least 1. Only [`Synthesizer::fit`] calls made
-/// *after* this pick up the change.
-pub fn set_default_fit_threads(threads: usize) {
-    FIT_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
 /// Execution context for one fit: resource knobs that change throughput but
 /// never results. Every synthesizer's internal parallelism pins its
-/// reduction orders, so a fit is **bit-identical at any thread count** —
-/// which is why this context never appears in [`FittedState`] or any cache
-/// fingerprint.
+/// reduction orders and every ML backend is bit-identical to
+/// [`CpuBackend`](ml_backend::CpuBackend), so a fit is **bit-identical under
+/// any context** — which is why it never appears in [`FittedState`] or any
+/// cache fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FitContext {
     /// Worker threads the fit may use internally (mirror-descent loss
     /// passes, batched GEMMs, GEM's per-component updates). `1` runs fully
     /// sequential.
     pub threads: usize,
+    /// Backend for the batched ML kernels (PATE-CTGAN's generator and
+    /// student). Every constructor picks the `auto` selection; tests set
+    /// it to pin a backend.
+    pub backend: AnyBackend,
 }
 
 impl Default for FitContext {
-    /// The process-global default allowance ([`default_fit_threads`]).
+    /// Sequential, on the `auto` backend.
     fn default() -> FitContext {
-        FitContext {
-            threads: default_fit_threads(),
-        }
+        FitContext::sequential()
     }
 }
 
 impl FitContext {
-    /// A fully sequential context (the historical behavior).
+    /// A fully sequential context.
     pub fn sequential() -> FitContext {
-        FitContext { threads: 1 }
+        FitContext::with_threads(1)
     }
 
-    /// A context with an explicit thread allowance (clamped to at least 1).
+    /// A context with an explicit thread allowance (clamped to at least 1)
+    /// on the `auto` backend.
     pub fn with_threads(threads: usize) -> FitContext {
         FitContext {
             threads: threads.max(1),
+            backend: AnyBackend::default(),
         }
     }
 }
@@ -208,7 +166,8 @@ pub trait Synthesizer: Send + Sync {
 
     /// Fit the model on `data` under `privacy`, deterministically in `seed`,
     /// with an explicit execution context. The context is a throughput knob
-    /// only — the fitted model is bit-identical at any `ctx.threads`.
+    /// only — the fitted model is bit-identical at any `ctx.threads` and on
+    /// any `ctx.backend`.
     ///
     /// # Errors
     /// [`SynthError::Infeasible`] when the dataset is outside the method's
@@ -221,8 +180,8 @@ pub trait Synthesizer: Send + Sync {
         ctx: FitContext,
     ) -> Result<()>;
 
-    /// [`fit_with`] under the process-global default context
-    /// ([`FitContext::default`], i.e. `SYNRD_FIT_THREADS` or sequential).
+    /// [`fit_with`] under the default context ([`FitContext::default`]:
+    /// sequential, on the `auto` backend).
     ///
     /// # Errors
     /// Same contract as [`fit_with`].
@@ -482,6 +441,66 @@ mod tests {
             s2.fit(&data, privacy, 42).unwrap();
             let b = s2.sample(500, 9).unwrap();
             assert_eq!(a, b, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn every_fit_is_identical_across_backends_and_thread_counts() {
+        // A fit's context changes throughput, never the fitted state or a
+        // sampled row: every synthesizer on every backend this CPU runs,
+        // at one and three threads, must match the sequential `CpuBackend`
+        // fit. PATE-CTGAN's default layers stay under the threaded-GEMM
+        // gate, so a wider generator gives its thread leg something to do.
+        let wide = PateCtganOptions {
+            teachers: 4,
+            rounds: 6,
+            batch: 64,
+            z_dim: 32,
+            hidden: 128,
+        };
+        assert_eq!(
+            ml_backend::gemm_threads(3, wide.batch * wide.z_dim * wide.hidden),
+            3,
+            "the wide generator's first layer must fan out"
+        );
+        let cases = SynthKind::ALL
+            .into_iter()
+            .map(|kind| (kind, None))
+            .chain([(SynthKind::PateCtgan, Some(wide))]);
+        let data = correlated_data(1_500, 6);
+        for (kind, options) in cases {
+            let build = || -> Box<dyn Synthesizer> {
+                match options {
+                    Some(o) => Box::new(PateCtgan::with_options(o)),
+                    None => kind.build(),
+                }
+            };
+            let privacy = kind.native_privacy(std::f64::consts::E, data.n_rows());
+            // The fitted state by its `Debug` text (shortest round-trip
+            // floats, so equal text means equal bits) and one sample.
+            let fit = |ctx: FitContext| {
+                let mut synth = build();
+                synth.fit_with(&data, privacy, 11, ctx).unwrap();
+                let state = format!("{:?}", synth.fitted_state().unwrap());
+                (state, synth.sample(400, 3).unwrap())
+            };
+            let (state, sample) = fit(FitContext {
+                threads: 1,
+                backend: AnyBackend::Cpu,
+            });
+            for backend in ml_backend::registered_backends() {
+                for threads in [1, 3] {
+                    let (got_state, got_sample) = fit(FitContext { threads, backend });
+                    let at = format!(
+                        "{} (hidden {:?}) on {} at {threads} threads",
+                        kind.name(),
+                        options.map(|o| o.hidden),
+                        backend.name()
+                    );
+                    assert!(got_state == state, "{at}: fitted state differs");
+                    assert_eq!(got_sample, sample, "{at}: sample differs");
+                }
+            }
         }
     }
 }

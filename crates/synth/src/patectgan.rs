@@ -18,10 +18,9 @@
 //! BCE step, and one batched generator update — one matrix-matrix pass per
 //! layer via `synrd-ml`'s [`BatchWorkspace`] kernels instead of `batch`
 //! per-example passes (gradients are summed over the round's samples and
-//! applied as a single Adam step per network per round). The workspaces
-//! capture the process-global ML backend (`synrd_ml::backend::global`) at
-//! construction, so `--ml-backend simd` accelerates both networks' GEMMs
-//! without touching this file; every backend is bit-identical, so the
+//! applied as a single Adam step per network per round). Both training
+//! workspaces run on the fit's `FitContext::backend` (the SIMD kernels
+//! when the CPU supports them); every backend is bit-identical, so the
 //! fitted state is the same regardless. The per-example formulation of the
 //! same semantics is retained under `cfg(test)` (`fit_naive`) as a
 //! differential oracle; `fit` must reproduce its fitted state bit-for-bit.
@@ -310,9 +309,9 @@ impl Synthesizer for PateCtgan {
         let od = state.onehot_dim;
         // The thread allowance only reaches layers big enough to amortize a
         // parallel region (`gemm_threads`); results are identical either way.
-        let mut gen_ws = BatchWorkspace::new();
+        let mut gen_ws = BatchWorkspace::with_backend(ctx.backend);
         gen_ws.set_threads(ctx.threads);
-        let mut student_ws = BatchWorkspace::new();
+        let mut student_ws = BatchWorkspace::with_backend(ctx.backend);
         student_ws.set_threads(ctx.threads);
         let mut zs = vec![0.0f64; batch * self.options.z_dim];
         let mut softs = vec![0.0f64; batch * od];
