@@ -1,8 +1,7 @@
 //! Before/after benches for the marginal-counting engine: the naive per-row
-//! counter vs the engine kernel on 1-way and 2-way tables, the fused
-//! multi-marginal sweep vs a per-set loop, and the packed-word kernels vs
-//! the retained `u32`-slice kernel, all at ≥100k rows (`perfgrid` records
-//! the same comparisons to `BENCH_marginal.json` and `BENCH_dataset.json`).
+//! counter vs the engine kernel on 1-way and 2-way tables, and the fused
+//! multi-marginal sweep vs a per-set loop, all at ≥100k rows (`perfgrid`
+//! records the same comparisons to `BENCH_marginal.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -73,37 +72,10 @@ fn batched_multi_marginal(c: &mut Criterion) {
     group.finish();
 }
 
-fn packed_vs_unpacked_sweep(c: &mut Criterion) {
-    use synrd_data::engine::unpacked::count_many_unpacked;
-    use synrd_data::DEFAULT_CELL_LIMIT;
-
-    let data = synrd_bench::marginal_bench_dataset(ROWS, &synrd_bench::marginal_bench_shape(ATTRS));
-    let columns = data.to_columns();
-    let one_ways: Vec<Vec<usize>> = (0..ATTRS).map(|a| vec![a]).collect();
-    let mut group = c.benchmark_group("packed_marginal_sweep");
-    group.sample_size(20);
-    group.bench_with_input(BenchmarkId::new("packed_words", ROWS), &(), |b, ()| {
-        b.iter(|| {
-            let mut engine = MarginalEngine::new(&data);
-            let batch = engine.count_many(&one_ways).expect("count");
-            black_box(batch.iter().map(Marginal::total).sum::<f64>())
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("u32_slices", ROWS), &(), |b, ()| {
-        b.iter(|| {
-            let batch = count_many_unpacked(data.domain(), &columns, &one_ways, DEFAULT_CELL_LIMIT)
-                .expect("count");
-            black_box(batch.iter().map(Marginal::total).sum::<f64>())
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     one_way_counting,
     two_way_counting,
-    batched_multi_marginal,
-    packed_vs_unpacked_sweep
+    batched_multi_marginal
 );
 criterion_main!(benches);

@@ -1,9 +1,9 @@
 //! Ablation benches for the Private-PGM substrate (DESIGN.md "ablations"):
 //! mirror-descent iteration count vs wall time, junction-tree sampling
 //! throughput as the tree widens, and before/after kernel benches pitting
-//! the stride-based calibration against the retained naive-reference
-//! implementation (`perfgrid` records the same comparison to
-//! `BENCH_pgm.json`).
+//! the stride-based calibration and the batched sampler against their
+//! retained naive oracles (`perfgrid` records the same comparisons to
+//! `BENCH_pgm.json` and `BENCH_sampling.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use synrd_data::{BenchmarkDataset, Marginal};
 use synrd_pgm::{
     calibrate_into, calibrate_naive, estimate, CalibratedTree, CalibrationWorkspace,
-    EstimationOptions, NoisyMeasurement, TreeSampler,
+    EstimationOptions, NaiveSampler, NoisyMeasurement, TreeSampler,
 };
 
 /// Chain measurements over the Saw dataset (one per adjacent pair).
@@ -84,6 +84,7 @@ fn sampling_kernels(c: &mut Criterion) {
     let (shape, ms) = chain_measurements();
     let model = estimate(&shape, &ms, EstimationOptions::default()).expect("estimate");
     let sampler = TreeSampler::new(&model).expect("sampler");
+    let oracle = NaiveSampler::new(&model).expect("sampler");
     let mut group = c.benchmark_group("pgm_sampling_kernel");
     group.sample_size(10);
     let rows = 100_000usize;
@@ -92,7 +93,7 @@ fn sampling_kernels(c: &mut Criterion) {
         b.iter(|| sampler.sample_columns_with(rows, &mut StdRng::seed_from_u64(11), &mut ws));
     });
     group.bench_with_input(BenchmarkId::new("naive", rows), &(), |b, ()| {
-        b.iter(|| sampler.sample_columns_naive(rows, &mut StdRng::seed_from_u64(11)));
+        b.iter(|| oracle.sample_columns(rows, &mut StdRng::seed_from_u64(11)));
     });
     group.finish();
 }

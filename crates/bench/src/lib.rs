@@ -346,7 +346,10 @@ fn summary_line<K: Keyspace>(tag: &str, store: &DiskStore<K>) -> String {
 /// The value for a flag that requires one: missing values and values that
 /// look like another flag are user errors, not values — both would
 /// otherwise silently disable or misdirect the flag.
-fn flag_value(flag: &str, next: Option<&String>) -> Result<String, String> {
+///
+/// # Errors
+/// A message naming `flag` when `next` is missing or is another flag.
+pub fn flag_value(flag: &str, next: Option<&String>) -> Result<String, String> {
     match next {
         Some(v) if !v.starts_with("--") => Ok(v.clone()),
         Some(v) => Err(format!("{flag} requires a value, but got the flag '{v}'")),

@@ -1,11 +1,20 @@
-//! The grid binaries reject bad command lines with exit code 2 and a
-//! message, before running anything — an unknown paper id must not become
-//! an empty run that exits 0.
+//! The grid binaries and `perfgrid` reject bad command lines with exit
+//! code 2 and a message, before running anything — an unknown paper id
+//! must not become an empty run that exits 0.
 
+use std::path::Path;
 use std::process::Command;
 
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
-    let out = Command::new(bin).args(args).output().expect("binary runs");
+    run_in(bin, args, Path::new("."))
+}
+
+fn run_in(bin: &str, args: &[&str], dir: &Path) -> (Option<i32>, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -42,4 +51,30 @@ fn unknown_flags_exit_with_code_2() {
         assert_eq!(code, Some(2), "{bin}: {stderr}");
         assert!(stderr.contains("unknown flag '--ml-backend'"), "{stderr}");
     }
+}
+
+#[test]
+fn perfgrid_rejects_unknown_flags_and_missing_values() {
+    // Run in an empty directory: a rejected command line must write no
+    // record there.
+    let dir = std::env::temp_dir().join(format!("synrd-perfgrid-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let perfgrid = env!("CARGO_BIN_EXE_perfgrid");
+
+    let (code, stderr) = run_in(perfgrid, &["--quik"], &dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag '--quik'"), "{stderr}");
+
+    let (code, stderr) = run_in(perfgrid, &["--quick", "--out"], &dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--out requires a value"), "{stderr}");
+
+    let (code, stderr) = run_in(perfgrid, &["--ml-out", "--quick"], &dir);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("got the flag '--quick'"), "{stderr}");
+
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "rejected runs wrote {written:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

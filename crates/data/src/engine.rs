@@ -37,9 +37,8 @@
 //!    [`marginal_counts_performed`] counter (mirroring the grid driver's
 //!    fit counter) makes the at-most-once property provable in tests.
 //!
-//! The pre-packing `u32`-slice kernel is retained verbatim in
-//! [`unpacked`] (tests and the `naive-reference` feature) as the
-//! differential oracle and the packed-vs-unpacked benchmark baseline.
+//! The differential oracle for all three layers is the naive per-row
+//! counter, [`Marginal::count_naive`].
 
 use crate::dataset::Dataset;
 use crate::domain::validate_attr_set;
@@ -598,211 +597,6 @@ pub fn count_marginal_chunked(
     plan.into_marginal(hist)
 }
 
-/// The pre-packing counting kernel over plain `u32` columns, retained
-/// verbatim as the differential oracle for the packed kernels and as the
-/// baseline of the packed-vs-unpacked benchmark (`BENCH_dataset.json`).
-/// Same specialized loops, same lanes, same chunking and parallel merge —
-/// the only difference is the memory it streams.
-#[cfg(any(test, feature = "naive-reference"))]
-pub mod unpacked {
-    use super::*;
-    use crate::domain::Domain;
-
-    struct UnpackedPlan<'a> {
-        attrs: Vec<usize>,
-        shape: Vec<usize>,
-        strides: Vec<usize>,
-        cols: Vec<&'a [u32]>,
-        cells: usize,
-    }
-
-    fn build_plan<'a>(
-        domain: &Domain,
-        columns: &'a [Vec<u32>],
-        attrs: &[usize],
-        cell_limit: usize,
-    ) -> Result<UnpackedPlan<'a>> {
-        validate_attr_set(domain.len(), attrs)?;
-        let cells = domain.cells(attrs)?;
-        if cells > cell_limit as u128 {
-            return Err(DataError::MarginalTooLarge {
-                cells,
-                limit: cell_limit,
-            });
-        }
-        let shape: Vec<usize> = attrs
-            .iter()
-            .map(|&a| domain.cardinality(a))
-            .collect::<Result<_>>()?;
-        let cols: Vec<&[u32]> = attrs.iter().map(|&a| columns[a].as_slice()).collect();
-        Ok(UnpackedPlan {
-            attrs: attrs.to_vec(),
-            strides: strides_of(&shape),
-            shape,
-            cols,
-            cells: cells as usize,
-        })
-    }
-
-    /// Count rows `lo..hi` of one plan into `hist` (the original u32-slice
-    /// kernel body, unchanged).
-    fn count_range(
-        plan: &UnpackedPlan<'_>,
-        lo: usize,
-        hi: usize,
-        hist: &mut [u64],
-        scratch: &mut CountScratch,
-    ) {
-        let lanes = hist.len() <= LANE_CELL_LIMIT;
-        match plan.cols.as_slice() {
-            [col] => {
-                let col = &col[lo..hi];
-                if lanes {
-                    with_lanes(hist, &mut scratch.lanes, |h0, l1, l2, l3| {
-                        let mut quads = col.chunks_exact(4);
-                        for q in quads.by_ref() {
-                            h0[q[0] as usize] += 1;
-                            l1[q[1] as usize] += 1;
-                            l2[q[2] as usize] += 1;
-                            l3[q[3] as usize] += 1;
-                        }
-                        for &c in quads.remainder() {
-                            h0[c as usize] += 1;
-                        }
-                    });
-                } else {
-                    for &c in col {
-                        hist[c as usize] += 1;
-                    }
-                }
-            }
-            [ca, cb] => {
-                let stride = plan.strides[0];
-                let (ca, cb) = (&ca[lo..hi], &cb[lo..hi]);
-                if lanes {
-                    with_lanes(hist, &mut scratch.lanes, |h0, l1, l2, l3| {
-                        let mut qa = ca.chunks_exact(4);
-                        let mut qb = cb.chunks_exact(4);
-                        for (a, b) in qa.by_ref().zip(qb.by_ref()) {
-                            h0[a[0] as usize * stride + b[0] as usize] += 1;
-                            l1[a[1] as usize * stride + b[1] as usize] += 1;
-                            l2[a[2] as usize * stride + b[2] as usize] += 1;
-                            l3[a[3] as usize * stride + b[3] as usize] += 1;
-                        }
-                        for (&a, &b) in qa.remainder().iter().zip(qb.remainder()) {
-                            h0[a as usize * stride + b as usize] += 1;
-                        }
-                    });
-                } else {
-                    for (&a, &b) in ca.iter().zip(cb) {
-                        hist[a as usize * stride + b as usize] += 1;
-                    }
-                }
-            }
-            cols => {
-                let n = hi - lo;
-                let idx = &mut scratch.idx;
-                idx.clear();
-                idx.resize(n, 0);
-                for (col, &stride) in cols.iter().zip(&plan.strides) {
-                    for (i, &c) in idx.iter_mut().zip(&col[lo..hi]) {
-                        *i += c as usize * stride;
-                    }
-                }
-                let idx = &scratch.idx;
-                if lanes {
-                    with_lanes(hist, &mut scratch.lanes, |h0, l1, l2, l3| {
-                        let mut quads = idx.chunks_exact(4);
-                        for q in quads.by_ref() {
-                            h0[q[0]] += 1;
-                            l1[q[1]] += 1;
-                            l2[q[2]] += 1;
-                            l3[q[3]] += 1;
-                        }
-                        for &i in quads.remainder() {
-                            h0[i] += 1;
-                        }
-                    });
-                } else {
-                    for &i in idx {
-                        hist[i] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Count a batch of attribute sets over unpacked columns in one fused
-    /// chunked sweep (parallel by the same heuristics as the packed
-    /// engine), returning the marginals in request order.
-    ///
-    /// # Errors
-    /// Same validation contract as [`MarginalEngine::count_many`].
-    pub fn count_many_unpacked(
-        domain: &Domain,
-        columns: &[Vec<u32>],
-        sets: &[Vec<usize>],
-        cell_limit: usize,
-    ) -> Result<Vec<Marginal>> {
-        let plans: Vec<UnpackedPlan<'_>> = sets
-            .iter()
-            .map(|attrs| build_plan(domain, columns, attrs, cell_limit))
-            .collect::<Result<_>>()?;
-        let rows = columns.first().map_or(0, Vec::len);
-        let chunk_rows = production_chunk_rows(rows).max(1);
-        let n_chunks = rows.div_ceil(chunk_rows).max(1);
-        let hists: Vec<Vec<u64>> = if !should_parallelize(rows) || n_chunks <= 1 {
-            let mut hists: Vec<Vec<u64>> = plans.iter().map(|p| vec![0u64; p.cells]).collect();
-            let mut scratch = CountScratch::default();
-            for c in 0..n_chunks {
-                let lo = c * chunk_rows;
-                let hi = ((c + 1) * chunk_rows).min(rows);
-                for (plan, hist) in plans.iter().zip(&mut hists) {
-                    count_range(plan, lo, hi, hist, &mut scratch);
-                }
-            }
-            hists
-        } else {
-            let locals: Vec<Vec<Vec<u64>>> = (0..n_chunks)
-                .into_par_iter()
-                .map(|c| {
-                    let lo = c * chunk_rows;
-                    let hi = ((c + 1) * chunk_rows).min(rows);
-                    let mut scratch = CountScratch::default();
-                    plans
-                        .iter()
-                        .map(|plan| {
-                            let mut hist = vec![0u64; plan.cells];
-                            count_range(plan, lo, hi, &mut hist, &mut scratch);
-                            hist
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut hists: Vec<Vec<u64>> = plans.iter().map(|p| vec![0u64; p.cells]).collect();
-            for local in locals {
-                for (hist, part) in hists.iter_mut().zip(local) {
-                    for (h, p) in hist.iter_mut().zip(part) {
-                        *h += p;
-                    }
-                }
-            }
-            hists
-        };
-        plans
-            .into_iter()
-            .zip(hists)
-            .map(|(plan, hist)| {
-                Marginal::from_counts(
-                    plan.attrs,
-                    plan.shape,
-                    hist.into_iter().map(|c| c as f64).collect(),
-                )
-            })
-            .collect()
-    }
-}
-
 /// Default soft bound on the total cells a [`MarginalCache`] retains
 /// (16M `f64` cells = 128 MB). Benchmark-scale tables never come close; the
 /// bound exists so a wide-domain fit that prefetches hundreds of large pair
@@ -1086,16 +880,17 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_unpacked_kernel() {
-        let ds = toy(4099); // crosses a decode-block boundary
-        let columns = ds.to_columns();
-        let sets = vec![vec![0], vec![1], vec![0, 1], vec![2, 0], vec![0, 1, 2]];
-        let mut engine = MarginalEngine::new(&ds);
-        let packed = engine.count_many(&sets).unwrap();
-        let reference =
-            unpacked::count_many_unpacked(ds.domain(), &columns, &sets, DEFAULT_CELL_LIMIT)
-                .unwrap();
-        assert_eq!(packed, reference);
+    fn fused_batch_matches_naive_across_decode_blocks() {
+        let sets = [vec![0], vec![1], vec![0, 1], vec![2, 0], vec![0, 1, 2]];
+        // 8,195 rows cross a decode-block boundary (`BLOCK_ROWS`).
+        for rows in [4_099, 8_195] {
+            let ds = toy(rows);
+            let batch = MarginalEngine::new(&ds).count_many(&sets).unwrap();
+            for (attrs, fast) in sets.iter().zip(&batch) {
+                let naive = Marginal::count_naive(&ds, attrs).unwrap();
+                assert_eq!(fast, &naive, "rows {rows} attrs {attrs:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,13 @@
 //! Counting from data routes through the engine kernel
 //! ([`crate::engine`]): integer accumulators, specialized one/two-way
 //! loops, chunk-parallel sweeps. The original per-row counter and the
-//! per-cell projection are retained as `count_naive` / `project_naive`
-//! behind `cfg(any(test, feature = "naive-reference"))` — the differential
-//! oracle the equivalence proptests pin the kernels against.
+//! per-cell projection are retained as `count_naive` / `project_naive` —
+//! the differential oracle the equivalence proptests pin the kernels
+//! against.
 
 use crate::dataset::Dataset;
-use crate::error::{DataError, Result};
-
-#[cfg(any(test, feature = "naive-reference"))]
 use crate::domain::validate_attr_set;
+use crate::error::{DataError, Result};
 
 /// Default cap on materialized marginal cells (4M cells = 32 MB of `f64`).
 pub const DEFAULT_CELL_LIMIT: usize = 1 << 22;
@@ -59,7 +57,6 @@ impl Marginal {
     /// The original per-row counter: one mixed-radix index rebuilt from
     /// scratch per row with an inner loop over the attribute set. Retained
     /// verbatim as the differential oracle for the engine kernel.
-    #[cfg(any(test, feature = "naive-reference"))]
     pub fn from_dataset_naive(
         dataset: &Dataset,
         attrs: &[usize],
@@ -103,7 +100,6 @@ impl Marginal {
     }
 
     /// Naive-oracle counterpart of [`Marginal::count`].
-    #[cfg(any(test, feature = "naive-reference"))]
     pub fn count_naive(dataset: &Dataset, attrs: &[usize]) -> Result<Self> {
         Self::from_dataset_naive(dataset, attrs, DEFAULT_CELL_LIMIT)
     }
@@ -240,7 +236,6 @@ impl Marginal {
     /// The original projection: decode every cell index into a code vector,
     /// re-encode under the kept positions. Differential oracle for
     /// [`Marginal::project`].
-    #[cfg(any(test, feature = "naive-reference"))]
     pub fn project_naive(&self, keep_positions: &[usize]) -> Result<Marginal> {
         for &p in keep_positions {
             if p >= self.shape.len() {

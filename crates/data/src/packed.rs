@@ -25,16 +25,15 @@
 //! paper replications and the samplers all go through `get` /
 //! `for_each_code` / `decode_into` / `iter_words`, so a future row-group or
 //! out-of-core store can slot in behind the same trait without touching
-//! them. The old unpacked representation is retained as
-//! [`UnpackedColumn`] behind the `naive-reference` feature (and in tests)
-//! as the differential oracle.
+//! them. The differential oracle is a plain `Vec<u32>` per column: the
+//! proptests in `tests/packed_oracle.rs` keep one beside every dataset they
+//! pack.
 
 /// Read access to one column of codes, independent of the physical layout.
 ///
 /// Implementors must return codes identical to a plain `Vec<u32>` holding
 /// the column: the differential proptests in `tests/packed_oracle.rs` pin a
-/// [`PackedColumn`] against an [`UnpackedColumn`] under every dataset
-/// operation.
+/// [`PackedColumn`] against such a mirror under every dataset operation.
 pub trait ColumnAccess {
     /// Number of codes stored.
     fn len(&self) -> usize;
@@ -44,8 +43,7 @@ pub trait ColumnAccess {
         self.len() == 0
     }
 
-    /// Bits per code in this layout (0 for constant columns, 32 for the
-    /// unpacked reference layout).
+    /// Bits per code in this layout (0 for constant columns).
     fn width(&self) -> u32;
 
     /// The code at `row`. Panics if `row >= len()`.
@@ -73,8 +71,7 @@ pub trait ColumnAccess {
     }
 
     /// The backing words for kernels that unpack inline. Layouts without a
-    /// word image (the unpacked oracle, width-0 columns) return an empty
-    /// slice.
+    /// word image (width-0 columns) return an empty slice.
     fn iter_words(&self) -> &[u64];
 }
 
@@ -339,62 +336,6 @@ impl ColumnAccess for PackedColumn {
     }
 }
 
-/// The previous `Vec<u32>`-per-column layout, retained as the differential
-/// oracle behind the `naive-reference` feature (and in tests): every
-/// [`ColumnAccess`] method must agree with [`PackedColumn`] code-for-code.
-#[cfg(any(test, feature = "naive-reference"))]
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnpackedColumn {
-    codes: Vec<u32>,
-}
-
-#[cfg(any(test, feature = "naive-reference"))]
-impl UnpackedColumn {
-    /// Wrap a plain code vector.
-    pub fn from_codes(codes: Vec<u32>) -> UnpackedColumn {
-        UnpackedColumn { codes }
-    }
-
-    /// The raw codes.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// Append one code.
-    pub fn push(&mut self, code: u32) {
-        self.codes.push(code);
-    }
-}
-
-#[cfg(any(test, feature = "naive-reference"))]
-impl ColumnAccess for UnpackedColumn {
-    fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    fn width(&self) -> u32 {
-        32
-    }
-
-    fn get(&self, row: usize) -> u32 {
-        self.codes[row]
-    }
-
-    fn for_each_range(&self, lo: usize, hi: usize, mut f: impl FnMut(u32)) {
-        for &c in &self.codes[lo..hi] {
-            f(c);
-        }
-    }
-
-    fn decode_range_into(&self, lo: usize, hi: usize, out: &mut [u32]) {
-        out.copy_from_slice(&self.codes[lo..hi]);
-    }
-
-    fn iter_words(&self) -> &[u64] {
-        &[]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,21 +427,6 @@ mod tests {
             b.push(c);
         }
         assert_eq!(a.iter_words(), b.iter_words());
-    }
-
-    #[test]
-    fn unpacked_oracle_agrees() {
-        let codes = ramp(9, 130);
-        let packed = PackedColumn::from_codes(9, &codes);
-        let oracle = UnpackedColumn::from_codes(codes.clone());
-        assert_eq!(packed.len(), oracle.len());
-        for r in 0..codes.len() {
-            assert_eq!(packed.get(r), oracle.get(r));
-        }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        packed.decode_into(&mut a);
-        oracle.decode_into(&mut b);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `input_gradient_batch`; those route every matrix-matrix product and
 //! optimizer step through a `Backend`. Two implementations exist:
 //! the scalar reference [`CpuBackend`] and the lane-blocked [`SimdBackend`]
-//! (AVX on x86-64, scalar elsewhere), selected at runtime through
-//! [`select`] / [`AnyBackend`].
+//! (AVX on x86-64, scalar elsewhere), dispatched at runtime through
+//! [`AnyBackend`].
 //!
 //! # Reduction-order contract
 //!
@@ -33,16 +33,16 @@
 //!
 //! # Runtime dispatch
 //!
-//! [`select`] maps `auto | cpu | simd` to an [`AnyBackend`]; `auto`
-//! ([`AnyBackend::default`]) picks SIMD when the CPU supports it. A
-//! backend is a value, never a process setting: each
+//! [`AnyBackend`] names one backend; its default (the `auto` selection)
+//! picks SIMD when the CPU supports it and [`CpuBackend`] otherwise, which
+//! keeps CPUs without AVX covered. A backend is a value, never a process
+//! setting: each
 //! [`BatchWorkspace`](crate::BatchWorkspace) carries the one it was built
 //! with, and a synthesizer fit takes its backend from the `FitContext` it
 //! is given. Because every backend is bit-identical, the choice affects
 //! throughput only: fitted states, cache fingerprints and golden digests
 //! are the same under any backend.
 
-use crate::error::{MlError, Result};
 use rayon::prelude::*;
 
 /// The compute primitives behind the batched MLP passes: three GEMM-shaped
@@ -1007,7 +1007,7 @@ pub fn weight_grad_gemm_mt<B: Backend + Sync>(
 }
 
 // ---------------------------------------------------------------------------
-// Runtime dispatch: `auto | cpu | simd` selection.
+// Runtime dispatch.
 // ---------------------------------------------------------------------------
 
 /// A runtime-selected backend: the closed set of registered [`Backend`]
@@ -1022,8 +1022,8 @@ pub enum AnyBackend {
 }
 
 impl AnyBackend {
-    /// Stable lowercase name, round-trippable through [`select`]; reported
-    /// by the serve `stats` response and the perf record.
+    /// Stable lowercase name (`"cpu"` or `"simd"`), reported by the serve
+    /// `stats` response and the perf records.
     pub fn name(self) -> &'static str {
         match self {
             AnyBackend::Cpu => "cpu",
@@ -1134,29 +1134,6 @@ impl Backend for AnyBackend {
             AnyBackend::Cpu => CpuBackend.adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p),
             AnyBackend::Simd => SimdBackend.adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p),
         }
-    }
-}
-
-/// Resolve a backend name: `None` or `"auto"` picks [`SimdBackend`] when
-/// the CPU supports it and [`CpuBackend`] otherwise; `"cpu"` / `"simd"`
-/// force a backend (`"simd"` errors on unsupported CPUs rather than
-/// silently degrading).
-///
-/// # Errors
-/// [`MlError::UnknownBackend`] for unrecognized names,
-/// [`MlError::BackendUnsupported`] when `"simd"` is forced without AVX.
-pub fn select(name: Option<&str>) -> Result<AnyBackend> {
-    match name.unwrap_or("auto") {
-        "auto" => Ok(AnyBackend::default()),
-        "cpu" => Ok(AnyBackend::Cpu),
-        "simd" => {
-            if SimdBackend::supported() {
-                Ok(AnyBackend::Simd)
-            } else {
-                Err(MlError::BackendUnsupported("simd"))
-            }
-        }
-        other => Err(MlError::UnknownBackend(other.to_string())),
     }
 }
 
@@ -1426,24 +1403,14 @@ mod tests {
     }
 
     #[test]
-    fn select_resolves_names() {
-        assert!(matches!(select(Some("cpu")), Ok(AnyBackend::Cpu)));
-        let auto = select(None).expect("auto");
-        assert_eq!(auto, select(Some("auto")).expect("auto"));
+    fn auto_picks_simd_exactly_when_supported() {
+        let auto = AnyBackend::default();
         if SimdBackend::supported() {
             assert_eq!(auto, AnyBackend::Simd);
-            assert!(matches!(select(Some("simd")), Ok(AnyBackend::Simd)));
         } else {
             assert_eq!(auto, AnyBackend::Cpu);
-            assert!(matches!(
-                select(Some("simd")),
-                Err(MlError::BackendUnsupported("simd"))
-            ));
         }
-        assert!(matches!(
-            select(Some("gpu")),
-            Err(MlError::UnknownBackend(_))
-        ));
+        assert_eq!(global_name(), auto.name());
     }
 
     #[test]
@@ -1451,8 +1418,6 @@ mod tests {
         let all = registered_backends();
         assert_eq!(all[0], AnyBackend::Cpu);
         assert_eq!(all.len() > 1, SimdBackend::supported());
-        for b in all {
-            assert!(matches!(select(Some(b.name())), Ok(got) if got == b));
-        }
+        assert!(all.contains(&AnyBackend::default()));
     }
 }

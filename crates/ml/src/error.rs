@@ -17,10 +17,6 @@ pub enum MlError {
     InvalidParameter { name: &'static str, value: f64 },
     /// A serialized network snapshot contains no layers.
     EmptyNetwork,
-    /// A backend name passed to `select` is not recognized.
-    UnknownBackend(String),
-    /// A recognized backend cannot run on this CPU.
-    BackendUnsupported(&'static str),
 }
 
 impl fmt::Display for MlError {
@@ -38,15 +34,6 @@ impl fmt::Display for MlError {
                 write!(f, "invalid parameter {name} = {value}")
             }
             MlError::EmptyNetwork => write!(f, "network snapshot has no layers"),
-            MlError::UnknownBackend(name) => {
-                write!(
-                    f,
-                    "unknown ml backend {name:?} (expected auto, cpu or simd)"
-                )
-            }
-            MlError::BackendUnsupported(name) => {
-                write!(f, "ml backend {name} is not supported on this cpu")
-            }
         }
     }
 }

@@ -25,9 +25,7 @@ pub use backend::{AnyBackend, Backend, CpuBackend, SimdBackend};
 pub use error::{MlError, Result};
 pub use forest::{ForestOptions, RandomForest};
 pub use metrics::{group_metrics, metrics, Metrics};
-#[cfg(any(test, feature = "naive-reference"))]
-pub use nn::ForwardCache;
-pub use nn::{Activation, BatchWorkspace, DenseState, Mlp, MlpState};
+pub use nn::{Activation, BatchWorkspace, DenseState, ForwardCache, Mlp, MlpState};
 pub use split::train_test_split;
 pub use svm::{LinearSvc, SvcOptions};
 pub use tree::{DecisionTree, TreeOptions};

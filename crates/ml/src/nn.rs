@@ -23,10 +23,11 @@
 //! batched pass is therefore **bit-identical** to the per-example
 //! formulation of the same minibatch step — forward/input-gradient per row,
 //! gradients accumulated across rows in row order, one Adam update — which
-//! is retained behind the `naive-reference` feature (and `cfg(test)`) as
-//! the differential oracle (`forward_batch_naive` & co). Note the minibatch
-//! semantics: `backward_apply_batch` takes **one** Adam step from the summed
-//! batch gradient; it is not a loop of sequential per-example Adam steps.
+//! is retained as the differential oracle ([`Mlp::forward_batch_naive`],
+//! [`Mlp::backward_apply_batch_naive`], [`Mlp::input_gradient_batch_naive`]).
+//! Note the minibatch semantics: `backward_apply_batch` takes **one** Adam
+//! step from the summed batch gradient; it is not a loop of sequential
+//! per-example Adam steps.
 
 use crate::backend::{self, AnyBackend, Backend};
 use crate::error::{MlError, Result};
@@ -77,7 +78,6 @@ impl Dense {
         }
     }
 
-    #[cfg(any(test, feature = "naive-reference"))]
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         for o in 0..self.output {
@@ -135,9 +135,8 @@ pub struct MlpState {
     pub learning_rate: f64,
 }
 
-/// Per-example caches captured on the forward pass for backprop — the
-/// retained per-example path, used only by the differential oracle.
-#[cfg(any(test, feature = "naive-reference"))]
+/// Per-example caches captured on the forward pass for backprop, used only
+/// by the differential oracle.
 pub struct ForwardCache {
     /// Pre-activation values per layer.
     pre: Vec<Vec<f64>>,
@@ -145,7 +144,6 @@ pub struct ForwardCache {
     post: Vec<Vec<f64>>,
 }
 
-#[cfg(any(test, feature = "naive-reference"))]
 impl ForwardCache {
     /// The network output recorded by this forward pass.
     pub fn output(&self) -> &[f64] {
@@ -631,14 +629,13 @@ impl Mlp {
 }
 
 // ---------------------------------------------------------------------------
-// The retained per-example path: the differential oracle for the batched
-// kernels, compiled only for tests and under `naive-reference`.
+// The per-example formulation of the batched passes: the differential
+// oracle for the batched kernels.
 // ---------------------------------------------------------------------------
 
-#[cfg(any(test, feature = "naive-reference"))]
 impl Mlp {
-    /// Forward pass on one example, returning activations and caches.
-    pub fn forward(&self, x: &[f64]) -> ForwardCache {
+    /// Forward pass on one example, recording activations for backprop.
+    fn forward_one(&self, x: &[f64]) -> ForwardCache {
         debug_assert_eq!(x.len(), self.input_size());
         let mut post = vec![x.to_vec()];
         let mut pre = Vec::with_capacity(self.layers.len());
@@ -663,82 +660,9 @@ impl Mlp {
         ForwardCache { pre, post }
     }
 
-    /// Output of the per-example forward pass.
-    pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.forward(x).post.last().expect("non-empty").clone()
-    }
-
-    /// Backpropagate one example from an output-space gradient `dl_dout`
-    /// (∂loss/∂output, *after* the output activation) and apply one Adam
-    /// step.
-    pub fn backward_apply(&mut self, cache: &ForwardCache, dl_dout: &[f64]) {
-        self.step += 1;
-        let t = self.step as f64;
-        let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8f64);
-        // Hoisted bias-correction scalars (once per step, not per
-        // parameter); `powf` is deterministic so this is bit-identical.
-        let bc1 = 1.0 - b1.powf(t);
-        let bc2 = 1.0 - b2.powf(t);
-        let lr = self.learning_rate;
-
-        // Delta at the output layer (chain through the output activation).
-        let last = self.layers.len() - 1;
-        let mut delta = vec![0.0f64; self.layers[last].output];
-        output_delta(
-            self.output_activation,
-            &cache.post[last + 1],
-            dl_dout,
-            &mut delta,
-        );
-
-        for li in (0..self.layers.len()).rev() {
-            // Gradient wrt inputs of this layer (before overwriting weights).
-            let layer = &self.layers[li];
-            let mut dl_dx = vec![0.0f64; layer.input];
-            for o in 0..layer.output {
-                let row = &layer.w[o * layer.input..(o + 1) * layer.input];
-                for (dx, &w) in dl_dx.iter_mut().zip(row) {
-                    *dx += delta[o] * w;
-                }
-            }
-            // Adam update of weights and biases.
-            let input_act = &cache.post[li];
-            let layer = &mut self.layers[li];
-            for o in 0..layer.output {
-                let base = o * layer.input;
-                for i in 0..layer.input {
-                    let g = delta[o] * input_act[i];
-                    let m = &mut layer.mw[base + i];
-                    let v = &mut layer.vw[base + i];
-                    *m = b1 * *m + (1.0 - b1) * g;
-                    *v = b2 * *v + (1.0 - b2) * g * g;
-                    let mhat = *m / bc1;
-                    let vhat = *v / bc2;
-                    layer.w[base + i] -= lr * mhat / (vhat.sqrt() + eps);
-                }
-                let g = delta[o];
-                let m = &mut layer.mb[o];
-                let v = &mut layer.vb[o];
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                layer.b[o] -= lr * mhat / (vhat.sqrt() + eps);
-            }
-            if li > 0 {
-                // Chain through the ReLU of the previous hidden layer.
-                delta = dl_dx
-                    .iter()
-                    .zip(&cache.pre[li - 1])
-                    .map(|(&g, &p)| if p > 0.0 { g } else { 0.0 })
-                    .collect();
-            }
-        }
-    }
-
     /// Per-example gradient of the loss with respect to the *input*, given
     /// an output-space gradient. Does not update weights.
-    pub fn input_gradient(&self, cache: &ForwardCache, dl_dout: &[f64]) -> Vec<f64> {
+    fn input_gradient_one(&self, cache: &ForwardCache, dl_dout: &[f64]) -> Vec<f64> {
         let last = self.layers.len() - 1;
         let mut delta = vec![0.0f64; self.layers[last].output];
         output_delta(
@@ -769,43 +693,13 @@ impl Mlp {
         Vec::new()
     }
 
-    /// One squared-error training step on a single example; returns the loss.
-    pub fn train_mse(&mut self, x: &[f64], target: &[f64]) -> f64 {
-        let cache = self.forward(x);
-        let out = cache.post.last().expect("non-empty");
-        let mut grad = Vec::with_capacity(out.len());
-        let mut loss = 0.0;
-        for (o, t) in out.iter().zip(target) {
-            let d = o - t;
-            loss += 0.5 * d * d;
-            grad.push(d);
-        }
-        self.backward_apply(&cache, &grad);
-        loss
-    }
-
-    /// One binary-cross-entropy step for a single sigmoid output; returns the
-    /// loss. `target` ∈ {0,1}.
-    pub fn train_bce(&mut self, x: &[f64], target: f64) -> f64 {
-        debug_assert_eq!(self.output_size(), 1);
-        debug_assert_eq!(self.output_activation, Activation::Sigmoid);
-        let cache = self.forward(x);
-        let y = cache.post.last().expect("non-empty")[0].clamp(1e-9, 1.0 - 1e-9);
-        let loss = -(target * y.ln() + (1.0 - target) * (1.0 - y).ln());
-        // d(BCE)/dy = (y - t) / (y(1-y)); the sigmoid chain in backward_apply
-        // multiplies by y(1-y), so the composite is the familiar (y - t).
-        let grad = [(y - target) / (y * (1.0 - y))];
-        self.backward_apply(&cache, &grad);
-        loss
-    }
-
-    /// Per-example formulation of [`Mlp::forward_batch`]: one
-    /// [`Mlp::forward`] call per row. Differential oracle only.
+    /// Per-example formulation of [`Mlp::forward_batch`]: one forward pass
+    /// per row. Differential oracle only.
     pub fn forward_batch_naive(&self, xs: &[f64], batch: usize) -> Vec<ForwardCache> {
         let input = self.input_size();
         debug_assert_eq!(xs.len(), batch * input);
         (0..batch)
-            .map(|r| self.forward(&xs[r * input..(r + 1) * input]))
+            .map(|r| self.forward_one(&xs[r * input..(r + 1) * input]))
             .collect()
     }
 
@@ -891,16 +785,15 @@ impl Mlp {
         }
     }
 
-    /// Per-example formulation of [`Mlp::input_gradient_batch`]: one
-    /// [`Mlp::input_gradient`] call per row, concatenated. Differential
-    /// oracle only.
+    /// Per-example formulation of [`Mlp::input_gradient_batch`]: one input
+    /// gradient per row, concatenated. Differential oracle only.
     pub fn input_gradient_batch_naive(&self, caches: &[ForwardCache], dl_dout: &[f64]) -> Vec<f64> {
         let out = self.output_size();
         debug_assert_eq!(dl_dout.len(), caches.len() * out);
         caches
             .iter()
             .enumerate()
-            .flat_map(|(e, cache)| self.input_gradient(cache, &dl_dout[e * out..(e + 1) * out]))
+            .flat_map(|(e, cache)| self.input_gradient_one(cache, &dl_dout[e * out..(e + 1) * out]))
             .collect()
     }
 }
@@ -910,6 +803,31 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The network's output on one example (a batch of one).
+    fn predict(net: &Mlp, x: &[f64]) -> Vec<f64> {
+        let mut ws = BatchWorkspace::new();
+        net.forward_batch(x, 1, &mut ws);
+        ws.output().to_vec()
+    }
+
+    /// One binary-cross-entropy step on one example, for a single sigmoid
+    /// output and `target` ∈ {0,1}.
+    fn train_bce(net: &mut Mlp, ws: &mut BatchWorkspace, x: &[f64], target: f64) {
+        net.forward_batch(x, 1, ws);
+        let y = ws.output()[0].clamp(1e-9, 1.0 - 1e-9);
+        // d(BCE)/dy = (y - t) / (y(1-y)); the sigmoid chain multiplies by
+        // y(1-y), so the composite is the familiar (y - t).
+        let grad = [(y - target) / (y * (1.0 - y))];
+        net.backward_apply_batch(ws, &grad);
+    }
+
+    /// One squared-error step on one example.
+    fn train_mse(net: &mut Mlp, ws: &mut BatchWorkspace, x: &[f64], target: &[f64]) {
+        net.forward_batch(x, 1, ws);
+        let grad: Vec<f64> = ws.output().iter().zip(target).map(|(o, t)| o - t).collect();
+        net.backward_apply_batch(ws, &grad);
+    }
 
     #[test]
     fn learns_xor_with_bce() {
@@ -922,13 +840,14 @@ mod tests {
             ([1.0, 0.0], 1.0),
             ([1.0, 1.0], 0.0),
         ];
+        let mut ws = BatchWorkspace::new();
         for _ in 0..4000 {
             for (x, t) in &data {
-                net.train_bce(x, *t);
+                train_bce(&mut net, &mut ws, x, *t);
             }
         }
         for (x, t) in &data {
-            let p = net.predict(x)[0];
+            let p = predict(&net, x)[0];
             assert!((p - t).abs() < 0.25, "x = {x:?}, p = {p}");
         }
     }
@@ -938,11 +857,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let mut net = Mlp::new(&[1, 8, 1], Activation::Linear, &mut rng);
         net.learning_rate = 3e-3;
+        let mut ws = BatchWorkspace::new();
         for epoch in 0..3000 {
             let x = (epoch % 20) as f64 / 10.0 - 1.0;
-            net.train_mse(&[x], &[2.0 * x + 0.5]);
+            train_mse(&mut net, &mut ws, &[x], &[2.0 * x + 0.5]);
         }
-        let p = net.predict(&[0.3])[0];
+        let p = predict(&net, &[0.3])[0];
         assert!((p - 1.1).abs() < 0.15, "p = {p}");
     }
 
@@ -951,18 +871,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut net = Mlp::new(&[2, 6, 1], Activation::Sigmoid, &mut rng);
         net.learning_rate = 4e-3;
+        let mut ws = BatchWorkspace::new();
         for _ in 0..50 {
-            net.train_bce(&[0.2, 0.8], 1.0);
+            train_bce(&mut net, &mut ws, &[0.2, 0.8], 1.0);
         }
         let restored = Mlp::from_state(net.export_state()).unwrap();
-        let (a, b) = (net.predict(&[0.3, 0.4]), restored.predict(&[0.3, 0.4]));
+        let (a, b) = (predict(&net, &[0.3, 0.4]), predict(&restored, &[0.3, 0.4]));
         assert_eq!(a[0].to_bits(), b[0].to_bits(), "prediction must be exact");
         // The Adam state round-trips too: one more identical step on both
         // networks lands on identical weights.
         let mut net2 = restored;
         let mut net1 = net;
-        net1.train_bce(&[0.2, 0.8], 0.0);
-        net2.train_bce(&[0.2, 0.8], 0.0);
+        train_bce(&mut net1, &mut ws, &[0.2, 0.8], 0.0);
+        train_bce(&mut net2, &mut ws, &[0.2, 0.8], 0.0);
         assert_eq!(net1.export_state(), net2.export_state());
     }
 
@@ -1000,7 +921,7 @@ mod tests {
         let net = Mlp::new(&[3, 5, 4], Activation::Tanh, &mut rng);
         assert_eq!(net.input_size(), 3);
         assert_eq!(net.output_size(), 4);
-        let out = net.predict(&[0.1, 0.2, 0.3]);
+        let out = predict(&net, &[0.1, 0.2, 0.3]);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|v| (-1.0..=1.0).contains(v)));
     }
@@ -1070,6 +991,8 @@ mod tests {
         }
     }
 
+    /// Pins the batch-of-one path the training tests above take to the
+    /// per-example step.
     #[test]
     fn batch_of_one_equals_single_example_step() {
         let mut rng = StdRng::seed_from_u64(32);

@@ -4,10 +4,7 @@
 //! registered backend** (`synrd_ml::backend::registered_backends()`), so a
 //! new backend is covered by the full differential suite for free.
 //!
-//! Requires the `naive-reference` feature (CI runs this at
-//! `PROPTEST_CASES=1024`).
-
-#![cfg(feature = "naive-reference")]
+//! CI also runs this at `PROPTEST_CASES=1024`.
 
 use proptest::prelude::*;
 use rand::SeedableRng;

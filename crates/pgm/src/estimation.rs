@@ -568,7 +568,6 @@ pub fn estimate_with(
 /// factor algebra and [`crate::inference::calibrate_naive`]. Retained
 /// verbatim as the bit-identity oracle for [`estimate`]
 /// (see `tests/calibration_determinism.rs`).
-#[cfg(any(test, feature = "naive-reference"))]
 pub fn estimate_naive(
     domain_shape: &[usize],
     measurements: &[NoisyMeasurement],

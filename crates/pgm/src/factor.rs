@@ -14,9 +14,8 @@
 //! precomputed per-axis stride table ([`StridePlan`]), and
 //! [`Factor::marginalize_keep`] accumulates through the same strided walk.
 //! Every kernel performs the *same floating-point operations in the same
-//! order* as the naive expand-then-zip implementations retained behind
-//! `#[cfg(any(test, feature = "naive-reference"))]`, so results are
-//! bit-identical — a property pinned by the differential proptests in
+//! order* as the retained naive expand-then-zip implementations, so results
+//! are bit-identical — a property pinned by the differential proptests in
 //! `tests/factor_equivalence.rs`.
 
 use crate::error::{PgmError, Result};
@@ -498,12 +497,10 @@ impl Factor {
 // Naive reference implementations — the differential-testing oracle.
 //
 // These are the original expand-then-zip versions the stride kernels
-// replaced. They stay compiled under test builds and the `naive-reference`
-// feature so the proptests in `tests/factor_equivalence.rs` (and the
-// before/after benches) can assert the kernels agree bit-for-bit.
+// replaced. The proptests in `tests/factor_equivalence.rs` (and the
+// before/after benches) assert the kernels agree with them bit-for-bit.
 // ---------------------------------------------------------------------------
 
-#[cfg(any(test, feature = "naive-reference"))]
 impl Factor {
     /// Expand onto a superset scope `target` (sorted) with `target_shape`.
     /// Cells are replicated over the new axes.

@@ -11,10 +11,10 @@
 //! separator buffers, and beliefs are written into a caller-owned
 //! [`CalibratedTree`] — so repeated calibrations of the same tree perform
 //! no factor-buffer allocations. The original allocate-per-operation
-//! implementation is retained as [`calibrate_naive`] (differential-testing
-//! oracle, `naive-reference` feature) and produces **bit-identical**
-//! beliefs: both paths execute the same floating-point operations in the
-//! same order per cell.
+//! implementation is retained as [`calibrate_naive`] (the
+//! differential-testing oracle) and produces **bit-identical** beliefs:
+//! both paths execute the same floating-point operations in the same order
+//! per cell.
 
 use crate::error::{PgmError, Result};
 use crate::factor::{bcast_add, marg_finish, marg_max, marg_sum, normalize_log_values, Factor};
@@ -210,7 +210,6 @@ fn compute_message_into(
 /// The original allocate-per-operation calibration, built on the naive
 /// factor algebra. Retained as the bit-identity oracle for
 /// [`calibrate_into`] (see `tests/calibration_determinism.rs`).
-#[cfg(any(test, feature = "naive-reference"))]
 pub fn calibrate_naive(tree: &JunctionTree, potentials: &[Factor]) -> Result<CalibratedTree> {
     validate_potentials(tree, potentials)?;
     let k = tree.cliques().len();
@@ -271,7 +270,6 @@ pub fn calibrate_naive(tree: &JunctionTree, potentials: &[Factor]) -> Result<Cal
     Ok(CalibratedTree { beliefs })
 }
 
-#[cfg(any(test, feature = "naive-reference"))]
 fn naive_message(
     tree: &JunctionTree,
     potentials: &[Factor],

@@ -21,13 +21,15 @@
 //! * [`workspace`] — the reusable scratch arena threaded through
 //!   `calibrate` → `estimate` → `TreeSampler`.
 //!
-//! The original allocate-per-operation factor algebra is retained behind
-//! `#[cfg(any(test, feature = "naive-reference"))]`
+//! Each kernel keeps one naive oracle, compiled in every build: the
+//! original allocate-per-operation factor algebra
 //! ([`Factor::naive_multiply`], [`Factor::naive_divide`],
-//! [`Factor::naive_marginalize_keep`], [`Factor::expand`],
-//! [`inference::calibrate_naive`]) as the differential-testing oracle: the
-//! stride kernels are proven **bit-identical** to it by the proptests in
-//! `tests/factor_equivalence.rs` and `tests/calibration_determinism.rs`.
+//! [`Factor::naive_marginalize_keep`], [`Factor::expand`]), the calibration
+//! and mirror descent built on it ([`calibrate_naive`], [`estimate_naive`])
+//! and the per-row [`NaiveSampler`]. The stride kernels, the workspace
+//! calibration and the batched sampler are proven **bit-identical** to them
+//! by the proptests in `tests/factor_equivalence.rs`,
+//! `tests/calibration_determinism.rs` and `tests/sampling_equivalence.rs`.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the clearer idiom in numeric kernels
 pub mod error;
@@ -40,17 +42,15 @@ pub mod spanning_tree;
 pub mod workspace;
 
 pub use error::{PgmError, Result};
-#[cfg(any(test, feature = "naive-reference"))]
-pub use estimation::estimate_naive;
-pub use estimation::{estimate, estimate_with, EstimationOptions, FittedModel, NoisyMeasurement};
+pub use estimation::{
+    estimate, estimate_naive, estimate_with, EstimationOptions, FittedModel, NoisyMeasurement,
+};
 pub use factor::{factor_buffer_allocs, log_sum_exp, Factor};
-#[cfg(any(test, feature = "naive-reference"))]
-pub use inference::calibrate_naive;
-pub use inference::{calibrate, calibrate_into, CalibratedTree};
+pub use inference::{calibrate, calibrate_into, calibrate_naive, CalibratedTree};
 pub use junction_tree::JunctionTree;
 pub use sampling::{
     assemble_chunks, parallel_rows, record_sampling_pass, rows_sampled, samplers_built,
-    sampling_passes, search_cumulative, SamplingWorkspace, TreeSampler,
+    sampling_passes, search_cumulative, NaiveSampler, SamplingWorkspace, TreeSampler,
 };
 pub use spanning_tree::{maximum_spanning_tree, UnionFind};
 pub use workspace::CalibrationWorkspace;

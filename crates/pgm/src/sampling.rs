@@ -16,10 +16,12 @@
 //! uniform slices, so the parallel pass is bit-identical to the sequential
 //! one (each row depends only on its own uniforms).
 //!
-//! The original per-row implementation is retained as
-//! [`TreeSampler::sample_columns_naive`] / [`TreeSampler::sample_row_naive`]
-//! behind the `naive-reference` feature as the differential-testing oracle
-//! (`tests/sampling_equivalence.rs` pins bit-identity on random trees).
+//! The original per-row implementation is retained as [`NaiveSampler`],
+//! the differential-testing oracle (`tests/sampling_equivalence.rs` pins
+//! bit-identity on random trees). Both samplers share one per-clique build
+//! step that groups cells by separator configuration; `TreeSampler`
+//! flattens each clique's groups as soon as they are built, so only the
+//! oracle holds them.
 
 use crate::error::Result;
 use crate::estimation::FittedModel;
@@ -179,25 +181,42 @@ pub struct TreeSampler {
     nodes: Vec<Node>,
 }
 
+/// One clique's conditional tables, grouped by separator configuration:
+/// the build step both samplers share. [`TreeSampler`] flattens each
+/// clique into a [`Node`] as soon as it is built; [`NaiveSampler`] keeps
+/// them as they are.
 #[derive(Debug, Clone)]
-struct Node {
+struct Clique {
     /// Clique attribute ids.
     attrs: Vec<usize>,
-    /// Clique shape and strides (consumed by the naive oracle's per-draw
-    /// decode; the batched path reads the pre-decoded `emit_flat` instead).
-    #[cfg(any(test, feature = "naive-reference"))]
+    /// Clique shape and row-major strides (decode a cell index into codes).
     shape: Vec<usize>,
-    #[cfg(any(test, feature = "naive-reference"))]
     strides: Vec<usize>,
     /// Positions (within this clique) of the separator attributes
     /// (empty for roots).
     sep_positions: Vec<usize>,
+    /// Mixed-radix strides over separator configurations.
+    sep_strides: Vec<usize>,
     /// For each separator configuration: cumulative probabilities over the
     /// member cells of that configuration. Roots have exactly one group.
-    /// The naive oracle walks these; the batched path reads the flattened
-    /// copies below.
-    #[cfg(any(test, feature = "naive-reference"))]
     groups: Vec<Group>,
+}
+
+/// Cumulative table of one separator configuration.
+#[derive(Debug, Clone)]
+struct Group {
+    cells: Vec<usize>,
+    cumulative: Vec<f64>,
+}
+
+/// One clique in the batched sampler's flattened layout.
+#[derive(Debug, Clone)]
+struct Node {
+    /// Clique attribute ids.
+    attrs: Vec<usize>,
+    /// Positions (within this clique) of the separator attributes
+    /// (empty for roots).
+    sep_positions: Vec<usize>,
     /// Mixed-radix strides over separator configurations.
     sep_strides: Vec<usize>,
     /// Attributes this clique *introduces* (positions not in the
@@ -225,15 +244,63 @@ struct Node {
     guide_flat: Vec<u32>,
 }
 
-/// Cumulative table of one separator configuration (build-time
-/// intermediate; retained on the node only for the naive oracle).
-#[derive(Debug, Clone)]
-struct Group {
-    cells: Vec<usize>,
-    cumulative: Vec<f64>,
-}
-
 impl Node {
+    /// Flatten one clique's grouped tables: the per-group cumulative tables
+    /// back to back, the introduced attributes' codes pre-decoded per
+    /// member cell, and a guide table per group, so the hot loop does one
+    /// search plus straight reads.
+    fn flatten(clique: Clique) -> Node {
+        let Clique {
+            attrs,
+            shape,
+            strides,
+            sep_positions,
+            sep_strides,
+            groups,
+        } = clique;
+        let emit_positions: Vec<usize> = (0..attrs.len())
+            .filter(|p| !sep_positions.contains(p))
+            .collect();
+        let emit_attrs: Vec<usize> = emit_positions.iter().map(|&p| attrs[p]).collect();
+        let cells_total: usize = groups.iter().map(|g| g.cells.len()).sum();
+        // Every separator configuration owns the same number of cells
+        // (the product of the non-separator dimensions).
+        let members = cells_total / groups.len();
+        debug_assert!(groups.iter().all(|g| g.cells.len() == members));
+        let mut cum_flat = Vec::with_capacity(cells_total);
+        let mut emit_flat = Vec::with_capacity(cells_total * emit_positions.len());
+        let mut guide_flat = Vec::with_capacity(cells_total);
+        for group in &groups {
+            cum_flat.extend_from_slice(&group.cumulative);
+            for &cell in &group.cells {
+                for &p in &emit_positions {
+                    emit_flat.push(((cell / strides[p]) % shape[p]) as u32);
+                }
+            }
+            // Guide table: lower bound of every bucket boundary
+            // b/members, built in one monotone walk over the slice.
+            let cum = &group.cumulative;
+            let mut slot = 0usize;
+            for b in 0..members {
+                let boundary = b as f64 / members as f64;
+                while slot < members && cum[slot] < boundary {
+                    slot += 1;
+                }
+                guide_flat.push(slot as u32);
+            }
+        }
+        Node {
+            attrs,
+            sep_positions,
+            sep_strides,
+            emit_attrs,
+            cum_flat,
+            members,
+            emit_flat,
+            guide_flat,
+        }
+    }
+
     /// Lower-bound slot of draw `u` within group `g`: the guide entry for
     /// `u`'s bucket is the lower bound of the bucket's left edge (≤ u), so
     /// the forward walk is monotone and lands precisely where
@@ -312,7 +379,7 @@ impl Node {
     }
 }
 
-/// Where a clique's belief probabilities come from while building the
+/// Where a clique's belief probabilities come from while building a
 /// sampler: the calibrated model (production) or raw per-clique tables
 /// (the equivalence tests, which need to force degenerate cases such as
 /// all-zero-mass separator groups).
@@ -322,6 +389,131 @@ enum ProbSource<'a> {
         ws: &'a mut CalibrationWorkspace,
     },
     Tables(&'a [Vec<f64>]),
+}
+
+impl<'a> ProbSource<'a> {
+    /// Raw per-clique tables, checked against the tree's clique shapes.
+    fn tables(tree: &JunctionTree, tables: &'a [Vec<f64>]) -> ProbSource<'a> {
+        assert_eq!(tables.len(), tree.cliques().len(), "one table per clique");
+        for (c, t) in tables.iter().enumerate() {
+            let cells: usize = tree.clique_shape(c).iter().product();
+            assert_eq!(t.len(), cells, "table size for clique {c}");
+        }
+        ProbSource::Tables(tables)
+    }
+}
+
+/// Root each tree component, then build every clique's grouped conditional
+/// tables in BFS order (parents first), handing each to `each` as soon as
+/// it is built — so a caller that flattens them holds one clique's grouped
+/// tables at a time.
+fn build_cliques(tree: &JunctionTree, mut source: ProbSource<'_>, mut each: impl FnMut(Clique)) {
+    let k = tree.cliques().len();
+
+    let mut parent: Vec<Option<(usize, usize)>> = vec![None; k];
+    let mut order = Vec::with_capacity(k);
+    let mut seen = vec![false; k];
+    for root in 0..k {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        let mut queue = std::collections::VecDeque::from([root]);
+        while let Some(c) = queue.pop_front() {
+            order.push(c);
+            for &(nbr, e) in tree.neighbors(c) {
+                if !seen[nbr] {
+                    seen[nbr] = true;
+                    parent[nbr] = Some((c, e));
+                    queue.push_back(nbr);
+                }
+            }
+        }
+    }
+
+    for &c in &order {
+        let attrs = tree.cliques()[c].clone();
+        let shape = tree.clique_shape(c).to_vec();
+        let strides = strides_of(&shape);
+        let probs: &[f64] = match &mut source {
+            ProbSource::Model { model, ws } => {
+                let belief = &model.calibrated().beliefs[c];
+                let buf = &mut ws.prob_scratch_mut()[..belief.n_cells()];
+                belief.probabilities_into(buf);
+                buf
+            }
+            ProbSource::Tables(tables) => &tables[c],
+        };
+
+        let sep_attrs: Vec<usize> = match parent[c] {
+            Some((_, e)) => tree.edges()[e].2.clone(),
+            None => Vec::new(),
+        };
+        let sep_positions: Vec<usize> = sep_attrs
+            .iter()
+            .map(|a| {
+                attrs
+                    .iter()
+                    .position(|x| x == a)
+                    .expect("separator ⊆ clique")
+            })
+            .collect();
+        let sep_shape: Vec<usize> = sep_positions.iter().map(|&p| shape[p]).collect();
+        let sep_strides = strides_of(&sep_shape);
+        let n_groups: usize = sep_shape.iter().product::<usize>().max(1);
+
+        // Group cells by separator configuration, then cumsum.
+        let mut groups: Vec<Group> = (0..n_groups)
+            .map(|_| Group {
+                cells: Vec::new(),
+                cumulative: Vec::new(),
+            })
+            .collect();
+        for (cell, &p) in probs.iter().enumerate() {
+            let mut g = 0usize;
+            for (k2, &pos) in sep_positions.iter().enumerate() {
+                let code = (cell / strides[pos]) % shape[pos];
+                g += code * sep_strides[k2];
+            }
+            groups[g].cells.push(cell);
+            groups[g].cumulative.push(p.max(0.0));
+        }
+        for group in &mut groups {
+            let mut acc = 0.0;
+            for v in group.cumulative.iter_mut() {
+                acc += *v;
+                *v = acc;
+            }
+            // A NaN/∞ belief would silently corrupt every draw of this
+            // group (all comparisons false → cell 0), so fail loudly at
+            // construction — earlier than the per-draw panic the
+            // pre-batched sampler raised on first contact.
+            assert!(
+                acc.is_finite(),
+                "non-finite belief mass in clique {c} (sum {acc})"
+            );
+            if acc <= 0.0 {
+                // Unseen separator configuration: uniform fallback.
+                let n = group.cumulative.len().max(1) as f64;
+                for (i, v) in group.cumulative.iter_mut().enumerate() {
+                    *v = (i + 1) as f64 / n;
+                }
+            } else {
+                for v in group.cumulative.iter_mut() {
+                    *v /= acc;
+                }
+            }
+        }
+
+        each(Clique {
+            attrs,
+            shape,
+            strides,
+            sep_positions,
+            sep_strides,
+            groups,
+        });
+    }
 }
 
 impl TreeSampler {
@@ -344,7 +536,7 @@ impl TreeSampler {
         // built for this tree (the estimate_with flow) reuses it as-is,
         // and a fresh one sizes just that buffer — not plans or messages.
         ws.ensure_prob_scratch(tree);
-        Self::build(tree, ProbSource::Model { model, ws })
+        Ok(Self::build(tree, ProbSource::Model { model, ws }))
     }
 
     /// Test-only constructor from raw (unnormalized; negatives are clamped
@@ -354,179 +546,24 @@ impl TreeSampler {
     /// cannot produce.
     #[doc(hidden)]
     pub fn from_probabilities(tree: &JunctionTree, tables: &[Vec<f64>]) -> Result<TreeSampler> {
-        assert_eq!(tables.len(), tree.cliques().len(), "one table per clique");
-        for (c, t) in tables.iter().enumerate() {
-            let cells: usize = tree.clique_shape(c).iter().product();
-            assert_eq!(t.len(), cells, "table size for clique {c}");
-        }
-        Self::build(tree, ProbSource::Tables(tables))
+        Ok(Self::build(tree, ProbSource::tables(tree, tables)))
     }
 
-    fn build(tree: &JunctionTree, mut source: ProbSource<'_>) -> Result<TreeSampler> {
+    fn build(tree: &JunctionTree, source: ProbSource<'_>) -> TreeSampler {
         SAMPLERS_BUILT.fetch_add(1, Ordering::Relaxed);
-        let k = tree.cliques().len();
-
-        // Root each component and order cliques BFS (parents first).
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; k];
-        let mut order = Vec::with_capacity(k);
-        let mut seen = vec![false; k];
-        for root in 0..k {
-            if seen[root] {
-                continue;
-            }
-            seen[root] = true;
-            let mut queue = std::collections::VecDeque::from([root]);
-            while let Some(c) = queue.pop_front() {
-                order.push(c);
-                for &(nbr, e) in tree.neighbors(c) {
-                    if !seen[nbr] {
-                        seen[nbr] = true;
-                        parent[nbr] = Some((c, e));
-                        queue.push_back(nbr);
-                    }
-                }
-            }
-        }
-
-        let mut nodes = Vec::with_capacity(k);
-        for &c in &order {
-            let attrs = tree.cliques()[c].clone();
-            let shape = tree.clique_shape(c).to_vec();
-            let strides = strides_of(&shape);
-            let probs: &[f64] = match &mut source {
-                ProbSource::Model { model, ws } => {
-                    let belief = &model.calibrated().beliefs[c];
-                    let buf = &mut ws.prob_scratch_mut()[..belief.n_cells()];
-                    belief.probabilities_into(buf);
-                    buf
-                }
-                ProbSource::Tables(tables) => &tables[c],
-            };
-
-            let sep_attrs: Vec<usize> = match parent[c] {
-                Some((_, e)) => tree.edges()[e].2.clone(),
-                None => Vec::new(),
-            };
-            let sep_positions: Vec<usize> = sep_attrs
-                .iter()
-                .map(|a| {
-                    attrs
-                        .iter()
-                        .position(|x| x == a)
-                        .expect("separator ⊆ clique")
-                })
-                .collect();
-            let sep_shape: Vec<usize> = sep_positions.iter().map(|&p| shape[p]).collect();
-            let sep_strides = strides_of(&sep_shape);
-            let n_groups: usize = sep_shape.iter().product::<usize>().max(1);
-
-            // Group cells by separator configuration, then cumsum.
-            let mut groups: Vec<Group> = (0..n_groups)
-                .map(|_| Group {
-                    cells: Vec::new(),
-                    cumulative: Vec::new(),
-                })
-                .collect();
-            for (cell, &p) in probs.iter().enumerate() {
-                let mut g = 0usize;
-                for (k2, &pos) in sep_positions.iter().enumerate() {
-                    let code = (cell / strides[pos]) % shape[pos];
-                    g += code * sep_strides[k2];
-                }
-                groups[g].cells.push(cell);
-                groups[g].cumulative.push(p.max(0.0));
-            }
-            for group in &mut groups {
-                let mut acc = 0.0;
-                for v in group.cumulative.iter_mut() {
-                    acc += *v;
-                    *v = acc;
-                }
-                // A NaN/∞ belief would silently corrupt every draw of this
-                // group (all comparisons false → cell 0), so fail loudly at
-                // construction — earlier than the per-draw panic the
-                // pre-batched sampler raised on first contact.
-                assert!(
-                    acc.is_finite(),
-                    "non-finite belief mass in clique {c} (sum {acc})"
-                );
-                if acc <= 0.0 {
-                    // Unseen separator configuration: uniform fallback.
-                    let n = group.cumulative.len().max(1) as f64;
-                    for (i, v) in group.cumulative.iter_mut().enumerate() {
-                        *v = (i + 1) as f64 / n;
-                    }
-                } else {
-                    for v in group.cumulative.iter_mut() {
-                        *v /= acc;
-                    }
-                }
-            }
-
-            // Batched-path layout: flatten the per-group cumulative tables
-            // and pre-decode the introduced attributes' codes per member
-            // cell, so the hot loop does one search plus straight reads.
-            let emit_positions: Vec<usize> = (0..attrs.len())
-                .filter(|p| !sep_positions.contains(p))
-                .collect();
-            let emit_attrs: Vec<usize> = emit_positions.iter().map(|&p| attrs[p]).collect();
-            let cells_total: usize = groups.iter().map(|g| g.cells.len()).sum();
-            // Every separator configuration owns the same number of cells
-            // (the product of the non-separator dimensions).
-            let members = cells_total / n_groups;
-            debug_assert!(groups.iter().all(|g| g.cells.len() == members));
-            let mut cum_flat = Vec::with_capacity(cells_total);
-            let mut emit_flat = Vec::with_capacity(cells_total * emit_positions.len());
-            let mut guide_flat = Vec::with_capacity(cells_total);
-            for group in &groups {
-                cum_flat.extend_from_slice(&group.cumulative);
-                for &cell in &group.cells {
-                    for &p in &emit_positions {
-                        emit_flat.push(((cell / strides[p]) % shape[p]) as u32);
-                    }
-                }
-                // Guide table: lower bound of every bucket boundary
-                // b/members, built in one monotone walk over the slice.
-                let cum = &group.cumulative;
-                let mut slot = 0usize;
-                for b in 0..members {
-                    let boundary = b as f64 / members as f64;
-                    while slot < members && cum[slot] < boundary {
-                        slot += 1;
-                    }
-                    guide_flat.push(slot as u32);
-                }
-            }
-
-            nodes.push(Node {
-                attrs,
-                #[cfg(any(test, feature = "naive-reference"))]
-                shape,
-                #[cfg(any(test, feature = "naive-reference"))]
-                strides,
-                sep_positions,
-                #[cfg(any(test, feature = "naive-reference"))]
-                groups,
-                sep_strides,
-                emit_attrs,
-                cum_flat,
-                members,
-                emit_flat,
-                guide_flat,
-            });
-        }
-
-        Ok(TreeSampler {
+        let mut nodes = Vec::with_capacity(tree.cliques().len());
+        build_cliques(tree, source, |clique| nodes.push(Node::flatten(clique)));
+        TreeSampler {
             n_attrs: tree.domain_shape().len(),
             nodes,
-        })
+        }
     }
 
     /// Sample `n` rows into column-major storage through the batched
     /// clique-major engine (allocating a fresh [`SamplingWorkspace`]; use
     /// [`TreeSampler::sample_columns_with`] to amortize the scratch across
-    /// calls). Bit-identical to the retained per-row oracle for the same
-    /// RNG state, sequential or parallel.
+    /// calls). Bit-identical to [`NaiveSampler`] for the same RNG state,
+    /// sequential or parallel.
     pub fn sample_columns<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<u32>> {
         let mut ws = SamplingWorkspace::new();
         self.sample_columns_with(n, rng, &mut ws)
@@ -704,15 +741,47 @@ impl TreeSampler {
     }
 }
 
-#[cfg(any(test, feature = "naive-reference"))]
-impl TreeSampler {
-    /// The original per-row sampler, retained verbatim as the differential
-    /// oracle for the batched clique-major engine.
-    pub fn sample_columns_naive<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<u32>> {
+/// The original per-row sampler, kept as the differential oracle for
+/// [`TreeSampler`]: one fresh conditional-slice lookup and binary search
+/// per clique per row. It owns the grouped per-clique tables that
+/// [`TreeSampler`] flattens and drops, so production samplers carry no
+/// oracle state.
+#[derive(Debug, Clone)]
+pub struct NaiveSampler {
+    n_attrs: usize,
+    cliques: Vec<Clique>,
+}
+
+impl NaiveSampler {
+    /// Build the oracle from a fitted model.
+    pub fn new(model: &FittedModel) -> Result<NaiveSampler> {
+        let tree = model.tree();
+        let mut ws = CalibrationWorkspace::new();
+        ws.ensure_prob_scratch(tree);
+        Ok(Self::build(tree, ProbSource::Model { model, ws: &mut ws }))
+    }
+
+    /// The oracle over raw per-clique tables, like
+    /// [`TreeSampler::from_probabilities`].
+    pub fn from_probabilities(tree: &JunctionTree, tables: &[Vec<f64>]) -> Result<NaiveSampler> {
+        Ok(Self::build(tree, ProbSource::tables(tree, tables)))
+    }
+
+    fn build(tree: &JunctionTree, source: ProbSource<'_>) -> NaiveSampler {
+        let mut cliques = Vec::with_capacity(tree.cliques().len());
+        build_cliques(tree, source, |clique| cliques.push(clique));
+        NaiveSampler {
+            n_attrs: tree.domain_shape().len(),
+            cliques,
+        }
+    }
+
+    /// Sample `n` rows into column-major storage, one row at a time.
+    pub fn sample_columns<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<u32>> {
         let mut columns = vec![vec![0u32; n]; self.n_attrs];
         let mut row = vec![0u32; self.n_attrs];
         for r in 0..n {
-            self.sample_row_naive(&mut row, rng);
+            self.sample_row(&mut row, rng);
             for (a, col) in columns.iter_mut().enumerate() {
                 col[r] = row[a];
             }
@@ -720,23 +789,22 @@ impl TreeSampler {
         columns
     }
 
-    /// Sample a single row in place (`row.len() == n_attrs`): one fresh
-    /// conditional slice lookup and binary search per clique.
-    pub fn sample_row_naive<R: Rng + ?Sized>(&self, row: &mut [u32], rng: &mut R) {
+    /// Sample a single row in place (`row.len() == n_attrs`).
+    fn sample_row<R: Rng + ?Sized>(&self, row: &mut [u32], rng: &mut R) {
         debug_assert_eq!(row.len(), self.n_attrs);
-        for node in &self.nodes {
+        for clique in &self.cliques {
             // Locate the group from already-fixed separator codes.
             let mut g = 0usize;
-            for (k, &pos) in node.sep_positions.iter().enumerate() {
-                let attr = node.attrs[pos];
-                g += row[attr] as usize * node.sep_strides[k];
+            for (k, &pos) in clique.sep_positions.iter().enumerate() {
+                let attr = clique.attrs[pos];
+                g += row[attr] as usize * clique.sep_strides[k];
             }
-            let group = &node.groups[g];
+            let group = &clique.groups[g];
             let u: f64 = rng.gen();
             let slot = search_cumulative(&group.cumulative, u);
             let cell = group.cells[slot];
-            for (k, &attr) in node.attrs.iter().enumerate() {
-                row[attr] = ((cell / node.strides[k]) % node.shape[k]) as u32;
+            for (k, &attr) in clique.attrs.iter().enumerate() {
+                row[attr] = ((cell / clique.strides[k]) % clique.shape[k]) as u32;
             }
         }
     }
@@ -812,9 +880,10 @@ mod tests {
     fn batched_matches_naive_on_fitted_chain() {
         let model = fit_chain();
         let sampler = TreeSampler::new(&model).unwrap();
+        let oracle = NaiveSampler::new(&model).unwrap();
         for n in [0usize, 1, 7, 1000] {
             let batched = sampler.sample_columns(n, &mut StdRng::seed_from_u64(9));
-            let naive = sampler.sample_columns_naive(n, &mut StdRng::seed_from_u64(9));
+            let naive = oracle.sample_columns(n, &mut StdRng::seed_from_u64(9));
             assert_eq!(batched, naive, "n = {n}");
         }
     }

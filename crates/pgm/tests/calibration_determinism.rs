@@ -1,8 +1,8 @@
 //! Calibration determinism: the workspace-based [`calibrate_into`] path
-//! must produce **bit-identical** beliefs to the naive-reference
-//! calibration on randomized junction trees, and the mirror-descent loop
-//! must perform zero factor-buffer allocations per iteration after
-//! warm-up.
+//! must produce **bit-identical** beliefs to the naive oracle
+//! ([`calibrate_naive`]) on randomized junction trees, and the
+//! mirror-descent loop must perform zero factor-buffer allocations per
+//! iteration after warm-up.
 
 use proptest::prelude::*;
 use synrd_pgm::{
@@ -72,7 +72,7 @@ fn potentials_for(tree: &JunctionTree, pool: &[f64]) -> Vec<Factor> {
 }
 
 proptest! {
-    /// Workspace calibration ≡ naive-reference calibration, bit for bit,
+    /// Workspace calibration ≡ the naive oracle calibration, bit for bit,
     /// on random junction trees — including workspace reuse across
     /// potentials of the same tree.
     #[test]
@@ -106,7 +106,7 @@ proptest! {
 }
 
 proptest! {
-    /// Full mirror descent ≡ the naive-reference estimation, bit for bit:
+    /// Full mirror descent ≡ the naive oracle estimation, bit for bit:
     /// same beliefs, same final loss, on random noisy measurement sets.
     #[test]
     fn estimate_matches_naive_bitwise(

@@ -1,6 +1,6 @@
 //! Differential proptests: the stride-based factor kernels must agree
 //! **bit-for-bit** with the retained naive reference implementations
-//! (`naive-reference` feature) on random scopes, shapes and log-values —
+//! (`Factor::naive_*`) on random scopes, shapes and log-values —
 //! including `±inf`, `±0.0` and NaN cells, where IEEE-754 special-case
 //! propagation makes "almost equal" meaningless.
 //!

@@ -1,5 +1,5 @@
 //! Differential proptests pinning the batched clique-major sampler against
-//! the retained per-row oracle (`naive-reference` feature): bit-identity of
+//! the retained per-row oracle ([`NaiveSampler`]): bit-identity of
 //! the sampled codes on random junction trees — including cardinality-1
 //! attributes, all-zero-mass separator groups (the uniform-fallback path)
 //! and `n = 0` rows — plus chunk-parallel vs sequential bit-identity,
@@ -10,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
 use synrd_pgm::{
-    estimate, EstimationOptions, JunctionTree, NoisyMeasurement, SamplingWorkspace, TreeSampler,
+    estimate, EstimationOptions, JunctionTree, NaiveSampler, NoisyMeasurement, SamplingWorkspace,
+    TreeSampler,
 };
 
 /// A random domain (including cardinality-1 attributes), random pair/triple
@@ -73,9 +74,11 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let tree = JunctionTree::build(&shape, &sets, 1 << 16).unwrap();
-        let sampler = TreeSampler::from_probabilities(&tree, &tables_for(&tree, &vals)).unwrap();
+        let tables = tables_for(&tree, &vals);
+        let sampler = TreeSampler::from_probabilities(&tree, &tables).unwrap();
+        let oracle = NaiveSampler::from_probabilities(&tree, &tables).unwrap();
         let batched = sampler.sample_columns(n, &mut StdRng::seed_from_u64(seed));
-        let naive = sampler.sample_columns_naive(n, &mut StdRng::seed_from_u64(seed));
+        let naive = oracle.sample_columns(n, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(batched, naive);
     }
 
@@ -149,9 +152,10 @@ fn fitted_model_sampling_matches_naive() {
     )
     .unwrap();
     let sampler = TreeSampler::new(&model).unwrap();
+    let oracle = NaiveSampler::new(&model).unwrap();
     for seed in [1u64, 17, 4242] {
         let batched = sampler.sample_columns(5_000, &mut StdRng::seed_from_u64(seed));
-        let naive = sampler.sample_columns_naive(5_000, &mut StdRng::seed_from_u64(seed));
+        let naive = oracle.sample_columns(5_000, &mut StdRng::seed_from_u64(seed));
         assert_eq!(batched, naive, "seed {seed}");
     }
 }
@@ -187,8 +191,9 @@ fn zero_mass_group_hits_uniform_fallback_identically() {
         tables.push(table);
     }
     let sampler = TreeSampler::from_probabilities(&tree, &tables).unwrap();
+    let oracle = NaiveSampler::from_probabilities(&tree, &tables).unwrap();
     let batched = sampler.sample_columns(4_000, &mut StdRng::seed_from_u64(8));
-    let naive = sampler.sample_columns_naive(4_000, &mut StdRng::seed_from_u64(8));
+    let naive = oracle.sample_columns(4_000, &mut StdRng::seed_from_u64(8));
     assert_eq!(batched, naive);
     // The fallback actually fired: attr 1 takes code 1 sometimes (the
     // first clique gives it mass), and those rows still get valid attr-2

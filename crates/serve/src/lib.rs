@@ -37,9 +37,13 @@
 //! Responses carry `"ok":true` plus op-specific fields, or `"ok":false`
 //! with an `"error"` message. A fit that was never cached is an error, not
 //! a refit: serve mode is deliberately read-only over the store.
+//!
+//! Requests are bounded: a line longer than [`MAX_LINE`] bytes is answered
+//! with an error and its connection closed, and a `"n"` above
+//! [`MAX_SAMPLE_ROWS`] is refused before anything is allocated.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,6 +55,15 @@ use synrd::publication_by_id;
 use synrd_data::{Dataset, MarginalEngine};
 use synrd_store::{hex16, parse, DiskFitCache, JsonValue};
 use synrd_synth::{SynthKind, Synthesizer};
+
+/// Most rows one `sample` or `workload` request may ask for (2^20). A
+/// failed allocation aborts the process rather than panicking, so an
+/// unbounded `n` would let one request kill every connection.
+pub const MAX_SAMPLE_ROWS: usize = 1 << 20;
+
+/// Longest request line the server reads, in bytes (1 MiB, newline
+/// excluded).
+pub const MAX_LINE: usize = 1 << 20;
 
 /// Key of one restored synthesizer:
 /// `(dataset digest, synth name, ε bits, seed index)` — the fit cache's key.
@@ -204,6 +217,16 @@ fn request_digest(service: &FitService, req: &JsonValue) -> Result<u64, String> 
 
 /// Sample the synthetic dataset a request describes.
 fn sampled_dataset(service: &FitService, req: &JsonValue) -> Result<Dataset, String> {
+    let n = req
+        .get("n")
+        .and_then(JsonValue::as_u64)
+        .and_then(|u| usize::try_from(u).ok())
+        .ok_or("missing unsigned field 'n'")?;
+    if n > MAX_SAMPLE_ROWS {
+        return Err(format!(
+            "'n' is {n}, above the limit of {MAX_SAMPLE_ROWS} rows per request"
+        ));
+    }
     let digest = request_digest(service, req)?;
     let synth_name = str_field(req, "synth")?;
     let kind = SynthKind::from_name(synth_name)
@@ -213,11 +236,6 @@ fn sampled_dataset(service: &FitService, req: &JsonValue) -> Result<Dataset, Str
         .and_then(JsonValue::as_f64)
         .ok_or("missing number field 'epsilon'")?;
     let seed_index = usize_field_or(req, "seed_index", 0)?;
-    let n = req
-        .get("n")
-        .and_then(JsonValue::as_u64)
-        .and_then(|u| usize::try_from(u).ok())
-        .ok_or("missing unsigned field 'n'")?;
     let seed = req.get("seed").and_then(JsonValue::as_u64).unwrap_or(0);
     let synth = service.synthesizer(digest, kind, epsilon, seed_index)?;
     synth
@@ -353,9 +371,17 @@ pub fn handle_request(service: &FitService, request: &JsonValue) -> JsonValue {
 
 /// Answer one raw request line (parse errors become protocol errors).
 pub fn handle_line(service: &FitService, line: &str) -> JsonValue {
+    answer_line(service, line).0
+}
+
+/// [`handle_line`], plus whether the line asked the server to shut down.
+fn answer_line(service: &FitService, line: &str) -> (JsonValue, bool) {
     match parse(line) {
-        Ok(request) => handle_request(service, &request),
-        Err(e) => error_response(format!("bad request: {e}")),
+        Ok(request) => {
+            let shutdown = request.get("op").and_then(JsonValue::as_str) == Some("shutdown");
+            (handle_request(service, &request), shutdown)
+        }
+        Err(e) => (error_response(format!("bad request: {e}")), false),
     }
 }
 
@@ -443,28 +469,37 @@ fn handle_connection(
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read one byte past the cap at most, so an over-long line is
+        // caught without buffering the rest of it.
+        match (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        }
+        if buf.len() > MAX_LINE {
+            let refusal = error_response(format!("request line longer than {MAX_LINE} bytes"));
+            let _ = write_response(&mut writer, &refusal);
+            return;
+        }
+        let line = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
             Ok(line) => line,
             Err(_) => return,
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(service, &line);
-        let mut text = response.to_text();
-        text.push('\n');
-        if writer.write_all(text.as_bytes()).is_err() {
+        let (response, shutdown_requested) = answer_line(service, line);
+        if write_response(&mut writer, &response).is_err() {
             return;
         }
-        if parse(&line)
-            .ok()
-            .as_ref()
-            .and_then(|r| r.get("op"))
-            .and_then(JsonValue::as_str)
-            == Some("shutdown")
-        {
+        if shutdown_requested {
             shutdown.store(true, Ordering::SeqCst);
             // The acceptor is blocked in accept(); poke it awake so it can
             // observe the flag and exit.
@@ -472,4 +507,11 @@ fn handle_connection(
             return;
         }
     }
+}
+
+/// Write one response line.
+fn write_response(writer: &mut TcpStream, response: &JsonValue) -> io::Result<()> {
+    let mut text = response.to_text();
+    text.push('\n');
+    writer.write_all(text.as_bytes())
 }

@@ -6,9 +6,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 use synrd::benchmark::{BenchmarkConfig, FitStore};
 use synrd_data::{Attribute, Dataset, Domain};
-use synrd_serve::{handle_line, handle_request, serve, FitService};
+use synrd_serve::{handle_line, handle_request, serve, FitService, MAX_LINE, MAX_SAMPLE_ROWS};
 use synrd_store::{hex16, parse, JsonValue};
 use synrd_synth::SynthKind;
 
@@ -220,6 +221,62 @@ fn tcp_round_trip_ping_sample_shutdown() {
     );
 
     assert_ok(&exchange(r#"{"op":"shutdown"}"#.to_string()));
+    handle.join();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn oversized_samples_are_refused_and_the_service_lives_on() {
+    let (service, digest) = seeded_service("huge-n");
+    // 10^12 rows would need a 16 TB allocation, which aborts the process.
+    let refused = handle_request(&service, &sample_request(digest, 1_000_000_000_000, 7));
+    assert_eq!(refused.get("ok"), Some(&JsonValue::Bool(false)));
+    let error = refused.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(error.contains(&MAX_SAMPLE_ROWS.to_string()), "{error}");
+    assert_eq!(service.served(), (0, 0));
+
+    let next = handle_request(&service, &sample_request(digest, 500, 7));
+    assert_ok(&next);
+    assert_eq!(next.get("n"), Some(&JsonValue::Uint(500)));
+    let _ = std::fs::remove_dir_all(service.fits().root());
+}
+
+#[test]
+fn over_long_request_lines_are_refused_and_the_server_lives_on() {
+    let (service, _) = seeded_service("long-line");
+    let root = service.fits().root().to_path_buf();
+    let handle = serve(Arc::new(service), "127.0.0.1:0", 2).unwrap();
+    let addr = handle.addr();
+
+    // Exactly one byte over the cap and no newline: the server reads every
+    // byte sent before it closes, so the close cannot turn into a reset
+    // that drops the error line.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // A server that waits for the newline fails the read instead of
+    // hanging the test.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+    let mut reader = BufReader::new(&stream);
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let response = parse(response.trim()).unwrap();
+    assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)));
+    let error = response.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(error.contains("longer than"), "{error}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection closed");
+
+    let exchange = |line: &str| -> JsonValue {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        writeln!(stream, "{line}").unwrap();
+        let mut response = String::new();
+        BufReader::new(&stream).read_line(&mut response).unwrap();
+        parse(response.trim()).unwrap()
+    };
+    assert_ok(&exchange(r#"{"op":"ping"}"#));
+    assert_ok(&exchange(r#"{"op":"shutdown"}"#));
     handle.join();
     let _ = std::fs::remove_dir_all(root);
 }

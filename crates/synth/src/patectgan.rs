@@ -590,8 +590,8 @@ impl PateCtgan {
             let z: Vec<f64> = (0..fitted.z_dim)
                 .map(|_| standard_normal(&mut rng))
                 .collect();
-            let logits = fitted.generator.predict(&z);
-            let soft = block_softmax(&logits, &fitted.blocks);
+            let logits = fitted.generator.forward_batch_naive(&z, 1);
+            let soft = block_softmax(logits[0].output(), &fitted.blocks);
             for (a, &(off, card)) in fitted.blocks.iter().enumerate() {
                 let mut t = rng.gen::<f64>();
                 let mut code = card - 1;
