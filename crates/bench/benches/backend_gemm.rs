@@ -1,8 +1,8 @@
-//! CpuBackend vs SimdBackend on the batched MLP round (forward +
+//! `Backend::Cpu` vs `Backend::Simd` on the batched MLP round (forward +
 //! backward + Adam apply) at the grid's batch size, over the registry's
 //! generator and student shapes. The SIMD bars only appear on machines
-//! where `SimdBackend::supported()`; the gate itself lives in `perfgrid`
-//! (this bench is for profiling, not CI).
+//! with AVX, where `registered_backends()` lists `simd`; the gate itself
+//! lives in `perfgrid` (this bench is for profiling, not CI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -1,4 +1,4 @@
-//! Ablation benches for the Private-PGM substrate (DESIGN.md "ablations"):
+//! Ablation benches for the Private-PGM substrate:
 //! mirror-descent iteration count vs wall time, junction-tree sampling
 //! throughput as the tree widens, and before/after kernel benches pitting
 //! the stride-based calibration and the batched sampler against their

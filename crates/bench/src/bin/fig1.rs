@@ -8,7 +8,8 @@
 //! ```
 //!
 //! With `--out-dir`, the rendered figure is also written to
-//! `DIR/fig1.txt` so a result store carries every artifact of a run.
+//! `DIR/fig1.txt` so a result store carries every artifact of a run. An
+//! unknown flag or a missing value exits with code 2 before any work.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -16,17 +17,28 @@ use synrd::visual::VisualFinding;
 use synrd_data::BenchmarkDataset;
 use synrd_synth::SynthKind;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paper_scale = args.iter().any(|a| a == "--paper-scale");
-    let out_dir = args.iter().position(|a| a == "--out-dir").map(|i| {
-        match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-            Some(v) => PathBuf::from(v),
-            None => {
-                eprintln!("--out-dir requires a value");
-                std::process::exit(2);
-            }
+/// Parse `--paper-scale` and `--out-dir DIR` into `(paper_scale, out_dir)`.
+///
+/// # Errors
+/// A message naming the flag for an unknown flag or a missing value.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(bool, Option<String>), String> {
+    let mut paper_scale = false;
+    let mut out_dir = None;
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--paper-scale" => paper_scale = true,
+            "--out-dir" => out_dir = Some(synrd_bench::flag_value(&arg, it.next().as_ref())?),
+            _ => return Err(format!("unknown flag '{arg}'")),
         }
+    }
+    Ok((paper_scale, out_dir))
+}
+
+fn main() {
+    let (paper_scale, out_dir) = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
     });
     let n = if paper_scale {
         BenchmarkDataset::Fairman2019.paper_n()
@@ -75,7 +87,7 @@ fn main() {
     );
 
     print!("{out}");
-    if let Some(dir) = out_dir {
+    if let Some(dir) = out_dir.map(PathBuf::from) {
         std::fs::create_dir_all(&dir).expect("create --out-dir");
         let path = dir.join("fig1.txt");
         std::fs::write(&path, &out).expect("write fig1.txt");

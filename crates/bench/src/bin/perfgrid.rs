@@ -456,19 +456,19 @@ fn dataset_section(quick: bool, out_path: &str) -> f64 {
 /// The ML-kernel fifth of the perf record: one PATECTGAN-shaped training
 /// round (batched forward + one minibatch Adam step at batch 48) through
 /// the batched `BatchWorkspace` kernels vs the retained per-example oracle,
-/// plus `SimdBackend` vs `CpuBackend` on the same rounds, with bit-identity
-/// of the fitted states asserted on every shape and every registered
-/// backend before timing. Writes `BENCH_ml.json`; returns (minimum gated
-/// round speedup over the oracle, minimum gated SimdBackend-over-CpuBackend
-/// speedup — `+inf` when SIMD is unsupported on this CPU).
+/// plus `Backend::Simd` vs `Backend::Cpu` on the same rounds, with
+/// bit-identity of the fitted states asserted on every shape and every
+/// registered backend before timing. Writes `BENCH_ml.json`; returns
+/// (minimum gated round speedup over the oracle, minimum gated
+/// simd-over-cpu speedup — `+inf` when SIMD is unsupported on this CPU).
 fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
     use synrd_ml::backend::{detected_cpu_features, registered_backends};
-    use synrd_ml::{Activation, AnyBackend, BatchWorkspace, Mlp, SimdBackend};
+    use synrd_ml::{Activation, Backend, BatchWorkspace, Mlp};
 
     let batch = 48usize;
     let reps = if quick { 51 } else { 201 };
     let identity_rounds = 5usize;
-    let simd = SimdBackend::supported();
+    let simd = registered_backends().contains(&Backend::Simd);
     let features: Vec<String> = detected_cpu_features()
         .iter()
         .map(|(name, on)| format!("{}{}", if *on { "+" } else { "-" }, name))
@@ -480,8 +480,7 @@ fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
     );
     // The two generator shapes bracket the one-hot widths the benchmark
     // grid produces (saw2018-scale and a wide domain); all three shapes
-    // gate the batched-over-oracle speedup now that the student pass also
-    // routes through the backend seam, while the SIMD-over-CPU gate binds
+    // gate the batched-over-oracle speedup, while the SIMD-over-CPU gate binds
     // on the generator shapes only (the student's 1-wide output layer gives
     // SIMD little to chew on).
     let shapes: [(&str, Vec<usize>, Activation, bool); 3] = [
@@ -530,9 +529,9 @@ fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
         }
 
         // Timings: one full round per rep, workspace already warm. The
-        // oracle comparison is pinned to CpuBackend so the record stays
+        // oracle comparison is pinned to `Backend::Cpu` so the record stays
         // comparable across machines with and without SIMD.
-        let mut ws = BatchWorkspace::with_backend(AnyBackend::Cpu);
+        let mut ws = BatchWorkspace::with_backend(Backend::Cpu);
         let mut cpu_net = net.clone();
         let engine_ns = median_ns(reps, || {
             cpu_net.forward_batch(&xs, batch, &mut ws);
@@ -540,7 +539,7 @@ fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
             black_box(ws.output().len());
         });
         let simd_ns = simd.then(|| {
-            let mut ws = BatchWorkspace::with_backend(AnyBackend::Simd);
+            let mut ws = BatchWorkspace::with_backend(Backend::Simd);
             let mut simd_net = net.clone();
             median_ns(reps, || {
                 simd_net.forward_batch(&xs, batch, &mut ws);
@@ -1030,13 +1029,14 @@ fn main() {
         eprintln!("warning: batched generator round under the {ml_gate:.1}x gate ({ml_min:.2}x)");
         std::process::exit(1);
     }
-    // SimdBackend must pay for its dispatch: ≥1.5x over CpuBackend on the
-    // generator training rounds (1.2x in --quick mode for the usual
-    // CI-noise reason). `+inf` (no gate) only when the CPU has no SIMD path.
+    // The SIMD backend must pay for its dispatch: ≥1.5x over the CPU
+    // backend on the generator training rounds (1.2x in --quick mode for
+    // the usual CI-noise reason). `+inf` (no gate) only when the CPU has no
+    // SIMD path.
     let ml_simd_gate = if quick { 1.2 } else { 1.5 };
     if ml_simd_min.is_finite() && ml_simd_min < ml_simd_gate {
         eprintln!(
-            "warning: SimdBackend under the {ml_simd_gate:.1}x over-CpuBackend gate \
+            "warning: simd backend under the {ml_simd_gate:.1}x over-cpu gate \
              ({ml_simd_min:.2}x)"
         );
         std::process::exit(1);

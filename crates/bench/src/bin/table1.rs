@@ -8,11 +8,19 @@
 //! Quick mode computes meta-features on 1/10-scale samples (mutual
 //! information over all pairs of the 57-variable Jeong dataset is the
 //! expensive part); `--paper-scale` uses the full Table 1 sample sizes.
+//! Any other flag exits with code 2 before any work.
 
 use synrd_data::{meta_features, BenchmarkDataset};
 
 fn main() {
-    let paper_scale = std::env::args().any(|a| a == "--paper-scale");
+    let mut paper_scale = false;
+    for arg in std::env::args().skip(1) {
+        if arg != "--paper-scale" {
+            eprintln!("unknown flag '{arg}'");
+            std::process::exit(2);
+        }
+        paper_scale = true;
+    }
     let mut rows = Vec::new();
     for ds in BenchmarkDataset::ALL {
         let n = if paper_scale {
@@ -29,5 +37,8 @@ fn main() {
         if paper_scale { "paper" } else { "1/10" }
     );
     print!("{}", synrd::report::render_table1(&rows));
-    println!("\nPaper reference values (for comparison): see EXPERIMENTS.md table T1.");
+    println!(
+        "\nAll ten are synthetic stand-ins for the paper's datasets; \
+         see the README's \"Departures from the paper\"."
+    );
 }

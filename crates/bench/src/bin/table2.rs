@@ -4,8 +4,14 @@
 //! ```text
 //! cargo run -p synrd-bench --bin table2
 //! ```
+//!
+//! It takes no flags: any argument exits with code 2.
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown flag '{arg}'");
+        std::process::exit(2);
+    }
     let counts = synrd::report::finding_type_counts();
     println!("Table 2: methods used in benchmark papers (finding types)\n");
     print!("{}", synrd::report::render_table2(&counts));

@@ -1,6 +1,6 @@
-//! The grid binaries and `perfgrid` reject bad command lines with exit
-//! code 2 and a message, before running anything — an unknown paper id
-//! must not become an empty run that exits 0.
+//! The figure and table binaries and `perfgrid` reject bad command lines
+//! with exit code 2 and a message, before running anything — an unknown
+//! paper id must not become an empty run that exits 0.
 
 use std::path::Path;
 use std::process::Command;
@@ -50,6 +50,40 @@ fn unknown_flags_exit_with_code_2() {
         let (code, stderr) = run(bin, &["--papers", "saw2018", "--ml-backend", "cpu"]);
         assert_eq!(code, Some(2), "{bin}: {stderr}");
         assert!(stderr.contains("unknown flag '--ml-backend'"), "{stderr}");
+    }
+}
+
+#[test]
+fn artifact_binaries_reject_unknown_flags() {
+    // A misspelled `--paper-scale` must not quietly run at 1/10 scale, and
+    // a bad command line must stop before any work: nothing on stdout.
+    for (bin, args, message) in [
+        (
+            env!("CARGO_BIN_EXE_fig1"),
+            &["--paper-scal"][..],
+            "unknown flag '--paper-scal'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig1"),
+            &["--out-dir", "--paper-scale"],
+            "--out-dir requires a value",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--paperscale"],
+            "unknown flag '--paperscale'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--bogus"],
+            "unknown flag '--bogus'",
+        ),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran before exiting");
     }
 }
 

@@ -543,8 +543,8 @@ pub fn run_paper_with_stores(
     let ground = ground_truth(paper, config)?;
 
     // Control row: nonparametric bootstrap of the real data through the
-    // same pipeline (the paper's Bayesian-bootstrap control; see
-    // DESIGN.md §3 for the resampling-vs-weighting note).
+    // same pipeline (in place of the paper's Bayesian-bootstrap control; see
+    // the README's "Departures from the paper").
     let control = control_row(paper, &ground, config)?;
 
     let grid = full_grid(config);

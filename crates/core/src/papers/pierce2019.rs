@@ -3,7 +3,7 @@
 //! positive emotions on the three support scales, negative emotions on the
 //! three strain scales — with income/education/age controls, mirroring the
 //! paper's mixed-effects models (approximated by OLS with wave controls; see
-//! DESIGN.md §3).
+//! the README's "Departures from the paper").
 
 use crate::error::Result;
 use crate::finding::{Check, Finding, FindingType as FT};

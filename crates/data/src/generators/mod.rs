@@ -5,7 +5,7 @@
 //! with (a) the schema of Table 1 — variable counts, domain sizes, sample
 //! sizes — and (b) *planted* statistical relationships chosen so that every
 //! finding of the corresponding publication is true on the generated data.
-//! DESIGN.md §3 documents this substitution.
+//! The README's "Departures from the paper" documents this substitution.
 //!
 //! All generators are deterministic functions of `(n, seed)`.
 

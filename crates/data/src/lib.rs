@@ -16,7 +16,7 @@
 //!   mutual information, skewness, sparsity);
 //! * [`generators`] — deterministic synthetic populations standing in for the
 //!   eight restricted-access ICPSR paper datasets and the UCI Adult/Mushroom
-//!   comparison datasets (see DESIGN.md §3 for the substitution argument).
+//!   comparison datasets (see the README's "Departures from the paper").
 
 pub mod attribute;
 pub mod csv;

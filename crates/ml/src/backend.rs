@@ -1,63 +1,107 @@
 //! Execution backends for the batched MLP kernels.
 //!
-//! [`Backend`] is the seam between the batched [`Mlp`](crate::Mlp) passes
-//! and the hardware that executes their inner loops: the three GEMM-shaped
-//! primitives plus the element-wise Adam update. The synthesizer code only
-//! ever talks to `forward_batch` / `backward_apply_batch` /
-//! `input_gradient_batch`; those route every matrix-matrix product and
-//! optimizer step through a `Backend`. Two implementations exist:
-//! the scalar reference [`CpuBackend`] and the lane-blocked [`SimdBackend`]
-//! (AVX on x86-64, scalar elsewhere), dispatched at runtime through
-//! [`AnyBackend`].
+//! [`Backend`] names the hardware path that runs the inner loops of the
+//! batched [`Mlp`](crate::Mlp) passes: the three GEMM-shaped primitives
+//! plus the element-wise Adam update. The synthesizer code only ever talks
+//! to `forward_batch` / `backward_apply_batch` / `input_gradient_batch`;
+//! those route every matrix-matrix product and optimizer step through a
+//! `Backend`. Each primitive has exactly two bodies: the scalar loops of
+//! the private `cpu` module ([`Backend::Cpu`]) and the lane-blocked AVX
+//! kernels of the `avx` module ([`Backend::Simd`], x86-64 only).
 //!
 //! # Reduction-order contract
 //!
-//! Every implementation must produce **bit-identical** results to
-//! [`CpuBackend`]: each output cell sums its dot product in ascending index
-//! order starting from `0.0` (the bias, where present, is added last), and
-//! batch-gradient cells accumulate example-major (row `0` first). This is
-//! the same pinned-order discipline the stride factor kernels and the
-//! marginal engine follow, and it is what lets the differential proptests
-//! (`tests/batch_equivalence.rs`) hold for any backend.
+//! Both backends produce **bit-identical** results: each output cell sums
+//! its dot product in ascending index order starting from `0.0` (the bias,
+//! where present, is added last), and batch-gradient cells accumulate
+//! example-major (row `0` first). This is the same pinned-order discipline
+//! the stride factor kernels and the marginal engine follow, and it is what
+//! lets the differential proptests (`tests/batch_equivalence.rs`) hold for
+//! either backend.
 //!
-//! [`SimdBackend`] honors the contract *by construction*: it vectorizes
+//! The AVX kernels honor the contract *by construction*: they vectorize
 //! across **independent output cells** — blocks of output neurons in the
 //! forward pass, blocks of weight/input columns in the gradient passes — so
 //! every SIMD lane replays exactly the scalar ascending-index mul-then-add
 //! sequence of one cell. The kernels use explicit `vmulpd`/`vaddpd`
 //! intrinsics (never FMA, whose single rounding would diverge from the
 //! scalar two-rounding sequence), and ragged edges fall back to the literal
-//! `CpuBackend` loops. The Adam update needs no ordering argument at all:
-//! it is element-wise, and `vdivpd`/`vsqrtpd` are IEEE correctly rounded
-//! exactly like their scalar counterparts.
+//! scalar loops. The Adam update needs no ordering argument at all: it is
+//! element-wise, and `vdivpd`/`vsqrtpd` are IEEE correctly rounded exactly
+//! like their scalar counterparts.
 //!
 //! # Runtime dispatch
 //!
-//! [`AnyBackend`] names one backend; its default (the `auto` selection)
-//! picks SIMD when the CPU supports it and [`CpuBackend`] otherwise, which
-//! keeps CPUs without AVX covered. A backend is a value, never a process
-//! setting: each
+//! [`Backend::default`] (the `auto` selection) picks [`Backend::Simd`] when
+//! the CPU supports AVX and [`Backend::Cpu`] otherwise, which keeps CPUs
+//! without AVX covered; every `Simd` call re-checks AVX before it enters
+//! `unsafe` code, so either variant is safe to construct anywhere. A
+//! backend is a value, never a process setting: each
 //! [`BatchWorkspace`](crate::BatchWorkspace) carries the one it was built
 //! with, and a synthesizer fit takes its backend from the `FitContext` it
-//! is given. Because every backend is bit-identical, the choice affects
+//! is given. Because the backends are bit-identical, the choice affects
 //! throughput only: fitted states, cache fingerprints and golden digests
-//! are the same under any backend.
+//! are the same under either backend.
 
 use rayon::prelude::*;
 
-/// The compute primitives behind the batched MLP passes: three GEMM-shaped
-/// kernels plus the element-wise Adam update.
+/// The backend that executes the batched MLP kernels: three GEMM-shaped
+/// primitives plus the element-wise Adam update, each a method that
+/// dispatches on the variant.
 ///
 /// All matrices are row-major `f64` slices: activations are
 /// `[batch × dim]`, weights are `[output × input]` (one row per output
 /// neuron, matching [`Mlp`](crate::Mlp)'s storage).
-pub trait Backend {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The scalar loops: the only path on CPUs without AVX, and the
+    /// reference the AVX kernels must match bit for bit.
+    Cpu,
+    /// The lane-blocked AVX kernels. On CPUs without AVX (or non-x86-64
+    /// targets) every call runs the scalar loops instead.
+    Simd,
+}
+
+impl Default for Backend {
+    /// The `auto` selection: [`Backend::Simd`] when the CPU supports AVX,
+    /// [`Backend::Cpu`] otherwise.
+    fn default() -> Backend {
+        if avx_supported() {
+            Backend::Simd
+        } else {
+            Backend::Cpu
+        }
+    }
+}
+
+/// Whether the AVX kernels can run on this CPU (x86-64 with AVX).
+fn avx_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+impl Backend {
+    /// Stable lowercase name (`"cpu"` or `"simd"`), reported by the serve
+    /// `stats` response and the perf records.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Cpu => "cpu",
+            Backend::Simd => "simd",
+        }
+    }
+
     /// Dense forward: `y[r][o] = (Σ_i w[o][i] · x[r][i]) + bias[o]`, with
     /// the sum accumulated in ascending `i` and the bias added last —
     /// bit-identical to the per-example forward pass.
     #[allow(clippy::too_many_arguments)]
-    fn forward_gemm(
-        &self,
+    pub fn forward_gemm(
+        self,
         batch: usize,
         input: usize,
         output: usize,
@@ -65,49 +109,174 @@ pub trait Backend {
         bias: &[f64],
         x: &[f64],
         y: &mut [f64],
-    );
+    ) {
+        debug_assert_eq!(w.len(), input * output);
+        debug_assert_eq!(bias.len(), output);
+        debug_assert_eq!(x.len(), batch * input);
+        debug_assert_eq!(y.len(), batch * output);
+        #[cfg(target_arch = "x86_64")]
+        if self == Backend::Simd && avx_supported() {
+            // SAFETY: AVX availability checked above; slice lengths checked
+            // against the kernel's indexing contract by the debug asserts
+            // and re-asserted inside.
+            unsafe { avx::forward_gemm(batch, input, output, w, bias, x, y) };
+            return;
+        }
+        cpu::forward_gemm(batch, input, output, w, bias, x, y);
+    }
 
     /// Gradient with respect to the layer input:
     /// `dx[r][i] = Σ_o delta[r][o] · w[o][i]`, accumulated in ascending `o`
     /// from `0.0` — the order the per-example backward pass uses.
-    fn input_grad_gemm(
-        &self,
+    pub fn input_grad_gemm(
+        self,
         batch: usize,
         input: usize,
         output: usize,
         w: &[f64],
         delta: &[f64],
         dx: &mut [f64],
-    );
+    ) {
+        debug_assert_eq!(w.len(), input * output);
+        debug_assert_eq!(delta.len(), batch * output);
+        debug_assert_eq!(dx.len(), batch * input);
+        #[cfg(target_arch = "x86_64")]
+        if self == Backend::Simd && avx_supported() {
+            // SAFETY: AVX availability checked above; lengths as above.
+            unsafe { avx::input_grad_gemm(batch, input, output, w, delta, dx) };
+            return;
+        }
+        cpu::input_grad_gemm(batch, input, output, w, delta, dx);
+    }
 
-    /// Batch gradients of the weights and biases, overwriting `gw`/`gb`:
-    /// `gw[o][i] = Σ_r delta[r][o] · x[r][i]` and `gb[o] = Σ_r delta[r][o]`,
-    /// both accumulated example-major (ascending `r`) from `0.0` — the order
-    /// a per-example gradient-accumulation loop produces.
+    /// Batch gradients of the weights and biases of the output-neuron span
+    /// `o0 .. o0 + gb.len()`, overwriting `gw` / `gb` (span-relative rows):
+    /// `gw[o - o0][i] = Σ_r delta[r][o] · x[r][i]` and
+    /// `gb[o - o0] = Σ_r delta[r][o]`, both accumulated example-major
+    /// (ascending `r`) from `0.0` — the order a per-example
+    /// gradient-accumulation loop produces. `delta` is always the full
+    /// `[batch × output]` block; `o0 = 0` with full-width `gw` / `gb` is the
+    /// whole gradient. Every `(o, i)` cell keeps its complete reduction, so
+    /// a span decomposition reassembles **bit-identically** to one
+    /// full-width call — the seam [`weight_grad_gemm_mt`] splits on. (The
+    /// batch axis cannot be split here: merging per-chunk partial sums
+    /// would reassociate the floating point reduction.)
     #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm(
-        &self,
+    pub fn weight_grad_gemm(
+        self,
         batch: usize,
         input: usize,
         output: usize,
+        o0: usize,
         x: &[f64],
         delta: &[f64],
         gw: &mut [f64],
         gb: &mut [f64],
-    );
+    ) {
+        debug_assert!(o0 + gb.len() <= output);
+        debug_assert_eq!(x.len(), batch * input);
+        debug_assert_eq!(delta.len(), batch * output);
+        debug_assert_eq!(gw.len(), gb.len() * input);
+        #[cfg(target_arch = "x86_64")]
+        if self == Backend::Simd && avx_supported() {
+            // SAFETY: AVX availability checked above; lengths as above.
+            unsafe { avx::weight_grad_gemm(batch, input, output, o0, x, delta, gw, gb) };
+            return;
+        }
+        cpu::weight_grad_gemm(batch, input, output, o0, x, delta, gw, gb);
+    }
 
-    /// [`Backend::weight_grad_gemm`] restricted to the output-neuron span
-    /// `o0 .. o0 + gb_span.len()`: writes that span's gradient rows into
-    /// `gw_span` / `gb_span` (span-relative indexing) while reading the full
-    /// `[batch × output]` delta block. Every `(o, i)` cell keeps its complete
-    /// ascending-`r` example-major reduction, so a span decomposition
-    /// reassembles **bit-identically** to one full-width call — the seam
-    /// [`weight_grad_gemm_mt`] splits on. (The batch axis cannot be split
-    /// here: merging per-chunk partial sums would reassociate the floating
-    /// point reduction.)
+    /// One Adam update over a parameter block, element `i` of `p` stepped
+    /// from gradient `g[i]` with first/second moments `m[i]`/`v[i]` updated
+    /// in place (`bc1`/`bc2` are the hoisted `1 - β^t` bias corrections).
+    ///
+    /// Unlike the GEMMs this is purely **element-wise** — there is no
+    /// reduction to order — so the bit-identity contract reduces to
+    /// replaying the scalar per-element operation sequence exactly:
+    /// `m = β₁·m + (1−β₁)·g`, `v = β₂·v + ((1−β₂)·g)·g`,
+    /// `p −= lr·(m/bc1) / (√(v/bc2) + ε)`, each multiply/add/divide/sqrt
+    /// its own IEEE-754 rounding (division and square root are correctly
+    /// rounded, so vector lanes match scalar exactly; FMA contraction is
+    /// again forbidden).
     #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm_span(
-        &self,
+    pub fn adam_update(
+        self,
+        lr: f64,
+        b1: f64,
+        b2: f64,
+        eps: f64,
+        bc1: f64,
+        bc2: f64,
+        g: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        p: &mut [f64],
+    ) {
+        debug_assert_eq!(g.len(), p.len());
+        debug_assert_eq!(m.len(), p.len());
+        debug_assert_eq!(v.len(), p.len());
+        #[cfg(target_arch = "x86_64")]
+        if self == Backend::Simd && avx_supported() {
+            // SAFETY: AVX availability checked above; lengths as above.
+            unsafe { avx::adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p) };
+            return;
+        }
+        cpu::adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p);
+    }
+}
+
+/// The scalar kernels behind [`Backend::Cpu`]: straightforward loops with
+/// the reduction orders of the per-example code, one matrix-matrix pass
+/// per layer. Slice lengths are checked by the [`Backend`] methods.
+mod cpu {
+    pub(super) fn forward_gemm(
+        batch: usize,
+        input: usize,
+        output: usize,
+        w: &[f64],
+        bias: &[f64],
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        // Weight-row stationary: each output neuron's row stays hot while
+        // the batch streams past it.
+        for o in 0..output {
+            let row = &w[o * input..(o + 1) * input];
+            let b = bias[o];
+            for r in 0..batch {
+                let xr = &x[r * input..(r + 1) * input];
+                let mut acc = 0.0f64;
+                for (wv, xv) in row.iter().zip(xr) {
+                    acc += wv * xv;
+                }
+                y[r * output + o] = acc + b;
+            }
+        }
+    }
+
+    pub(super) fn input_grad_gemm(
+        batch: usize,
+        input: usize,
+        output: usize,
+        w: &[f64],
+        delta: &[f64],
+        dx: &mut [f64],
+    ) {
+        for r in 0..batch {
+            let dxr = &mut dx[r * input..(r + 1) * input];
+            dxr.iter_mut().for_each(|v| *v = 0.0);
+            for o in 0..output {
+                let d = delta[r * output + o];
+                let row = &w[o * input..(o + 1) * input];
+                for (dst, wv) in dxr.iter_mut().zip(row) {
+                    *dst += d * wv;
+                }
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn weight_grad_gemm(
         batch: usize,
         input: usize,
         output: usize,
@@ -117,12 +286,9 @@ pub trait Backend {
         gw_span: &mut [f64],
         gb_span: &mut [f64],
     ) {
+        // Gradient-row stationary; the inner accumulation stays ascending
+        // in `r` for every (o, i) cell, i.e. example-major.
         let span = gb_span.len();
-        debug_assert!(o0 + span <= output);
-        debug_assert_eq!(x.len(), batch * input);
-        debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(gw_span.len(), span * input);
-        // The literal CpuBackend weight-grad loop, shifted to the span.
         for so in 0..span {
             let o = o0 + so;
             let grow = &mut gw_span[so * input..(so + 1) * input];
@@ -140,133 +306,8 @@ pub trait Backend {
         }
     }
 
-    /// One Adam update over a parameter block, element `i` of `p` stepped
-    /// from gradient `g[i]` with first/second moments `m[i]`/`v[i]` updated
-    /// in place (`bc1`/`bc2` are the hoisted `1 - β^t` bias corrections).
-    ///
-    /// Unlike the GEMMs this is purely **element-wise** — there is no
-    /// reduction to order — so the bit-identity contract reduces to
-    /// replaying the scalar per-element operation sequence exactly:
-    /// `m = β₁·m + (1−β₁)·g`, `v = β₂·v + ((1−β₂)·g)·g`,
-    /// `p −= lr·(m/bc1) / (√(v/bc2) + ε)`, each multiply/add/divide/sqrt
-    /// its own IEEE-754 rounding (division and square root are correctly
-    /// rounded, so vector lanes match scalar exactly; FMA contraction is
-    /// again forbidden).
     #[allow(clippy::too_many_arguments)]
-    fn adam_update(
-        &self,
-        lr: f64,
-        b1: f64,
-        b2: f64,
-        eps: f64,
-        bc1: f64,
-        bc2: f64,
-        g: &[f64],
-        m: &mut [f64],
-        v: &mut [f64],
-        p: &mut [f64],
-    );
-}
-
-/// Single-threaded CPU backend: straightforward register-blocked loops with
-/// the reduction orders of the per-example code, one matrix-matrix pass per
-/// layer. The reference every other backend must match bit-for-bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CpuBackend;
-
-impl Backend for CpuBackend {
-    #[allow(clippy::too_many_arguments)]
-    fn forward_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        w: &[f64],
-        bias: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        debug_assert_eq!(w.len(), input * output);
-        debug_assert_eq!(bias.len(), output);
-        debug_assert_eq!(x.len(), batch * input);
-        debug_assert_eq!(y.len(), batch * output);
-        // Weight-row stationary: each output neuron's row stays hot while
-        // the batch streams past it.
-        for o in 0..output {
-            let row = &w[o * input..(o + 1) * input];
-            let b = bias[o];
-            for r in 0..batch {
-                let xr = &x[r * input..(r + 1) * input];
-                let mut acc = 0.0f64;
-                for (wv, xv) in row.iter().zip(xr) {
-                    acc += wv * xv;
-                }
-                y[r * output + o] = acc + b;
-            }
-        }
-    }
-
-    fn input_grad_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        w: &[f64],
-        delta: &[f64],
-        dx: &mut [f64],
-    ) {
-        debug_assert_eq!(w.len(), input * output);
-        debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(dx.len(), batch * input);
-        for r in 0..batch {
-            let dxr = &mut dx[r * input..(r + 1) * input];
-            dxr.iter_mut().for_each(|v| *v = 0.0);
-            for o in 0..output {
-                let d = delta[r * output + o];
-                let row = &w[o * input..(o + 1) * input];
-                for (dst, wv) in dxr.iter_mut().zip(row) {
-                    *dst += d * wv;
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        x: &[f64],
-        delta: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-    ) {
-        debug_assert_eq!(x.len(), batch * input);
-        debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(gw.len(), input * output);
-        debug_assert_eq!(gb.len(), output);
-        // Gradient-row stationary; the inner accumulation stays ascending
-        // in `r` for every (o, i) cell, i.e. example-major.
-        for o in 0..output {
-            let grow = &mut gw[o * input..(o + 1) * input];
-            grow.iter_mut().for_each(|v| *v = 0.0);
-            let mut bacc = 0.0f64;
-            for r in 0..batch {
-                let d = delta[r * output + o];
-                let xr = &x[r * input..(r + 1) * input];
-                for (g, xv) in grow.iter_mut().zip(xr) {
-                    *g += d * xv;
-                }
-                bacc += d;
-            }
-            gb[o] = bacc;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn adam_update(
-        &self,
+    pub(super) fn adam_update(
         lr: f64,
         b1: f64,
         b2: f64,
@@ -278,9 +319,6 @@ impl Backend for CpuBackend {
         v: &mut [f64],
         p: &mut [f64],
     ) {
-        debug_assert_eq!(g.len(), p.len());
-        debug_assert_eq!(m.len(), p.len());
-        debug_assert_eq!(v.len(), p.len());
         for idx in 0..p.len() {
             let g = g[idx];
             let m = &mut m[idx];
@@ -294,162 +332,13 @@ impl Backend for CpuBackend {
     }
 }
 
-/// Lane-blocked SIMD backend: AVX `f64` kernels that vectorize across
-/// independent output cells so each lane accumulates its dot product in the
-/// pinned ascending-index order — bit-identical to [`CpuBackend`] by
-/// construction (see the module docs). On CPUs without AVX (or non-x86-64
-/// targets) every call falls through to [`CpuBackend`], so constructing one
-/// is always safe; use [`SimdBackend::supported`] to ask whether the vector
-/// path is actually live.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdBackend;
-
-impl SimdBackend {
-    /// Whether the vector kernels can run on this CPU (x86-64 with AVX).
-    pub fn supported() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-}
-
-impl Backend for SimdBackend {
-    #[allow(clippy::too_many_arguments)]
-    fn forward_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        w: &[f64],
-        bias: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        debug_assert_eq!(w.len(), input * output);
-        debug_assert_eq!(bias.len(), output);
-        debug_assert_eq!(x.len(), batch * input);
-        debug_assert_eq!(y.len(), batch * output);
-        #[cfg(target_arch = "x86_64")]
-        if SimdBackend::supported() {
-            // SAFETY: AVX availability checked above; slice lengths checked
-            // against the kernel's indexing contract by the debug asserts
-            // and re-asserted inside.
-            unsafe { avx::forward_gemm(batch, input, output, w, bias, x, y) };
-            return;
-        }
-        CpuBackend.forward_gemm(batch, input, output, w, bias, x, y);
-    }
-
-    fn input_grad_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        w: &[f64],
-        delta: &[f64],
-        dx: &mut [f64],
-    ) {
-        debug_assert_eq!(w.len(), input * output);
-        debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(dx.len(), batch * input);
-        #[cfg(target_arch = "x86_64")]
-        if SimdBackend::supported() {
-            // SAFETY: AVX availability checked above; lengths as above.
-            unsafe { avx::input_grad_gemm(batch, input, output, w, delta, dx) };
-            return;
-        }
-        CpuBackend.input_grad_gemm(batch, input, output, w, delta, dx);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        x: &[f64],
-        delta: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-    ) {
-        debug_assert_eq!(x.len(), batch * input);
-        debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(gw.len(), input * output);
-        debug_assert_eq!(gb.len(), output);
-        #[cfg(target_arch = "x86_64")]
-        if SimdBackend::supported() {
-            // SAFETY: AVX availability checked above; lengths as above.
-            unsafe { avx::weight_grad_gemm(batch, input, output, x, delta, gw, gb) };
-            return;
-        }
-        CpuBackend.weight_grad_gemm(batch, input, output, x, delta, gw, gb);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm_span(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        o0: usize,
-        x: &[f64],
-        delta: &[f64],
-        gw_span: &mut [f64],
-        gb_span: &mut [f64],
-    ) {
-        debug_assert_eq!(x.len(), batch * input);
-        debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(gw_span.len(), gb_span.len() * input);
-        #[cfg(target_arch = "x86_64")]
-        if SimdBackend::supported() {
-            // SAFETY: AVX availability checked above; lengths as above.
-            unsafe {
-                avx::weight_grad_gemm_span(batch, input, output, o0, x, delta, gw_span, gb_span)
-            };
-            return;
-        }
-        CpuBackend.weight_grad_gemm_span(batch, input, output, o0, x, delta, gw_span, gb_span);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn adam_update(
-        &self,
-        lr: f64,
-        b1: f64,
-        b2: f64,
-        eps: f64,
-        bc1: f64,
-        bc2: f64,
-        g: &[f64],
-        m: &mut [f64],
-        v: &mut [f64],
-        p: &mut [f64],
-    ) {
-        debug_assert_eq!(g.len(), p.len());
-        debug_assert_eq!(m.len(), p.len());
-        debug_assert_eq!(v.len(), p.len());
-        #[cfg(target_arch = "x86_64")]
-        if SimdBackend::supported() {
-            // SAFETY: AVX availability checked above; lengths as above.
-            unsafe { avx::adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p) };
-            return;
-        }
-        CpuBackend.adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p);
-    }
-}
-
-/// The AVX kernels behind [`SimdBackend`]. Each vector lane owns one output
-/// cell and performs exactly the scalar cell's operation sequence:
+/// The AVX kernels behind [`Backend::Simd`]. Each vector lane owns one
+/// output cell and performs exactly the scalar cell's operation sequence:
 /// `acc = 0.0`, then one `vmulpd` + `vaddpd` per ascending reduction index
 /// (two roundings, matching the scalar `acc += a * b`; FMA would fuse them
 /// into one and diverge), with the bias applied last by a final `vaddpd`.
-/// Cells the 4/8-wide blocks cannot cover run the literal `CpuBackend`
-/// remainder loops.
+/// Cells the 4/8-wide blocks cannot cover run the literal scalar remainder
+/// loops.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use core::arch::x86_64::{
@@ -556,7 +445,7 @@ mod avx {
             }
             ob += 4;
         }
-        // Ragged edge: the literal CpuBackend loop for the remaining cells.
+        // Ragged edge: the literal scalar loop for the remaining cells.
         for o in ob..output {
             let row = &w[o * input..(o + 1) * input];
             let b = bias[o];
@@ -623,7 +512,7 @@ mod avx {
             ib += 4;
         }
         // Ragged edge: per-cell ascending-`o` accumulation, exactly the
-        // scalar order (CpuBackend zeroes then `+=`; same sequence).
+        // scalar order (the `cpu` loop zeroes then `+=`; same sequence).
         for r in 0..batch {
             for i in ib..input {
                 let mut acc = 0.0f64;
@@ -635,82 +524,11 @@ mod avx {
         }
     }
 
-    /// `gw[o][i] = Σ_r delta[r][o]·x[r][i]`, `gb[o] = Σ_r delta[r][o]`,
-    /// lanes = weight columns; both sums example-major.
-    ///
-    /// # Safety
-    /// AVX required; slice lengths per the `Backend` contract.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx")]
-    pub unsafe fn weight_grad_gemm(
-        batch: usize,
-        input: usize,
-        output: usize,
-        x: &[f64],
-        delta: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-    ) {
-        assert!(x.len() >= batch * input && delta.len() >= batch * output);
-        assert!(gw.len() >= input * output && gb.len() >= output);
-        let xp = x.as_ptr();
-        let mut ib = 0;
-        while ib + 8 <= input {
-            for o in 0..output {
-                let mut acc0 = _mm256_setzero_pd();
-                let mut acc1 = _mm256_setzero_pd();
-                for r in 0..batch {
-                    let d = _mm256_set1_pd(delta[r * output + o]);
-                    let xr = xp.add(r * input + ib);
-                    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d, _mm256_loadu_pd(xr)));
-                    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d, _mm256_loadu_pd(xr.add(4))));
-                }
-                let dst = gw.as_mut_ptr().add(o * input + ib);
-                _mm256_storeu_pd(dst, acc0);
-                _mm256_storeu_pd(dst.add(4), acc1);
-            }
-            ib += 8;
-        }
-        if ib + 4 <= input {
-            for o in 0..output {
-                let mut acc = _mm256_setzero_pd();
-                for r in 0..batch {
-                    let d = _mm256_set1_pd(delta[r * output + o]);
-                    acc = _mm256_add_pd(
-                        acc,
-                        _mm256_mul_pd(d, _mm256_loadu_pd(xp.add(r * input + ib))),
-                    );
-                }
-                _mm256_storeu_pd(gw.as_mut_ptr().add(o * input + ib), acc);
-            }
-            ib += 4;
-        }
-        // Ragged edge: per-cell ascending-`r` accumulation.
-        for o in 0..output {
-            for i in ib..input {
-                let mut acc = 0.0f64;
-                for r in 0..batch {
-                    acc += delta[r * output + o] * x[r * input + i];
-                }
-                gw[o * input + i] = acc;
-            }
-        }
-        // Bias gradients are a plain scalar example-major sweep (no dot
-        // product to vectorize): identical to the CpuBackend loop.
-        for o in 0..output {
-            let mut bacc = 0.0f64;
-            for r in 0..batch {
-                bacc += delta[r * output + o];
-            }
-            gb[o] = bacc;
-        }
-    }
-
-    /// [`weight_grad_gemm`] over the output span `o0 .. o0 + gb_span.len()`
-    /// only, span-relative destinations. Lane layout and per-cell reduction
-    /// order are identical to the full kernel — each `(o, i)` cell still
-    /// accumulates ascending-`r` — so span results match a full-width call
-    /// bit for bit.
+    /// `gw[o][i] = Σ_r delta[r][o]·x[r][i]`, `gb[o] = Σ_r delta[r][o]`
+    /// over the output span `o0 .. o0 + gb_span.len()`, span-relative
+    /// destinations; lanes = weight columns, both sums example-major. Each
+    /// `(o, i)` cell accumulates ascending-`r` whatever the span, so span
+    /// results match a full-width call (`o0 = 0`) bit for bit.
     ///
     /// # Safety
     /// AVX required; `x`/`delta` sized per the `Backend` contract for
@@ -718,7 +536,7 @@ mod avx {
     /// and `o0 + gb_span.len() <= output`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx")]
-    pub unsafe fn weight_grad_gemm_span(
+    pub unsafe fn weight_grad_gemm(
         batch: usize,
         input: usize,
         output: usize,
@@ -791,7 +609,7 @@ mod avx {
     /// Element-wise Adam step, four parameters per vector. Every lane runs
     /// the scalar operation sequence verbatim — `vdivpd` / `vsqrtpd` are
     /// IEEE correctly rounded like their scalar forms, and mul/add stay
-    /// unfused — so this is bit-identical to the `CpuBackend` loop with no
+    /// unfused — so this is bit-identical to the `cpu` loop with no
     /// ordering argument needed (there is no reduction).
     ///
     /// # Safety
@@ -843,7 +661,7 @@ mod avx {
             );
             i += 4;
         }
-        // Ragged edge: the literal CpuBackend per-element sequence.
+        // Ragged edge: the literal scalar per-element sequence.
         for idx in i..n {
             let g = g[idx];
             let m = &mut m[idx];
@@ -886,8 +704,8 @@ pub fn gemm_threads(threads: usize, flops: usize) -> usize {
 /// ascending-`i` chain is exactly the sequential one — bit-identical at any
 /// thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn forward_gemm_mt<B: Backend + Sync>(
-    backend: &B,
+pub fn forward_gemm_mt(
+    backend: Backend,
     threads: usize,
     batch: usize,
     input: usize,
@@ -928,8 +746,8 @@ pub fn forward_gemm_mt<B: Backend + Sync>(
 /// [`Backend::input_grad_gemm`] fanned out over the batch (row) axis, same
 /// disjoint-rows argument as [`forward_gemm_mt`].
 #[allow(clippy::too_many_arguments)]
-pub fn input_grad_gemm_mt<B: Backend + Sync>(
-    backend: &B,
+pub fn input_grad_gemm_mt(
+    backend: Backend,
     threads: usize,
     batch: usize,
     input: usize,
@@ -965,15 +783,15 @@ pub fn input_grad_gemm_mt<B: Backend + Sync>(
     });
 }
 
-/// [`Backend::weight_grad_gemm`] fanned out over the **output-neuron** axis
-/// via [`Backend::weight_grad_gemm_span`]: each worker owns a contiguous
-/// span of gradient rows and runs that span's complete example-major
-/// reduction. Splitting the batch axis instead would need a cross-chunk
-/// merge that reassociates the sums — this split keeps every chain whole,
-/// so the result is bit-identical at any thread count.
+/// [`Backend::weight_grad_gemm`] fanned out over the **output-neuron**
+/// axis: each worker owns a contiguous span of gradient rows and runs that
+/// span's complete example-major reduction. Splitting the batch axis
+/// instead would need a cross-chunk merge that reassociates the sums —
+/// this split keeps every chain whole, so the result is bit-identical at
+/// any thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn weight_grad_gemm_mt<B: Backend + Sync>(
-    backend: &B,
+pub fn weight_grad_gemm_mt(
+    backend: Backend,
     threads: usize,
     batch: usize,
     input: usize,
@@ -985,7 +803,7 @@ pub fn weight_grad_gemm_mt<B: Backend + Sync>(
 ) {
     let threads = threads.clamp(1, output.max(1));
     if threads <= 1 || input == 0 {
-        backend.weight_grad_gemm(batch, input, output, x, delta, gw, gb);
+        backend.weight_grad_gemm(batch, input, output, 0, x, delta, gw, gb);
         return;
     }
     let span = output.div_ceil(threads);
@@ -1001,149 +819,18 @@ pub fn weight_grad_gemm_mt<B: Backend + Sync>(
         .expect("gemm thread pool");
     pool.install(|| {
         jobs.into_par_iter().for_each(|(ci, (gwc, gbc))| {
-            backend.weight_grad_gemm_span(batch, input, output, ci * span, x, delta, gwc, gbc);
+            backend.weight_grad_gemm(batch, input, output, ci * span, x, delta, gwc, gbc);
         });
     });
 }
 
-// ---------------------------------------------------------------------------
-// Runtime dispatch.
-// ---------------------------------------------------------------------------
-
-/// A runtime-selected backend: the closed set of registered [`Backend`]
-/// implementations behind one `Copy` value, so call sites stay
-/// monomorphized-free of `dyn` and workspaces can carry their backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnyBackend {
-    /// The scalar reference backend.
-    Cpu,
-    /// The lane-blocked AVX backend.
-    Simd,
-}
-
-impl AnyBackend {
-    /// Stable lowercase name (`"cpu"` or `"simd"`), reported by the serve
-    /// `stats` response and the perf records.
-    pub fn name(self) -> &'static str {
-        match self {
-            AnyBackend::Cpu => "cpu",
-            AnyBackend::Simd => "simd",
-        }
-    }
-}
-
-impl Default for AnyBackend {
-    /// The `auto` selection: [`SimdBackend`] when the CPU supports it,
-    /// [`CpuBackend`] otherwise.
-    fn default() -> AnyBackend {
-        if SimdBackend::supported() {
-            AnyBackend::Simd
-        } else {
-            AnyBackend::Cpu
-        }
-    }
-}
-
-impl Backend for AnyBackend {
-    #[allow(clippy::too_many_arguments)]
-    fn forward_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        w: &[f64],
-        bias: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        match self {
-            AnyBackend::Cpu => CpuBackend.forward_gemm(batch, input, output, w, bias, x, y),
-            AnyBackend::Simd => SimdBackend.forward_gemm(batch, input, output, w, bias, x, y),
-        }
-    }
-
-    fn input_grad_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        w: &[f64],
-        delta: &[f64],
-        dx: &mut [f64],
-    ) {
-        match self {
-            AnyBackend::Cpu => CpuBackend.input_grad_gemm(batch, input, output, w, delta, dx),
-            AnyBackend::Simd => SimdBackend.input_grad_gemm(batch, input, output, w, delta, dx),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        x: &[f64],
-        delta: &[f64],
-        gw: &mut [f64],
-        gb: &mut [f64],
-    ) {
-        match self {
-            AnyBackend::Cpu => CpuBackend.weight_grad_gemm(batch, input, output, x, delta, gw, gb),
-            AnyBackend::Simd => {
-                SimdBackend.weight_grad_gemm(batch, input, output, x, delta, gw, gb)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn weight_grad_gemm_span(
-        &self,
-        batch: usize,
-        input: usize,
-        output: usize,
-        o0: usize,
-        x: &[f64],
-        delta: &[f64],
-        gw_span: &mut [f64],
-        gb_span: &mut [f64],
-    ) {
-        match self {
-            AnyBackend::Cpu => CpuBackend
-                .weight_grad_gemm_span(batch, input, output, o0, x, delta, gw_span, gb_span),
-            AnyBackend::Simd => SimdBackend
-                .weight_grad_gemm_span(batch, input, output, o0, x, delta, gw_span, gb_span),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn adam_update(
-        &self,
-        lr: f64,
-        b1: f64,
-        b2: f64,
-        eps: f64,
-        bc1: f64,
-        bc2: f64,
-        g: &[f64],
-        m: &mut [f64],
-        v: &mut [f64],
-        p: &mut [f64],
-    ) {
-        match self {
-            AnyBackend::Cpu => CpuBackend.adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p),
-            AnyBackend::Simd => SimdBackend.adam_update(lr, b1, b2, eps, bc1, bc2, g, m, v, p),
-        }
-    }
-}
-
-/// Every registered backend the current CPU can execute: [`CpuBackend`]
-/// always, [`SimdBackend`] when supported. Differential tests and benches
-/// iterate this list so future backends are covered for free.
-pub fn registered_backends() -> Vec<AnyBackend> {
-    let mut all = vec![AnyBackend::Cpu];
-    if SimdBackend::supported() {
-        all.push(AnyBackend::Simd);
+/// Every backend the current CPU can execute: [`Backend::Cpu`] always,
+/// [`Backend::Simd`] when the CPU supports AVX. Differential tests and
+/// benches iterate this list.
+pub fn registered_backends() -> Vec<Backend> {
+    let mut all = vec![Backend::Cpu];
+    if avx_supported() {
+        all.push(Backend::Simd);
     }
     all
 }
@@ -1151,10 +838,10 @@ pub fn registered_backends() -> Vec<AnyBackend> {
 /// Name of the backend `auto` selects on this CPU (`"cpu"` or `"simd"`):
 /// the one every fit runs on unless its `FitContext` names another.
 pub fn global_name() -> &'static str {
-    AnyBackend::default().name()
+    Backend::default().name()
 }
 
-/// The x86-64 feature probes behind [`SimdBackend::supported`], for
+/// The x86-64 feature probes behind the `auto` selection, for
 /// diagnostics (`perfgrid` and the CI bench-smoke job print them). Empty on
 /// non-x86-64 targets.
 pub fn detected_cpu_features() -> Vec<(&'static str, bool)> {
@@ -1188,10 +875,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The three kernels agree bitwise between CpuBackend and SimdBackend
-    /// across shapes exercising the 8-wide, 4-wide and scalar remainder
-    /// paths (on CPUs without AVX, SimdBackend falls back to CpuBackend and
-    /// this holds trivially).
+    /// The four primitives agree bitwise between the two backends across
+    /// shapes exercising the 8-wide, 4-wide and scalar remainder paths (on
+    /// CPUs without AVX, `Simd` runs the scalar loops and this holds
+    /// trivially).
     #[test]
     fn simd_kernels_match_cpu_bitwise() {
         let shapes: [(usize, usize, usize); 8] = [
@@ -1212,8 +899,8 @@ mod tests {
 
             let mut y_cpu = vec![0.0; batch * output];
             let mut y_simd = vec![0.0; batch * output];
-            CpuBackend.forward_gemm(batch, input, output, &w, &bias, &x, &mut y_cpu);
-            SimdBackend.forward_gemm(batch, input, output, &w, &bias, &x, &mut y_simd);
+            Backend::Cpu.forward_gemm(batch, input, output, &w, &bias, &x, &mut y_cpu);
+            Backend::Simd.forward_gemm(batch, input, output, &w, &bias, &x, &mut y_simd);
             assert_eq!(
                 bits(&y_cpu),
                 bits(&y_simd),
@@ -1222,38 +909,31 @@ mod tests {
 
             let mut dx_cpu = vec![0.0; batch * input];
             let mut dx_simd = vec![0.0; batch * input];
-            CpuBackend.input_grad_gemm(batch, input, output, &w, &delta, &mut dx_cpu);
-            SimdBackend.input_grad_gemm(batch, input, output, &w, &delta, &mut dx_simd);
+            Backend::Cpu.input_grad_gemm(batch, input, output, &w, &delta, &mut dx_cpu);
+            Backend::Simd.input_grad_gemm(batch, input, output, &w, &delta, &mut dx_simd);
             assert_eq!(
                 bits(&dx_cpu),
                 bits(&dx_simd),
                 "input_grad {batch}x{input}x{output}"
             );
 
-            let mut gw_cpu = vec![0.0; input * output];
-            let mut gb_cpu = vec![0.0; output];
-            let mut gw_simd = vec![0.0; input * output];
-            let mut gb_simd = vec![0.0; output];
-            CpuBackend.weight_grad_gemm(batch, input, output, &x, &delta, &mut gw_cpu, &mut gb_cpu);
-            SimdBackend.weight_grad_gemm(
-                batch,
-                input,
-                output,
-                &x,
-                &delta,
-                &mut gw_simd,
-                &mut gb_simd,
-            );
-            assert_eq!(
-                bits(&gw_cpu),
-                bits(&gw_simd),
-                "weight_grad {batch}x{input}x{output}"
-            );
-            assert_eq!(
-                bits(&gb_cpu),
-                bits(&gb_simd),
-                "bias_grad {batch}x{input}x{output}"
-            );
+            // The full-width weight gradient (`o0 = 0`), then one span that
+            // starts past the first row.
+            let mid = output / 2;
+            for (o0, span) in [(0, output), (mid, (output - mid).min(5))] {
+                let grads = |backend: Backend| {
+                    let mut gw = vec![0.0; span * input];
+                    let mut gb = vec![0.0; span];
+                    backend
+                        .weight_grad_gemm(batch, input, output, o0, &x, &delta, &mut gw, &mut gb);
+                    (bits(&gw), bits(&gb))
+                };
+                let (gw_cpu, gb_cpu) = grads(Backend::Cpu);
+                let (gw_simd, gb_simd) = grads(Backend::Simd);
+                let tag = format!("rows {o0}..{} of {batch}x{input}x{output}", o0 + span);
+                assert_eq!(gw_cpu, gw_simd, "weight_grad {tag}");
+                assert_eq!(gb_cpu, gb_simd, "bias_grad {tag}");
+            }
 
             // Adam over the weight-sized block, exercising the 4-wide lanes
             // and the scalar remainder (lengths here are rarely multiples
@@ -1268,10 +948,10 @@ mod tests {
             let (mut m_simd, mut v_simd, mut p_simd) =
                 (m_cpu.clone(), v_cpu.clone(), p_cpu.clone());
             let (bc1, bc2) = (1.0 - 0.9f64.powf(3.0), 1.0 - 0.999f64.powf(3.0));
-            CpuBackend.adam_update(
+            Backend::Cpu.adam_update(
                 1e-2, 0.9, 0.999, 1e-8, bc1, bc2, &grad, &mut m_cpu, &mut v_cpu, &mut p_cpu,
             );
-            SimdBackend.adam_update(
+            Backend::Simd.adam_update(
                 1e-2,
                 0.9,
                 0.999,
@@ -1303,6 +983,7 @@ mod tests {
                     batch,
                     input,
                     output,
+                    0,
                     &x,
                     &delta,
                     &mut gw_full,
@@ -1313,11 +994,8 @@ mod tests {
                     let mut gb = vec![0.0; output];
                     let (gw_lo, gw_hi) = gw.split_at_mut(split * input);
                     let (gb_lo, gb_hi) = gb.split_at_mut(split);
-                    backend
-                        .weight_grad_gemm_span(batch, input, output, 0, &x, &delta, gw_lo, gb_lo);
-                    backend.weight_grad_gemm_span(
-                        batch, input, output, split, &x, &delta, gw_hi, gb_hi,
-                    );
+                    backend.weight_grad_gemm(batch, input, output, 0, &x, &delta, gw_lo, gb_lo);
+                    backend.weight_grad_gemm(batch, input, output, split, &x, &delta, gw_hi, gb_hi);
                     assert_eq!(
                         bits(&gw_full),
                         bits(&gw),
@@ -1359,6 +1037,7 @@ mod tests {
                     batch,
                     input,
                     output,
+                    0,
                     &x,
                     &delta,
                     &mut gw_seq,
@@ -1369,20 +1048,18 @@ mod tests {
                     let tag = format!("{} t={threads} {batch}x{input}x{output}", backend.name());
                     let mut y = vec![0.0; batch * output];
                     forward_gemm_mt(
-                        &backend, threads, batch, input, output, &w, &bias, &x, &mut y,
+                        backend, threads, batch, input, output, &w, &bias, &x, &mut y,
                     );
                     assert_eq!(bits(&y_seq), bits(&y), "forward {tag}");
 
                     let mut dx = vec![0.0; batch * input];
-                    input_grad_gemm_mt(
-                        &backend, threads, batch, input, output, &w, &delta, &mut dx,
-                    );
+                    input_grad_gemm_mt(backend, threads, batch, input, output, &w, &delta, &mut dx);
                     assert_eq!(bits(&dx_seq), bits(&dx), "input_grad {tag}");
 
                     let mut gw = vec![0.0; input * output];
                     let mut gb = vec![0.0; output];
                     weight_grad_gemm_mt(
-                        &backend, threads, batch, input, output, &x, &delta, &mut gw, &mut gb,
+                        backend, threads, batch, input, output, &x, &delta, &mut gw, &mut gb,
                     );
                     assert_eq!(bits(&gw_seq), bits(&gw), "weight_grad {tag}");
                     assert_eq!(bits(&gb_seq), bits(&gb), "bias_grad {tag}");
@@ -1404,11 +1081,11 @@ mod tests {
 
     #[test]
     fn auto_picks_simd_exactly_when_supported() {
-        let auto = AnyBackend::default();
-        if SimdBackend::supported() {
-            assert_eq!(auto, AnyBackend::Simd);
+        let auto = Backend::default();
+        if avx_supported() {
+            assert_eq!(auto, Backend::Simd);
         } else {
-            assert_eq!(auto, AnyBackend::Cpu);
+            assert_eq!(auto, Backend::Cpu);
         }
         assert_eq!(global_name(), auto.name());
     }
@@ -1416,8 +1093,8 @@ mod tests {
     #[test]
     fn registered_backends_starts_with_cpu() {
         let all = registered_backends();
-        assert_eq!(all[0], AnyBackend::Cpu);
-        assert_eq!(all.len() > 1, SimdBackend::supported());
-        assert!(all.contains(&AnyBackend::default()));
+        assert_eq!(all[0], Backend::Cpu);
+        assert_eq!(all.len() > 1, avx_supported());
+        assert!(all.contains(&Backend::default()));
     }
 }

@@ -21,7 +21,7 @@ pub mod split;
 pub mod svm;
 pub mod tree;
 
-pub use backend::{AnyBackend, Backend, CpuBackend, SimdBackend};
+pub use backend::Backend;
 pub use error::{MlError, Result};
 pub use forest::{ForestOptions, RandomForest};
 pub use metrics::{group_metrics, metrics, Metrics};

@@ -11,12 +11,11 @@
 //! [`Mlp::backward_apply_batch`], [`Mlp::input_gradient_batch`] — which
 //! execute one matrix-matrix pass per layer over row-major `[batch × dim]`
 //! activation arenas held in a reusable [`BatchWorkspace`] (zero-alloc after
-//! warm-up) and route every GEMM through a [`Backend`]. Each workspace
-//! carries the backend it was built with: [`BatchWorkspace::new`] takes
-//! the `auto` selection (the SIMD kernels when the CPU supports them), and
-//! [`BatchWorkspace::with_backend`] takes one explicitly, as PATE-CTGAN's
-//! fit does with its `FitContext`'s backend; the `*_with` variants take
-//! one per call.
+//! warm-up) and route every GEMM through the workspace's [`Backend`]:
+//! [`BatchWorkspace::new`] takes the `auto` selection (the SIMD kernels
+//! when the CPU supports them), and [`BatchWorkspace::with_backend`] takes
+//! one explicitly, as PATE-CTGAN's fit does with its `FitContext`'s
+//! backend.
 //!
 //! The reduction order is pinned: each output cell sums its dot product in
 //! ascending index order, and batch gradients accumulate example-major. A
@@ -29,7 +28,7 @@
 //! step from the summed batch gradient; it is not a loop of sequential
 //! per-example Adam steps.
 
-use crate::backend::{self, AnyBackend, Backend};
+use crate::backend::{self, Backend};
 use crate::error::{MlError, Result};
 use rand::Rng;
 
@@ -157,12 +156,11 @@ impl ForwardCache {
 /// first round. A workspace holds the forward caches
 /// [`Mlp::backward_apply_batch`] and [`Mlp::input_gradient_batch`] consume,
 /// so each network being trained needs its own workspace. It also carries
-/// the [`Backend`] the default batched passes execute on, fixed at
-/// construction.
+/// the [`Backend`] the batched passes execute on, fixed at construction.
 #[derive(Debug)]
 pub struct BatchWorkspace {
-    /// Backend for the default batched passes.
-    backend: AnyBackend,
+    /// Backend for the batched passes.
+    backend: Backend,
     /// Worker-thread allowance for the per-layer GEMMs. Layers whose
     /// multiply-add count clears [`backend::gemm_threads`]'s threshold fan
     /// out over this many workers; results are bit-identical at any count,
@@ -192,13 +190,13 @@ impl Default for BatchWorkspace {
 
 impl BatchWorkspace {
     /// Fresh, empty workspace on the `auto` backend
-    /// ([`AnyBackend::default`]); arenas are sized lazily on first use.
+    /// ([`Backend::default`]); arenas are sized lazily on first use.
     pub fn new() -> BatchWorkspace {
-        BatchWorkspace::with_backend(AnyBackend::default())
+        BatchWorkspace::with_backend(Backend::default())
     }
 
     /// Fresh, empty workspace pinned to an explicit backend.
-    pub fn with_backend(backend: AnyBackend) -> BatchWorkspace {
+    pub fn with_backend(backend: Backend) -> BatchWorkspace {
         BatchWorkspace {
             backend,
             threads: 1,
@@ -212,21 +210,11 @@ impl BatchWorkspace {
         }
     }
 
-    /// The backend this workspace's default batched passes execute on.
-    pub fn backend(&self) -> AnyBackend {
-        self.backend
-    }
-
     /// Set the worker-thread allowance for the batched passes (`0` and `1`
     /// both mean sequential). Purely a throughput knob: every thread count
     /// produces bit-identical results.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// The worker-thread allowance for the batched passes.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The rows recorded by the last [`Mlp::forward_batch`] call.
@@ -322,25 +310,13 @@ impl Mlp {
     /// [`BatchWorkspace::output`]). One GEMM per layer on the workspace's
     /// backend; bit-identical to a per-example loop on any backend.
     pub fn forward_batch(&self, xs: &[f64], batch: usize, ws: &mut BatchWorkspace) {
-        let backend = ws.backend;
-        self.forward_batch_with(&backend, xs, batch, ws);
-    }
-
-    /// [`Mlp::forward_batch`] on an explicit [`Backend`].
-    pub fn forward_batch_with<B: Backend + Sync>(
-        &self,
-        backend: &B,
-        xs: &[f64],
-        batch: usize,
-        ws: &mut BatchWorkspace,
-    ) {
         debug_assert_eq!(xs.len(), batch * self.input_size());
         ws.ensure(self, batch);
         ws.post[0].copy_from_slice(xs);
         for (li, layer) in self.layers.iter().enumerate() {
             let threads = backend::gemm_threads(ws.threads, batch * layer.input * layer.output);
             backend::forward_gemm_mt(
-                backend,
+                ws.backend,
                 threads,
                 batch,
                 layer.input,
@@ -384,16 +360,6 @@ impl Mlp {
     /// to the per-example accumulation oracle (`backward_apply_batch_naive`).
     pub fn backward_apply_batch(&mut self, ws: &mut BatchWorkspace, dl_dout: &[f64]) {
         let backend = ws.backend;
-        self.backward_apply_batch_with(&backend, ws, dl_dout);
-    }
-
-    /// [`Mlp::backward_apply_batch`] on an explicit [`Backend`].
-    pub fn backward_apply_batch_with<B: Backend + Sync>(
-        &mut self,
-        backend: &B,
-        ws: &mut BatchWorkspace,
-        dl_dout: &[f64],
-    ) {
         let batch = ws.batch;
         debug_assert_eq!(dl_dout.len(), batch * self.output_size());
         if batch == 0 || self.layers.is_empty() {
@@ -498,18 +464,6 @@ impl Mlp {
         dl_dout: &[f64],
         dx: &mut Vec<f64>,
     ) {
-        let backend = ws.backend;
-        self.input_gradient_batch_with(&backend, ws, dl_dout, dx);
-    }
-
-    /// [`Mlp::input_gradient_batch`] on an explicit [`Backend`].
-    pub fn input_gradient_batch_with<B: Backend + Sync>(
-        &self,
-        backend: &B,
-        ws: &mut BatchWorkspace,
-        dl_dout: &[f64],
-        dx: &mut Vec<f64>,
-    ) {
         let batch = ws.batch;
         debug_assert_eq!(dl_dout.len(), batch * self.output_size());
         dx.clear();
@@ -530,7 +484,7 @@ impl Mlp {
             let (n_in, n_out) = (batch * layer.input, batch * layer.output);
             let threads = backend::gemm_threads(ws.threads, batch * layer.input * layer.output);
             backend::input_grad_gemm_mt(
-                backend,
+                ws.backend,
                 threads,
                 batch,
                 layer.input,

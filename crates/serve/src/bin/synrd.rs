@@ -16,7 +16,8 @@
 //! `bench-serve` measures the serve-path win and writes `BENCH_serve.json`:
 //! cold fit-and-sample versus warm serve-mode sampling from a cached fit.
 //! Exits nonzero when the warm path is not at least 5x the cold path —
-//! the CI gate for the whole fit-cache tentpole.
+//! the CI gate for the whole fit-cache tentpole. Like `serve`, it exits
+//! with code 2 on an unknown flag or a missing value before it runs.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -43,13 +44,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// `synrd serve`'s command line.
@@ -97,9 +91,12 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
     })
 }
 
-/// The parsed value after `flag`.
+/// The parsed value after `flag`. Another flag in the value's place counts
+/// as a missing value.
 fn parsed<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    let value = value
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} requires a value"))?;
     value
         .parse()
         .map_err(|_| format!("bad {flag} '{value}': expected a number"))
@@ -164,11 +161,31 @@ fn cmd_request(args: &[String]) {
     }
 }
 
+/// Parse `bench-serve`'s flags into `(quick, out_path)`.
+///
+/// # Errors
+/// A message naming the flag for an unknown flag or a missing value.
+fn parse_bench_serve(args: &[String]) -> Result<(bool, String), String> {
+    let mut quick = false;
+    let mut out_path = "BENCH_serve.json".to_string();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--out" => out_path = parsed(flag, it.next())?,
+            _ => return Err(format!("unknown flag '{flag}' for synrd bench-serve")),
+        }
+    }
+    Ok((quick, out_path))
+}
+
 /// Cold fit-and-sample versus warm serve-mode sampling, on a real paper's
 /// dataset at quick scale.
 fn cmd_bench_serve(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag_value(args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let (quick, out_path) = parse_bench_serve(args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     let reps = if quick { 3 } else { 10 };
     let n = 2_000usize;
     let paper_id = "fruiht2018";

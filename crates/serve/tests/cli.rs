@@ -1,7 +1,8 @@
 //! `synrd serve` rejects a bad command line with exit code 2 before it
 //! binds. The grid knobs set every dataset digest, so a value that fell
 //! back to its default would make every request miss the store the grid
-//! run filled.
+//! run filled. `synrd bench-serve` does the same before it runs, so a
+//! misspelled `--quick` cannot turn into a full run.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -69,4 +70,31 @@ fn unknown_flags_exit_with_code_2() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn bench_serve_rejects_unknown_flags_and_missing_values() {
+    // Run in an empty directory: a rejected command line must neither run
+    // the benchmark nor write its record there.
+    let dir = std::env::temp_dir().join(format!("synrd-bench-serve-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, message) in [
+        (&["--quik"][..], "unknown flag '--quik'"),
+        (&["--quick", "--out"], "--out requires a value"),
+        (&["--out", "--quick"], "--out requires a value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_synrd"))
+            .arg("bench-serve")
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("synrd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "rejected runs wrote {written:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

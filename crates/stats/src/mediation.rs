@@ -1,7 +1,7 @@
 //! Moderation and mediation analysis in the Preacher & Hayes (PROCESS) style,
 //! approximated with OLS — the paper's own reproduction of Fruiht & Chan used
 //! the same approximation since the original R macro's exact output was
-//! unavailable (see DESIGN.md §3).
+//! unavailable (see the README's "Departures from the paper").
 
 use crate::error::Result;
 use crate::linalg::Matrix;

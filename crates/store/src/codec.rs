@@ -42,40 +42,40 @@ pub trait JsonCodec: Sized {
     }
 }
 
-fn codec_err(message: impl Into<String>) -> StoreError {
+pub(crate) fn codec_err(message: impl Into<String>) -> StoreError {
     StoreError::Codec(message.into())
 }
 
-fn field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, StoreError> {
+pub(crate) fn field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, StoreError> {
     value
         .get(key)
         .ok_or_else(|| codec_err(format!("missing field '{key}'")))
 }
 
-fn f64_field(value: &JsonValue, key: &str) -> Result<f64, StoreError> {
+pub(crate) fn f64_field(value: &JsonValue, key: &str) -> Result<f64, StoreError> {
     field(value, key)?
         .as_f64()
         .ok_or_else(|| codec_err(format!("field '{key}' is not a number")))
 }
 
-fn u64_field(value: &JsonValue, key: &str) -> Result<u64, StoreError> {
+pub(crate) fn u64_field(value: &JsonValue, key: &str) -> Result<u64, StoreError> {
     field(value, key)?
         .as_u64()
         .ok_or_else(|| codec_err(format!("field '{key}' is not an unsigned integer")))
 }
 
-fn usize_field(value: &JsonValue, key: &str) -> Result<usize, StoreError> {
+pub(crate) fn usize_field(value: &JsonValue, key: &str) -> Result<usize, StoreError> {
     usize::try_from(u64_field(value, key)?)
         .map_err(|_| codec_err(format!("field '{key}' does not fit usize")))
 }
 
-fn str_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, StoreError> {
+pub(crate) fn str_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, StoreError> {
     field(value, key)?
         .as_str()
         .ok_or_else(|| codec_err(format!("field '{key}' is not a string")))
 }
 
-fn f64_vec(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {
+pub(crate) fn f64_vec(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {
     field(value, key)?
         .as_arr()
         .ok_or_else(|| codec_err(format!("field '{key}' is not an array")))?

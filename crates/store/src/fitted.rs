@@ -17,46 +17,15 @@
 //! ([`FittedModel::from_parts`]), so a corrupted or hand-edited file
 //! surfaces as a decode error, never as a silently wrong model.
 
-use crate::codec::JsonCodec;
+use crate::codec::{
+    codec_err, f64_field, f64_vec, field, str_field, u64_field, usize_field, JsonCodec,
+};
 use crate::json::JsonValue;
 use crate::StoreError;
 use synrd_data::{AttrKind, Attribute, Domain, Marginal};
 use synrd_ml::{Activation, DenseState, MlpState};
 use synrd_pgm::{CalibratedTree, Factor, FittedModel, JunctionTree};
 use synrd_synth::{BayesNode, FittedState, GemState};
-
-fn codec_err(message: impl Into<String>) -> StoreError {
-    StoreError::Codec(message.into())
-}
-
-fn field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, StoreError> {
-    value
-        .get(key)
-        .ok_or_else(|| codec_err(format!("missing field '{key}'")))
-}
-
-fn f64_field(value: &JsonValue, key: &str) -> Result<f64, StoreError> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| codec_err(format!("field '{key}' is not a number")))
-}
-
-fn u64_field(value: &JsonValue, key: &str) -> Result<u64, StoreError> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| codec_err(format!("field '{key}' is not an unsigned integer")))
-}
-
-fn usize_field(value: &JsonValue, key: &str) -> Result<usize, StoreError> {
-    usize::try_from(u64_field(value, key)?)
-        .map_err(|_| codec_err(format!("field '{key}' does not fit usize")))
-}
-
-fn str_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, StoreError> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| codec_err(format!("field '{key}' is not a string")))
-}
 
 fn arr_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], StoreError> {
     field(value, key)?
@@ -77,10 +46,6 @@ fn usize_vec(value: &JsonValue, key: &str) -> Result<Vec<usize>, StoreError> {
                 .ok_or_else(|| codec_err(format!("non-index value in '{key}'")))
         })
         .collect()
-}
-
-fn f64_vec(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {
-    f64_items(field(value, key)?, key)
 }
 
 fn f64_items(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {

@@ -41,23 +41,21 @@ pub use workload::{all_pairs, all_pairs_under, WorkloadQuery};
 // marginal counting counter), re-exported so the grid driver and tests can
 // read them without a direct synrd-pgm dependency.
 pub use synrd_pgm::{rows_sampled, sampling_passes};
-// The ML backend dispatch (`auto | cpu | simd`), re-exported so callers can
-// name a backend for [`FitContext::backend`] without a direct synrd-ml
-// dependency.
+// The ML backend (`cpu | simd`, and the `auto` default), re-exported so
+// callers can name a backend for [`FitContext::backend`] without a direct
+// synrd-ml dependency.
 pub use synrd_ml::backend as ml_backend;
 
 use synrd_data::{Dataset, Domain};
 use synrd_dp::{delta_for_n, Privacy};
-use synrd_ml::backend::AnyBackend;
-use synrd_ml::MlpState;
+use synrd_ml::{Backend, MlpState};
 use synrd_pgm::FittedModel;
 
 /// Execution context for one fit: resource knobs that change throughput but
 /// never results. Every synthesizer's internal parallelism pins its
-/// reduction orders and every ML backend is bit-identical to
-/// [`CpuBackend`](ml_backend::CpuBackend), so a fit is **bit-identical under
-/// any context** — which is why it never appears in [`FittedState`] or any
-/// cache fingerprint.
+/// reduction orders and both ML backends are bit-identical, so a fit is
+/// **bit-identical under any context** — which is why it never appears in
+/// [`FittedState`] or any cache fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FitContext {
     /// Worker threads the fit may use internally (mirror-descent loss
@@ -67,7 +65,7 @@ pub struct FitContext {
     /// Backend for the batched ML kernels (PATE-CTGAN's generator and
     /// student). Every constructor picks the `auto` selection; tests set
     /// it to pin a backend.
-    pub backend: AnyBackend,
+    pub backend: Backend,
 }
 
 impl Default for FitContext {
@@ -88,7 +86,7 @@ impl FitContext {
     pub fn with_threads(threads: usize) -> FitContext {
         FitContext {
             threads: threads.max(1),
-            backend: AnyBackend::default(),
+            backend: Backend::default(),
         }
     }
 }
@@ -448,7 +446,7 @@ mod tests {
     fn every_fit_is_identical_across_backends_and_thread_counts() {
         // A fit's context changes throughput, never the fitted state or a
         // sampled row: every synthesizer on every backend this CPU runs,
-        // at one and three threads, must match the sequential `CpuBackend`
+        // at one and three threads, must match the sequential `Backend::Cpu`
         // fit. PATE-CTGAN's default layers stay under the threaded-GEMM
         // gate, so a wider generator gives its thread leg something to do.
         let wide = PateCtganOptions {
@@ -486,7 +484,7 @@ mod tests {
             };
             let (state, sample) = fit(FitContext {
                 threads: 1,
-                backend: AnyBackend::Cpu,
+                backend: Backend::Cpu,
             });
             for backend in ml_backend::registered_backends() {
                 for threads in [1, 3] {

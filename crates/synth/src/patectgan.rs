@@ -1,17 +1,18 @@
 //! PATECTGAN (Rosenblatt et al. 2020): a conditional tabular GAN whose
 //! discriminator is privatized with PATE.
 //!
-//! **Simulation note** (DESIGN.md §3): the reference implementation is a
-//! full CTGAN on GPU with data-dependent PATE accounting. We reproduce its
-//! architecture class at laptop scale: an MLP generator emitting one softmax
-//! block per attribute, an ensemble of logistic *teacher* discriminators on
-//! disjoint data partitions, and an MLP *student* discriminator trained only
-//! on generator samples labeled by Laplace-noised teacher votes. A share of
-//! the budget additionally buys noisy 1-way histograms used as a
-//! moment-matching loss (the role CTGAN's conditional sampling plays in the
-//! original). The properties the benchmark depends on survive the
-//! simulation: deep-learning based, ε-insensitive, weaker than PGM methods
-//! on low-dimensional data, able to fit arbitrarily large domains.
+//! **Simulation note** (README, "Departures from the paper"): the
+//! reference implementation is a full CTGAN on GPU with data-dependent PATE
+//! accounting. We reproduce its architecture class at laptop scale: an MLP
+//! generator emitting one softmax block per attribute, an ensemble of
+//! logistic *teacher* discriminators on disjoint data partitions, and an
+//! MLP *student* discriminator trained only on generator samples labeled by
+//! Laplace-noised teacher votes. A share of the budget additionally buys
+//! noisy 1-way histograms used as a moment-matching loss (the role CTGAN's
+//! conditional sampling plays in the original). The properties the
+//! benchmark depends on survive the simulation: deep-learning based,
+//! ε-insensitive, weaker than PGM methods on low-dimensional data, able to
+//! fit arbitrarily large domains.
 //!
 //! **Training is minibatch-batched**: each round draws all `batch` latents
 //! up front, runs one batched generator forward, one batched student
@@ -20,7 +21,7 @@
 //! per-example passes (gradients are summed over the round's samples and
 //! applied as a single Adam step per network per round). Both training
 //! workspaces run on the fit's `FitContext::backend` (the SIMD kernels
-//! when the CPU supports them); every backend is bit-identical, so the
+//! when the CPU supports them); both backends are bit-identical, so the
 //! fitted state is the same regardless. The per-example formulation of the
 //! same semantics is retained under `cfg(test)` (`fit_naive`) as a
 //! differential oracle; `fit` must reproduce its fitted state bit-for-bit.
