@@ -117,7 +117,8 @@ pub fn cli_from_args() -> CliOptions {
 /// Supported flags:
 /// * `--paper-scale` — full protocol (expect hours of compute);
 /// * `--papers a,b,c` — restrict to specific paper ids;
-/// * `--seeds K` / `--bootstraps B` / `--scale F` — override grid knobs;
+/// * `--seeds K` / `--bootstraps B` / `--scale F` — override grid knobs
+///   (`K` and `B` at least 1);
 /// * `--threads N` — worker threads for the grid (1 = sequential; results
 ///   are bit-identical either way);
 /// * `--out-dir DIR` — persist cells/fits/reports into a result store;
@@ -166,8 +167,8 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
                     return Err("--papers requires at least one paper id".to_string());
                 }
             }
-            "--seeds" => config.seeds = parsed_value("--seeds", it.next())?,
-            "--bootstraps" => config.bootstraps = parsed_value("--bootstraps", it.next())?,
+            "--seeds" => config.seeds = positive_count("--seeds", it.next())?,
+            "--bootstraps" => config.bootstraps = positive_count("--bootstraps", it.next())?,
             "--scale" => config.data_scale = parsed_value("--scale", it.next())?,
             "--threads" => config.threads = parsed_value("--threads", it.next())?,
             "--out-dir" => {
@@ -363,6 +364,15 @@ fn parsed_value<T: std::str::FromStr>(flag: &str, next: Option<&String>) -> Resu
     value
         .parse()
         .map_err(|_| format!("bad {flag} '{value}': expected a number"))
+}
+
+/// The parsed value for a count flag that must be at least 1: zero seeds or
+/// zero draws would score every cell over no trials.
+fn positive_count(flag: &str, next: Option<&String>) -> Result<usize, String> {
+    match parsed_value(flag, next)? {
+        0 => Err(format!("bad {flag} '0': expected a positive count")),
+        count => Ok(count),
+    }
 }
 
 /// The non-empty items of a comma-separated list.
@@ -569,6 +579,10 @@ mod tests {
         }
         for flag in ["--seeds", "--bootstraps", "--threads"] {
             assert!(parse(&[flag, "-1"]).is_err(), "{flag} is a count");
+        }
+        for flag in ["--seeds", "--bootstraps"] {
+            let err = parse(&[flag, "0"]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("'0'"), "{err}");
         }
         assert!(parse(&["--fit-threads", "0"]).is_err());
         for flag in ["--ml-backend", "--seed", "saw2018"] {

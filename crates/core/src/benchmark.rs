@@ -68,8 +68,9 @@ pub struct BenchmarkConfig {
     pub data_seed: u64,
     /// Worker threads for the cell grid.
     pub threads: usize,
-    /// Intra-fit thread allowance per cell: `None` derives it from the core
-    /// budget (`threads / live cells`, floored at 1), `Some(n)` pins it.
+    /// Intra-fit thread allowance per cell, spent by mirror descent (AIM,
+    /// MST, PrivMRF): `None` derives it from the core budget
+    /// (`threads / live cells`, floored at 1), `Some(n)` pins it.
     ///
     /// Throughput-only, like the ML backend: every fit is bit-identical at
     /// any thread count, so this never enters the config fingerprint, the
@@ -135,9 +136,11 @@ fn available_threads() -> usize {
 
 /// Two-level core budget: the grid spends `config.threads` workers on
 /// concurrent cells (level 1), and each in-flight cell receives an intra-fit
-/// thread allowance carved from the same pool (level 2). With fewer cells
-/// than cores the leftover cores go into the fits; with more cells than
-/// cores every fit runs sequentially, exactly as before.
+/// thread allowance carved from the same pool (level 2), which mirror
+/// descent spends on its loss passes (AIM, MST, PrivMRF). With fewer cells
+/// than cores the leftover cores go into those fits; with at least as many
+/// cells as cores (the default 36-cell paper on at most 16 workers) every
+/// fit gets one thread.
 ///
 /// The allowance is a pure function of the config shape and the batch size —
 /// never of scheduling — and intra-fit parallelism is bit-identical at any

@@ -43,8 +43,6 @@
 //! throughput only: fitted states, cache fingerprints and golden digests
 //! are the same under either backend.
 
-use rayon::prelude::*;
-
 /// The backend that executes the batched MLP kernels: three GEMM-shaped
 /// primitives plus the element-wise Adam update, each a method that
 /// dispatches on the variant.
@@ -149,41 +147,32 @@ impl Backend {
         cpu::input_grad_gemm(batch, input, output, w, delta, dx);
     }
 
-    /// Batch gradients of the weights and biases of the output-neuron span
-    /// `o0 .. o0 + gb.len()`, overwriting `gw` / `gb` (span-relative rows):
-    /// `gw[o - o0][i] = Σ_r delta[r][o] · x[r][i]` and
-    /// `gb[o - o0] = Σ_r delta[r][o]`, both accumulated example-major
-    /// (ascending `r`) from `0.0` — the order a per-example
-    /// gradient-accumulation loop produces. `delta` is always the full
-    /// `[batch × output]` block; `o0 = 0` with full-width `gw` / `gb` is the
-    /// whole gradient. Every `(o, i)` cell keeps its complete reduction, so
-    /// a span decomposition reassembles **bit-identically** to one
-    /// full-width call — the seam [`weight_grad_gemm_mt`] splits on. (The
-    /// batch axis cannot be split here: merging per-chunk partial sums
-    /// would reassociate the floating point reduction.)
+    /// Batch gradients of the weights and biases, overwriting `gw` / `gb`:
+    /// `gw[o][i] = Σ_r delta[r][o] · x[r][i]` and `gb[o] = Σ_r delta[r][o]`,
+    /// both accumulated example-major (ascending `r`) from `0.0` — the order
+    /// a per-example gradient-accumulation loop produces.
     #[allow(clippy::too_many_arguments)]
     pub fn weight_grad_gemm(
         self,
         batch: usize,
         input: usize,
         output: usize,
-        o0: usize,
         x: &[f64],
         delta: &[f64],
         gw: &mut [f64],
         gb: &mut [f64],
     ) {
-        debug_assert!(o0 + gb.len() <= output);
         debug_assert_eq!(x.len(), batch * input);
         debug_assert_eq!(delta.len(), batch * output);
-        debug_assert_eq!(gw.len(), gb.len() * input);
+        debug_assert_eq!(gw.len(), input * output);
+        debug_assert_eq!(gb.len(), output);
         #[cfg(target_arch = "x86_64")]
         if self == Backend::Simd && avx_supported() {
             // SAFETY: AVX availability checked above; lengths as above.
-            unsafe { avx::weight_grad_gemm(batch, input, output, o0, x, delta, gw, gb) };
+            unsafe { avx::weight_grad_gemm(batch, input, output, x, delta, gw, gb) };
             return;
         }
-        cpu::weight_grad_gemm(batch, input, output, o0, x, delta, gw, gb);
+        cpu::weight_grad_gemm(batch, input, output, x, delta, gw, gb);
     }
 
     /// One Adam update over a parameter block, element `i` of `p` stepped
@@ -275,23 +264,19 @@ mod cpu {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn weight_grad_gemm(
         batch: usize,
         input: usize,
         output: usize,
-        o0: usize,
         x: &[f64],
         delta: &[f64],
-        gw_span: &mut [f64],
-        gb_span: &mut [f64],
+        gw: &mut [f64],
+        gb: &mut [f64],
     ) {
         // Gradient-row stationary; the inner accumulation stays ascending
         // in `r` for every (o, i) cell, i.e. example-major.
-        let span = gb_span.len();
-        for so in 0..span {
-            let o = o0 + so;
-            let grow = &mut gw_span[so * input..(so + 1) * input];
+        for o in 0..output {
+            let grow = &mut gw[o * input..(o + 1) * input];
             grow.iter_mut().for_each(|v| *v = 0.0);
             let mut bacc = 0.0f64;
             for r in 0..batch {
@@ -302,7 +287,7 @@ mod cpu {
                 }
                 bacc += d;
             }
-            gb_span[so] = bacc;
+            gb[o] = bacc;
         }
     }
 
@@ -524,37 +509,27 @@ mod avx {
         }
     }
 
-    /// `gw[o][i] = Σ_r delta[r][o]·x[r][i]`, `gb[o] = Σ_r delta[r][o]`
-    /// over the output span `o0 .. o0 + gb_span.len()`, span-relative
-    /// destinations; lanes = weight columns, both sums example-major. Each
-    /// `(o, i)` cell accumulates ascending-`r` whatever the span, so span
-    /// results match a full-width call (`o0 = 0`) bit for bit.
+    /// `gw[o][i] = Σ_r delta[r][o]·x[r][i]`, `gb[o] = Σ_r delta[r][o]`,
+    /// lanes = weight columns; both sums example-major.
     ///
     /// # Safety
-    /// AVX required; `x`/`delta` sized per the `Backend` contract for
-    /// `(batch, input, output)`; `gw_span.len() == gb_span.len() * input`
-    /// and `o0 + gb_span.len() <= output`.
-    #[allow(clippy::too_many_arguments)]
+    /// AVX required; slice lengths per the `Backend` contract.
     #[target_feature(enable = "avx")]
     pub unsafe fn weight_grad_gemm(
         batch: usize,
         input: usize,
         output: usize,
-        o0: usize,
         x: &[f64],
         delta: &[f64],
-        gw_span: &mut [f64],
-        gb_span: &mut [f64],
+        gw: &mut [f64],
+        gb: &mut [f64],
     ) {
-        let span = gb_span.len();
-        assert!(o0 + span <= output);
         assert!(x.len() >= batch * input && delta.len() >= batch * output);
-        assert!(gw_span.len() >= span * input);
+        assert!(gw.len() >= input * output && gb.len() >= output);
         let xp = x.as_ptr();
         let mut ib = 0;
         while ib + 8 <= input {
-            for so in 0..span {
-                let o = o0 + so;
+            for o in 0..output {
                 let mut acc0 = _mm256_setzero_pd();
                 let mut acc1 = _mm256_setzero_pd();
                 for r in 0..batch {
@@ -563,15 +538,14 @@ mod avx {
                     acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d, _mm256_loadu_pd(xr)));
                     acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d, _mm256_loadu_pd(xr.add(4))));
                 }
-                let dst = gw_span.as_mut_ptr().add(so * input + ib);
+                let dst = gw.as_mut_ptr().add(o * input + ib);
                 _mm256_storeu_pd(dst, acc0);
                 _mm256_storeu_pd(dst.add(4), acc1);
             }
             ib += 8;
         }
         if ib + 4 <= input {
-            for so in 0..span {
-                let o = o0 + so;
+            for o in 0..output {
                 let mut acc = _mm256_setzero_pd();
                 for r in 0..batch {
                     let d = _mm256_set1_pd(delta[r * output + o]);
@@ -580,29 +554,27 @@ mod avx {
                         _mm256_mul_pd(d, _mm256_loadu_pd(xp.add(r * input + ib))),
                     );
                 }
-                _mm256_storeu_pd(gw_span.as_mut_ptr().add(so * input + ib), acc);
+                _mm256_storeu_pd(gw.as_mut_ptr().add(o * input + ib), acc);
             }
             ib += 4;
         }
         // Ragged edge: per-cell ascending-`r` accumulation.
-        for so in 0..span {
-            let o = o0 + so;
+        for o in 0..output {
             for i in ib..input {
                 let mut acc = 0.0f64;
                 for r in 0..batch {
                     acc += delta[r * output + o] * x[r * input + i];
                 }
-                gw_span[so * input + i] = acc;
+                gw[o * input + i] = acc;
             }
         }
-        // Bias gradients: scalar example-major sweep over the span.
-        for so in 0..span {
-            let o = o0 + so;
+        // Bias gradients: scalar example-major sweep.
+        for o in 0..output {
             let mut bacc = 0.0f64;
             for r in 0..batch {
                 bacc += delta[r * output + o];
             }
-            gb_span[so] = bacc;
+            gb[o] = bacc;
         }
     }
 
@@ -673,155 +645,6 @@ mod avx {
             p[idx] -= lr * mhat / (vhat.sqrt() + eps);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-threaded GEMM drivers: fan a kernel call out over worker threads
-// along an axis whose output cells are disjoint, so every cell's reduction
-// chain is untouched and any thread count is bit-identical to one.
-// ---------------------------------------------------------------------------
-
-/// Multiply-add count below which fanning a GEMM out is a loss: a parallel
-/// region costs tens of microseconds of thread handoff, which the small
-/// PATE-CTGAN shapes (≈ 48×16×96) never amortize.
-const PARALLEL_GEMM_FLOPS: usize = 1 << 18;
-
-/// The worker count a GEMM of `flops` multiply-adds should actually use:
-/// `threads` when the work clears [`PARALLEL_GEMM_FLOPS`], else `1`. The
-/// batched MLP passes route their per-layer shapes through this so tiny
-/// layers stay sequential even under a generous fit-thread allowance.
-pub fn gemm_threads(threads: usize, flops: usize) -> usize {
-    if threads > 1 && flops >= PARALLEL_GEMM_FLOPS {
-        threads
-    } else {
-        1
-    }
-}
-
-/// [`Backend::forward_gemm`] fanned out over `threads` workers by chunking
-/// the batch (row) axis: each worker runs the plain kernel on a contiguous
-/// row block writing a disjoint `y` slice, so every output cell's
-/// ascending-`i` chain is exactly the sequential one — bit-identical at any
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_gemm_mt(
-    backend: Backend,
-    threads: usize,
-    batch: usize,
-    input: usize,
-    output: usize,
-    w: &[f64],
-    bias: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let threads = threads.clamp(1, batch.max(1));
-    if threads <= 1 || output == 0 {
-        backend.forward_gemm(batch, input, output, w, bias, x, y);
-        return;
-    }
-    let rows = batch.div_ceil(threads);
-    let jobs: Vec<(usize, &mut [f64])> = y.chunks_mut(rows * output).enumerate().collect();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("gemm thread pool");
-    pool.install(|| {
-        jobs.into_par_iter().for_each(|(ci, yc)| {
-            let r0 = ci * rows;
-            let nb = yc.len() / output;
-            backend.forward_gemm(
-                nb,
-                input,
-                output,
-                w,
-                bias,
-                &x[r0 * input..(r0 + nb) * input],
-                yc,
-            );
-        });
-    });
-}
-
-/// [`Backend::input_grad_gemm`] fanned out over the batch (row) axis, same
-/// disjoint-rows argument as [`forward_gemm_mt`].
-#[allow(clippy::too_many_arguments)]
-pub fn input_grad_gemm_mt(
-    backend: Backend,
-    threads: usize,
-    batch: usize,
-    input: usize,
-    output: usize,
-    w: &[f64],
-    delta: &[f64],
-    dx: &mut [f64],
-) {
-    let threads = threads.clamp(1, batch.max(1));
-    if threads <= 1 || input == 0 {
-        backend.input_grad_gemm(batch, input, output, w, delta, dx);
-        return;
-    }
-    let rows = batch.div_ceil(threads);
-    let jobs: Vec<(usize, &mut [f64])> = dx.chunks_mut(rows * input).enumerate().collect();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("gemm thread pool");
-    pool.install(|| {
-        jobs.into_par_iter().for_each(|(ci, dc)| {
-            let r0 = ci * rows;
-            let nb = dc.len() / input;
-            backend.input_grad_gemm(
-                nb,
-                input,
-                output,
-                w,
-                &delta[r0 * output..(r0 + nb) * output],
-                dc,
-            );
-        });
-    });
-}
-
-/// [`Backend::weight_grad_gemm`] fanned out over the **output-neuron**
-/// axis: each worker owns a contiguous span of gradient rows and runs that
-/// span's complete example-major reduction. Splitting the batch axis
-/// instead would need a cross-chunk merge that reassociates the sums —
-/// this split keeps every chain whole, so the result is bit-identical at
-/// any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn weight_grad_gemm_mt(
-    backend: Backend,
-    threads: usize,
-    batch: usize,
-    input: usize,
-    output: usize,
-    x: &[f64],
-    delta: &[f64],
-    gw: &mut [f64],
-    gb: &mut [f64],
-) {
-    let threads = threads.clamp(1, output.max(1));
-    if threads <= 1 || input == 0 {
-        backend.weight_grad_gemm(batch, input, output, 0, x, delta, gw, gb);
-        return;
-    }
-    let span = output.div_ceil(threads);
-    #[allow(clippy::type_complexity)]
-    let jobs: Vec<(usize, (&mut [f64], &mut [f64]))> = gw
-        .chunks_mut(span * input)
-        .zip(gb.chunks_mut(span))
-        .enumerate()
-        .collect();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("gemm thread pool");
-    pool.install(|| {
-        jobs.into_par_iter().for_each(|(ci, (gwc, gbc))| {
-            backend.weight_grad_gemm(batch, input, output, ci * span, x, delta, gwc, gbc);
-        });
-    });
 }
 
 /// Every backend the current CPU can execute: [`Backend::Cpu`] always,
@@ -917,23 +740,16 @@ mod tests {
                 "input_grad {batch}x{input}x{output}"
             );
 
-            // The full-width weight gradient (`o0 = 0`), then one span that
-            // starts past the first row.
-            let mid = output / 2;
-            for (o0, span) in [(0, output), (mid, (output - mid).min(5))] {
-                let grads = |backend: Backend| {
-                    let mut gw = vec![0.0; span * input];
-                    let mut gb = vec![0.0; span];
-                    backend
-                        .weight_grad_gemm(batch, input, output, o0, &x, &delta, &mut gw, &mut gb);
-                    (bits(&gw), bits(&gb))
-                };
-                let (gw_cpu, gb_cpu) = grads(Backend::Cpu);
-                let (gw_simd, gb_simd) = grads(Backend::Simd);
-                let tag = format!("rows {o0}..{} of {batch}x{input}x{output}", o0 + span);
-                assert_eq!(gw_cpu, gw_simd, "weight_grad {tag}");
-                assert_eq!(gb_cpu, gb_simd, "bias_grad {tag}");
-            }
+            let grads = |backend: Backend| {
+                let mut gw = vec![0.0; input * output];
+                let mut gb = vec![0.0; output];
+                backend.weight_grad_gemm(batch, input, output, &x, &delta, &mut gw, &mut gb);
+                (bits(&gw), bits(&gb))
+            };
+            let (gw_cpu, gb_cpu) = grads(Backend::Cpu);
+            let (gw_simd, gb_simd) = grads(Backend::Simd);
+            assert_eq!(gw_cpu, gw_simd, "weight_grad {batch}x{input}x{output}");
+            assert_eq!(gb_cpu, gb_simd, "bias_grad {batch}x{input}x{output}");
 
             // Adam over the weight-sized block, exercising the 4-wide lanes
             // and the scalar remainder (lengths here are rarely multiples
@@ -967,116 +783,6 @@ mod tests {
             assert_eq!(bits(&v_cpu), bits(&v_simd), "adam v {n}");
             assert_eq!(bits(&p_cpu), bits(&p_simd), "adam p {n}");
         }
-    }
-
-    /// Every backend's span decomposition of the weight gradient reassembles
-    /// the full-width result bit for bit, at any split point.
-    #[test]
-    fn weight_grad_span_matches_full_bitwise() {
-        for backend in registered_backends() {
-            for (batch, input, output) in [(5usize, 7usize, 9usize), (3, 13, 17), (48, 16, 96)] {
-                let x = fill(batch * input, 0.3);
-                let delta = fill(batch * output, 0.4);
-                let mut gw_full = vec![0.0; input * output];
-                let mut gb_full = vec![0.0; output];
-                backend.weight_grad_gemm(
-                    batch,
-                    input,
-                    output,
-                    0,
-                    &x,
-                    &delta,
-                    &mut gw_full,
-                    &mut gb_full,
-                );
-                for split in [1usize, 2, output / 2, output - 1] {
-                    let mut gw = vec![0.0; input * output];
-                    let mut gb = vec![0.0; output];
-                    let (gw_lo, gw_hi) = gw.split_at_mut(split * input);
-                    let (gb_lo, gb_hi) = gb.split_at_mut(split);
-                    backend.weight_grad_gemm(batch, input, output, 0, &x, &delta, gw_lo, gb_lo);
-                    backend.weight_grad_gemm(batch, input, output, split, &x, &delta, gw_hi, gb_hi);
-                    assert_eq!(
-                        bits(&gw_full),
-                        bits(&gw),
-                        "{} gw split at {split} ({batch}x{input}x{output})",
-                        backend.name()
-                    );
-                    assert_eq!(
-                        bits(&gb_full),
-                        bits(&gb),
-                        "{} gb split at {split}",
-                        backend.name()
-                    );
-                }
-            }
-        }
-    }
-
-    /// The multi-threaded drivers are bit-identical to the plain kernels on
-    /// every backend at thread counts {2, 3, 7} — odd counts exercise ragged
-    /// remainder chunks.
-    #[test]
-    fn mt_drivers_match_sequential_bitwise() {
-        let shapes: [(usize, usize, usize); 5] =
-            [(1, 1, 1), (5, 7, 9), (2, 13, 17), (48, 16, 96), (6, 5, 21)];
-        for backend in registered_backends() {
-            for (batch, input, output) in shapes {
-                let w = fill(input * output, 0.1);
-                let bias = fill(output, 0.2);
-                let x = fill(batch * input, 0.3);
-                let delta = fill(batch * output, 0.4);
-
-                let mut y_seq = vec![0.0; batch * output];
-                backend.forward_gemm(batch, input, output, &w, &bias, &x, &mut y_seq);
-                let mut dx_seq = vec![0.0; batch * input];
-                backend.input_grad_gemm(batch, input, output, &w, &delta, &mut dx_seq);
-                let mut gw_seq = vec![0.0; input * output];
-                let mut gb_seq = vec![0.0; output];
-                backend.weight_grad_gemm(
-                    batch,
-                    input,
-                    output,
-                    0,
-                    &x,
-                    &delta,
-                    &mut gw_seq,
-                    &mut gb_seq,
-                );
-
-                for threads in [2usize, 3, 7] {
-                    let tag = format!("{} t={threads} {batch}x{input}x{output}", backend.name());
-                    let mut y = vec![0.0; batch * output];
-                    forward_gemm_mt(
-                        backend, threads, batch, input, output, &w, &bias, &x, &mut y,
-                    );
-                    assert_eq!(bits(&y_seq), bits(&y), "forward {tag}");
-
-                    let mut dx = vec![0.0; batch * input];
-                    input_grad_gemm_mt(backend, threads, batch, input, output, &w, &delta, &mut dx);
-                    assert_eq!(bits(&dx_seq), bits(&dx), "input_grad {tag}");
-
-                    let mut gw = vec![0.0; input * output];
-                    let mut gb = vec![0.0; output];
-                    weight_grad_gemm_mt(
-                        backend, threads, batch, input, output, &x, &delta, &mut gw, &mut gb,
-                    );
-                    assert_eq!(bits(&gw_seq), bits(&gw), "weight_grad {tag}");
-                    assert_eq!(bits(&gb_seq), bits(&gb), "bias_grad {tag}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_threads_gates_small_work() {
-        assert_eq!(
-            gemm_threads(8, 48 * 16 * 96),
-            1,
-            "tiny GEMMs stay sequential"
-        );
-        assert_eq!(gemm_threads(8, 1 << 19), 8);
-        assert_eq!(gemm_threads(1, 1 << 19), 1);
     }
 
     #[test]

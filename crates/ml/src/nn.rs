@@ -28,7 +28,7 @@
 //! step from the summed batch gradient; it is not a loop of sequential
 //! per-example Adam steps.
 
-use crate::backend::{self, Backend};
+use crate::backend::Backend;
 use crate::error::{MlError, Result};
 use rand::Rng;
 
@@ -161,11 +161,6 @@ impl ForwardCache {
 pub struct BatchWorkspace {
     /// Backend for the batched passes.
     backend: Backend,
-    /// Worker-thread allowance for the per-layer GEMMs. Layers whose
-    /// multiply-add count clears [`backend::gemm_threads`]'s threshold fan
-    /// out over this many workers; results are bit-identical at any count,
-    /// so the allowance (like the backend) never reaches a fitted state.
-    threads: usize,
     batch: usize,
     /// Post-activation arenas: `post[0]` is the input block
     /// `[batch × input]`, `post[l + 1]` holds layer `l`'s activations.
@@ -199,7 +194,6 @@ impl BatchWorkspace {
     pub fn with_backend(backend: Backend) -> BatchWorkspace {
         BatchWorkspace {
             backend,
-            threads: 1,
             batch: 0,
             post: Vec::new(),
             pre: Vec::new(),
@@ -208,13 +202,6 @@ impl BatchWorkspace {
             gw: Vec::new(),
             gb: Vec::new(),
         }
-    }
-
-    /// Set the worker-thread allowance for the batched passes (`0` and `1`
-    /// both mean sequential). Purely a throughput knob: every thread count
-    /// produces bit-identical results.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// The rows recorded by the last [`Mlp::forward_batch`] call.
@@ -314,10 +301,7 @@ impl Mlp {
         ws.ensure(self, batch);
         ws.post[0].copy_from_slice(xs);
         for (li, layer) in self.layers.iter().enumerate() {
-            let threads = backend::gemm_threads(ws.threads, batch * layer.input * layer.output);
-            backend::forward_gemm_mt(
-                ws.backend,
-                threads,
+            ws.backend.forward_gemm(
                 batch,
                 layer.input,
                 layer.output,
@@ -388,13 +372,10 @@ impl Mlp {
             let layer = &self.layers[li];
             let (n_in, n_out) = (batch * layer.input, batch * layer.output);
             let wlen = layer.input * layer.output;
-            let threads = backend::gemm_threads(ws.threads, batch * layer.input * layer.output);
             // Gradient wrt this layer's inputs (for the layer below), from
             // the pre-update weights.
             if li > 0 {
-                backend::input_grad_gemm_mt(
-                    backend,
-                    threads,
+                backend.input_grad_gemm(
                     batch,
                     layer.input,
                     layer.output,
@@ -404,9 +385,7 @@ impl Mlp {
                 );
             }
             // Example-major batch gradients, then one Adam update.
-            backend::weight_grad_gemm_mt(
-                backend,
-                threads,
+            backend.weight_grad_gemm(
                 batch,
                 layer.input,
                 layer.output,
@@ -482,10 +461,7 @@ impl Mlp {
         for li in (0..self.layers.len()).rev() {
             let layer = &self.layers[li];
             let (n_in, n_out) = (batch * layer.input, batch * layer.output);
-            let threads = backend::gemm_threads(ws.threads, batch * layer.input * layer.output);
-            backend::input_grad_gemm_mt(
-                ws.backend,
-                threads,
+            ws.backend.input_grad_gemm(
                 batch,
                 layer.input,
                 layer.output,
@@ -907,42 +883,6 @@ mod tests {
         net.input_gradient_batch(&mut ws, &[], &mut dx);
         assert!(dx.is_empty());
         assert_eq!(net.export_state(), before, "no step on an empty batch");
-    }
-
-    /// Whole training rounds under a multi-thread allowance are bit-identical
-    /// to the sequential workspace — layers sized past the
-    /// [`backend::gemm_threads`] gate so the fan-out path actually runs.
-    #[test]
-    fn batched_training_is_bit_identical_across_thread_counts() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let net0 = Mlp::new(&[48, 64, 48], Activation::Tanh, &mut rng);
-        let batch = 128usize;
-        let xs: Vec<f64> = (0..batch * 48).map(|i| (i as f64 * 0.173).sin()).collect();
-        let g: Vec<f64> = (0..batch * 48).map(|i| (i as f64 * 0.311).cos()).collect();
-
-        let run = |threads: usize| {
-            let mut net = net0.clone();
-            let mut ws = BatchWorkspace::new();
-            ws.set_threads(threads);
-            let mut dx = Vec::new();
-            for _ in 0..3 {
-                net.forward_batch(&xs, batch, &mut ws);
-                net.input_gradient_batch(&mut ws, &g, &mut dx);
-                net.backward_apply_batch(&mut ws, &g);
-            }
-            net.forward_batch(&xs, batch, &mut ws);
-            (net.export_state(), ws.output().to_vec(), dx)
-        };
-
-        let (state1, out1, dx1) = run(1);
-        for threads in [2usize, 3, 7] {
-            let (state, out, dx) = run(threads);
-            assert_eq!(state, state1, "threads={threads} diverged in weights");
-            let same =
-                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same(&out, &out1), "threads={threads} diverged in output");
-            assert!(same(&dx, &dx1), "threads={threads} diverged in input grads");
-        }
     }
 
     /// Pins the batch-of-one path the training tests above take to the

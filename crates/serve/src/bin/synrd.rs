@@ -1,17 +1,19 @@
 //! The `synrd` serve-mode binary.
 //!
 //! ```text
-//! synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N] [grid knobs]
+//! synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N]
+//!             [--paper-scale] [--scale F]
 //! synrd request ADDR 'JSON'        # one request line, prints the response
 //! synrd bench-serve [--quick] [--out BENCH_serve.json]
 //! ```
 //!
 //! `serve` answers sampling / workload requests from the fit cache a grid
-//! run left under `--out-dir` (see `synrd_serve` for the protocol). The
-//! grid knobs (`--seeds`, `--scale`, ...) must match the run that
-//! populated the store — they determine the dataset digests and the fit
-//! fingerprint requests resolve against — so an unknown flag or a value
-//! that does not parse exits with code 2 before anything binds.
+//! run left under `--out-dir` (see `synrd_serve` for the protocol).
+//! `--paper-scale` and `--scale` must match the run that populated the
+//! store: they set each paper's row count, hence the dataset digests
+//! requests resolve against. Seeds and bootstrap draws change no fit, so
+//! serve takes neither. An unknown flag or a value that does not parse
+//! exits with code 2 before anything binds.
 //!
 //! `bench-serve` measures the serve-path win and writes `BENCH_serve.json`:
 //! cold fit-and-sample versus warm serve-mode sampling from a cached fit.
@@ -37,7 +39,8 @@ fn main() {
         Some("bench-serve") => cmd_bench_serve(&args[1..]),
         _ => {
             eprintln!(
-                "usage: synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N] [grid knobs]\n\
+                "usage: synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N] \
+                 [--paper-scale] [--scale F]\n\
                  \x20      synrd request ADDR 'JSON'\n\
                  \x20      synrd bench-serve [--quick] [--out PATH]"
             );
@@ -51,12 +54,12 @@ struct ServeOptions {
     out_dir: String,
     addr: String,
     workers: usize,
-    /// The grid knobs that set dataset digests and the fit fingerprint.
+    /// The grid knobs that set the dataset digests.
     config: BenchmarkConfig,
 }
 
-/// Parse `serve`'s flags: the store, the listener and the grid knobs
-/// (`--paper-scale`, `--seeds`, `--bootstraps`, `--scale`).
+/// Parse `serve`'s flags: the store, the listener and the grid knobs that
+/// set the dataset digests (`--paper-scale`, `--scale`).
 ///
 /// # Errors
 /// A message naming the flag for an unknown flag, a missing or
@@ -77,8 +80,6 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
             "--addr" => addr = parsed(flag, it.next())?,
             "--workers" => workers = parsed(flag, it.next())?,
             "--paper-scale" => {}
-            "--seeds" => config.seeds = parsed(flag, it.next())?,
-            "--bootstraps" => config.bootstraps = parsed(flag, it.next())?,
             "--scale" => config.data_scale = parsed(flag, it.next())?,
             _ => return Err(format!("unknown flag '{flag}' for synrd serve")),
         }

@@ -39,8 +39,10 @@
 //! a refit: serve mode is deliberately read-only over the store.
 //!
 //! Requests are bounded: a line longer than [`MAX_LINE`] bytes is answered
-//! with an error and its connection closed, and a `"n"` above
-//! [`MAX_SAMPLE_ROWS`] is refused before anything is allocated.
+//! with an error and its connection closed, a `"n"` above
+//! [`MAX_SAMPLE_ROWS`] is refused before anything is allocated, and a
+//! `workload` request whose queries total more than [`MAX_RESPONSE_CELLS`]
+//! marginal cells is refused before any marginal is counted.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -52,7 +54,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use synrd::benchmark::{BenchmarkConfig, FitStore};
 use synrd::publication_by_id;
-use synrd_data::{Dataset, MarginalEngine};
+use synrd_data::{Dataset, MarginalEngine, DEFAULT_CELL_LIMIT};
 use synrd_store::{hex16, parse, DiskFitCache, JsonValue};
 use synrd_synth::{SynthKind, Synthesizer};
 
@@ -64,6 +66,13 @@ pub const MAX_SAMPLE_ROWS: usize = 1 << 20;
 /// Longest request line the server reads, in bytes (1 MiB, newline
 /// excluded).
 pub const MAX_LINE: usize = 1 << 20;
+
+/// Most marginal cells one `workload` response may hold, summed over its
+/// queries: [`DEFAULT_CELL_LIMIT`] (2^22), the largest single marginal the
+/// engine counts. A line of 1 MiB can repeat a wide query tens of thousands
+/// of times, and a failed allocation for the response would abort the
+/// process.
+pub const MAX_RESPONSE_CELLS: usize = DEFAULT_CELL_LIMIT;
 
 /// Key of one restored synthesizer:
 /// `(dataset digest, synth name, ε bits, seed index)` — the fit cache's key.
@@ -292,6 +301,20 @@ fn handle_workload(service: &FitService, req: &JsonValue) -> Result<JsonValue, S
         .collect::<Result<Vec<_>, &str>>()
         .map_err(str::to_string)?;
     let data = sampled_dataset(service, req)?;
+    let mut cells = 0u128;
+    for set in &sets {
+        let set_cells = data
+            .domain()
+            .cells(set)
+            .map_err(|e| format!("query {set:?} failed: {e}"))?;
+        cells = cells.saturating_add(set_cells);
+    }
+    if cells > MAX_RESPONSE_CELLS as u128 {
+        return Err(format!(
+            "queries total {cells} marginal cells, above the limit of \
+             {MAX_RESPONSE_CELLS} cells per request"
+        ));
+    }
     let mut engine = MarginalEngine::new(&data);
     let mut results = Vec::with_capacity(sets.len());
     for set in &sets {

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use synrd::benchmark::{BenchmarkConfig, FitStore};
 use synrd_data::{Attribute, Dataset, Domain};
-use synrd_serve::{handle_line, handle_request, serve, FitService, MAX_LINE, MAX_SAMPLE_ROWS};
+use synrd_serve::{
+    handle_line, handle_request, serve, FitService, MAX_LINE, MAX_RESPONSE_CELLS, MAX_SAMPLE_ROWS,
+};
 use synrd_store::{hex16, parse, JsonValue};
 use synrd_synth::SynthKind;
 
@@ -37,11 +39,15 @@ fn small_dataset() -> Dataset {
 /// A service whose cache holds one MST fit of [`small_dataset`] at ε=1,
 /// seed index 0. Returns the service and the dataset's content digest.
 fn seeded_service(tag: &str) -> (FitService, u64) {
+    seeded_service_with(tag, &small_dataset())
+}
+
+/// [`seeded_service`] over the fit of another dataset.
+fn seeded_service_with(tag: &str, data: &Dataset) -> (FitService, u64) {
     let service = FitService::open(tmp_dir(tag), BenchmarkConfig::quick()).unwrap();
-    let data = small_dataset();
     let mut synth = SynthKind::Mst.build();
     synth
-        .fit(&data, SynthKind::Mst.native_privacy(1.0, data.n_rows()), 0)
+        .fit(data, SynthKind::Mst.native_privacy(1.0, data.n_rows()), 0)
         .unwrap();
     let digest = data.content_digest();
     service.fits().save(
@@ -64,6 +70,17 @@ fn sample_request(digest: u64, n: u64, seed: u64) -> JsonValue {
         ("n", JsonValue::Uint(n)),
         ("seed", JsonValue::Uint(seed)),
     ])
+}
+
+/// A `workload` request over the fit [`sample_request`] addresses, with
+/// `queries` as attribute-id lists.
+fn workload_request(digest: u64, n: u64, seed: u64, queries: Vec<JsonValue>) -> JsonValue {
+    let mut request = sample_request(digest, n, seed);
+    if let JsonValue::Obj(fields) = &mut request {
+        fields[0].1 = JsonValue::Str("workload".to_string());
+        fields.push(("queries".to_string(), JsonValue::Arr(queries)));
+    }
+    request
 }
 
 fn assert_ok(response: &JsonValue) {
@@ -114,21 +131,15 @@ fn sampling_from_a_cached_fit_is_deterministic() {
 #[test]
 fn workload_queries_count_the_sampled_rows() {
     let (service, digest) = seeded_service("workload");
-    let mut request = sample_request(digest, 400, 3);
-    if let JsonValue::Obj(fields) = &mut request {
-        fields.retain(|(k, _)| k != "op");
-        fields.insert(
-            0,
-            ("op".to_string(), JsonValue::Str("workload".to_string())),
-        );
-        fields.push((
-            "queries".to_string(),
-            JsonValue::Arr(vec![
-                JsonValue::Arr(vec![JsonValue::Uint(0)]),
-                JsonValue::Arr(vec![JsonValue::Uint(0), JsonValue::Uint(2)]),
-            ]),
-        ));
-    }
+    let request = workload_request(
+        digest,
+        400,
+        3,
+        vec![
+            JsonValue::Arr(vec![JsonValue::Uint(0)]),
+            JsonValue::Arr(vec![JsonValue::Uint(0), JsonValue::Uint(2)]),
+        ],
+    );
     let response = handle_request(&service, &request);
     assert_ok(&response);
     let results = response.get("results").and_then(JsonValue::as_arr).unwrap();
@@ -238,6 +249,39 @@ fn oversized_samples_are_refused_and_the_service_lives_on() {
     let next = handle_request(&service, &sample_request(digest, 500, 7));
     assert_ok(&next);
     assert_eq!(next.get("n"), Some(&JsonValue::Uint(500)));
+    let _ = std::fs::remove_dir_all(service.fits().root());
+}
+
+#[test]
+fn oversized_workload_responses_are_refused_and_the_service_lives_on() {
+    // Three 64-code attributes: one pair marginal has 4,096 cells, so this
+    // many copies of one pair query total one pair more than the cap. Each
+    // query alone is legal.
+    let domain = Domain::new(
+        (0..3)
+            .map(|a| Attribute::ordinal(format!("a{a}"), 64))
+            .collect(),
+    );
+    let mut data = Dataset::with_capacity(domain, 240);
+    for i in 0..240u32 {
+        data.push_row(&[i % 64, (i * 7) % 64, (i * 13) % 64])
+            .unwrap();
+    }
+    let (service, digest) = seeded_service_with("huge-workload", &data);
+    let pair = JsonValue::Arr(vec![JsonValue::Uint(0), JsonValue::Uint(1)]);
+    let copies = MAX_RESPONSE_CELLS / 4096 + 1;
+    let refused = handle_request(
+        &service,
+        &workload_request(digest, 100, 3, vec![pair.clone(); copies]),
+    );
+    assert_eq!(refused.get("ok"), Some(&JsonValue::Bool(false)));
+    let error = refused.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(error.contains(&MAX_RESPONSE_CELLS.to_string()), "{error}");
+    assert_eq!(service.served(), (0, 0));
+
+    let next = handle_request(&service, &workload_request(digest, 100, 3, vec![pair; 2]));
+    assert_ok(&next);
+    assert_eq!(service.served(), (0, 2));
     let _ = std::fs::remove_dir_all(service.fits().root());
 }
 

@@ -10,9 +10,8 @@
 //! materializes anything larger than a pair marginal, GEM runs on domains
 //! that defeat every PGM-based method (e.g. Jeong et al.'s 1e43).
 //!
-//! The analytic trainer contains no GEMM, so `FitContext::backend` has no
-//! effect here — only PATE-CTGAN's batched MLP passes route through
-//! `synrd_ml::backend`.
+//! GEM ignores its `FitContext`: the analytic trainer contains no GEMM, so
+//! the ML backend has no effect, and it runs on the calling thread.
 
 use crate::common::{dataset_from_columns, measure_gaussian};
 use crate::error::{Result, SynthError};
@@ -225,7 +224,7 @@ impl Synthesizer for Gem {
         data: &Dataset,
         privacy: Privacy,
         seed: u64,
-        ctx: FitContext,
+        _ctx: FitContext,
     ) -> Result<()> {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-fit"));
         let mut accountant = Accountant::new(privacy);
@@ -262,7 +261,6 @@ impl Synthesizer for Gem {
             n,
             self.options.grad_steps,
             self.options.learning_rate,
-            ctx.threads,
         );
 
         // Adaptive rounds on the remaining 80%. Round 0 scores every pair,
@@ -318,7 +316,6 @@ impl Synthesizer for Gem {
                 n,
                 self.options.grad_steps,
                 self.options.learning_rate,
-                ctx.threads,
             );
         }
 
@@ -440,21 +437,17 @@ impl Gem {
 /// Adam on the mixture logits against all measurements so far.
 ///
 /// The trainer is analytic (no GEMM): each step accumulates per-component
-/// probability-space gradients, chains them through the softmax and takes
-/// one Adam step. Both phases decompose over mixture components — every
-/// component owns disjoint `grad_p[k]` / `logits[k]` / moment slices, and
-/// each cell's accumulation stays in ascending measurement order — so the
-/// fan-out over components is **bit-identical at any thread count**.
+/// probability-space gradients in ascending measurement order, chains them
+/// through the softmax and takes one Adam step. It runs on the calling
+/// thread, since a default grid gives every fit one thread.
 fn train(
     model: &mut GemModel,
     measured: &[(NoisyMeasurement, f64)],
     n: f64,
     steps: usize,
     lr: f64,
-    threads: usize,
 ) {
-    let kk = model.logits.len();
-    let kf = kk as f64;
+    let kf = model.logits.len() as f64;
     let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8f64);
     // Normalize weights so the learning rate is scale-free.
     let wsum: f64 = measured.iter().map(|(_, w)| *w).sum::<f64>().max(1e-12);
@@ -471,7 +464,6 @@ fn train(
         .iter()
         .map(|(meas, w)| (meas, w / wsum, meas.values.iter().map(|v| v / n).collect()))
         .collect();
-    let threads = threads.clamp(1, kk);
 
     for _ in 0..steps {
         model.step += 1;
@@ -492,14 +484,11 @@ fn train(
         // Accumulate gradients wrt probabilities, one component at a time;
         // every cell sums its measurement contributions in ascending
         // measurement order.
-        let model_ref: &GemModel = model;
-        let mps_ref = &mps;
-        let prepared_ref = &prepared;
-        let accumulate = move |k: usize, comp: &mut Vec<Vec<f64>>| {
+        for (k, comp) in grad_p.iter_mut().enumerate() {
             for g in comp.iter_mut() {
                 g.fill(0.0);
             }
-            for ((meas, w, target), mp) in prepared_ref.iter().zip(mps_ref) {
+            for ((meas, w, target), mp) in prepared.iter().zip(&mps) {
                 match meas.attrs.as_slice() {
                     [a] => {
                         for (v, g) in comp[*a].iter_mut().enumerate() {
@@ -507,9 +496,9 @@ fn train(
                         }
                     }
                     [a, b] => {
-                        let cb = model_ref.logits[0][*b].len();
-                        let pa = model_ref.probs(k, *a);
-                        let pb = model_ref.probs(k, *b);
+                        let cb = model.logits[0][*b].len();
+                        let pa = model.probs(k, *a);
+                        let pb = model.probs(k, *b);
                         for (i, ga) in comp[*a].iter_mut().enumerate() {
                             let mut acc = 0.0;
                             for (j, &pbj) in pb.iter().enumerate() {
@@ -528,29 +517,16 @@ fn train(
                     _ => {}
                 }
             }
-        };
-        if threads > 1 {
-            let jobs: Vec<(usize, &mut Vec<Vec<f64>>)> = grad_p.iter_mut().enumerate().collect();
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("gem thread pool");
-            pool.install(|| {
-                jobs.into_par_iter()
-                    .for_each(|(k, comp)| accumulate(k, comp));
-            });
-        } else {
-            for (k, comp) in grad_p.iter_mut().enumerate() {
-                accumulate(k, comp);
-            }
         }
 
-        // Chain through softmax and apply Adam — per-component parameter and
-        // moment slices are disjoint, and the update is element-wise.
-        let step_component = |logits_k: &mut Vec<Vec<f64>>,
-                              m_k: &mut Vec<Vec<f64>>,
-                              v_k: &mut Vec<Vec<f64>>,
-                              grad_k: &Vec<Vec<f64>>| {
+        // Chain through softmax and apply Adam, element-wise per component.
+        for (((logits_k, m_k), v_k), grad_k) in model
+            .logits
+            .iter_mut()
+            .zip(model.m.iter_mut())
+            .zip(model.v.iter_mut())
+            .zip(grad_p.iter())
+        {
             for a in 0..logits_k.len() {
                 let p = softmax(&logits_k[a]);
                 let gp = &grad_k[a];
@@ -565,38 +541,6 @@ fn train(
                     let vhat = *v / bc2;
                     logits_k[a][u] -= lr * mhat / (vhat.sqrt() + eps);
                 }
-            }
-        };
-        if threads > 1 {
-            #[allow(clippy::type_complexity)]
-            let jobs: Vec<(
-                (&mut Vec<Vec<f64>>, &mut Vec<Vec<f64>>, &mut Vec<Vec<f64>>),
-                &Vec<Vec<f64>>,
-            )> = model
-                .logits
-                .iter_mut()
-                .zip(model.m.iter_mut())
-                .zip(model.v.iter_mut())
-                .map(|((l, m), v)| (l, m, v))
-                .zip(grad_p.iter())
-                .collect();
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("gem thread pool");
-            pool.install(|| {
-                jobs.into_par_iter()
-                    .for_each(|((l, m, v), g)| step_component(l, m, v, g));
-            });
-        } else {
-            for (((l, m), v), g) in model
-                .logits
-                .iter_mut()
-                .zip(model.m.iter_mut())
-                .zip(model.v.iter_mut())
-                .zip(grad_p.iter())
-            {
-                step_component(l, m, v, g);
             }
         }
     }
@@ -661,47 +605,6 @@ mod tests {
             let batched = synth.sample(n, seed).unwrap();
             let naive = synth.sample_naive(n, seed).unwrap();
             assert_eq!(batched, naive, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn fit_is_bit_identical_across_thread_counts() {
-        let data = correlated(1_200);
-        let opts = GemOptions {
-            mixture: 8,
-            rounds: 3,
-            grad_steps: 25,
-            learning_rate: 0.1,
-        };
-        let gem_state = |synth: &Gem| match synth.fitted_state() {
-            Some(FittedState::Gem { model, .. }) => model,
-            other => panic!("expected gem state, got {other:?}"),
-        };
-        let mut base = Gem::with_options(opts);
-        base.fit_with(
-            &data,
-            Privacy::zcdp(1.0).unwrap(),
-            11,
-            FitContext::sequential(),
-        )
-        .unwrap();
-        let base_state = gem_state(&base);
-        let base_sample = base.sample(777, 4).unwrap();
-        for threads in [2usize, 3, 7] {
-            let mut mt = Gem::with_options(opts);
-            mt.fit_with(
-                &data,
-                Privacy::zcdp(1.0).unwrap(),
-                11,
-                FitContext::with_threads(threads),
-            )
-            .unwrap();
-            assert_eq!(gem_state(&mt), base_state, "threads = {threads}");
-            assert_eq!(
-                mt.sample(777, 4).unwrap(),
-                base_sample,
-                "threads = {threads}"
-            );
         }
     }
 

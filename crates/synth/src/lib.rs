@@ -52,15 +52,15 @@ use synrd_ml::{Backend, MlpState};
 use synrd_pgm::FittedModel;
 
 /// Execution context for one fit: resource knobs that change throughput but
-/// never results. Every synthesizer's internal parallelism pins its
-/// reduction orders and both ML backends are bit-identical, so a fit is
-/// **bit-identical under any context** — which is why it never appears in
-/// [`FittedState`] or any cache fingerprint.
+/// never results. Mirror descent pins its reduction orders and both ML
+/// backends are bit-identical, so a fit is **bit-identical under any
+/// context** — which is why it never appears in [`FittedState`] or any
+/// cache fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FitContext {
-    /// Worker threads the fit may use internally (mirror-descent loss
-    /// passes, batched GEMMs, GEM's per-component updates). `1` runs fully
-    /// sequential.
+    /// Worker threads for mirror descent's loss passes, the one intra-fit
+    /// parallel path (AIM, MST, PrivMRF). The other three synthesizers run
+    /// on the calling thread. `1` runs fully sequential.
     pub threads: usize,
     /// Backend for the batched ML kernels (PATE-CTGAN's generator and
     /// student). Every constructor picks the `auto` selection; tests set
@@ -447,37 +447,14 @@ mod tests {
         // A fit's context changes throughput, never the fitted state or a
         // sampled row: every synthesizer on every backend this CPU runs,
         // at one and three threads, must match the sequential `Backend::Cpu`
-        // fit. PATE-CTGAN's default layers stay under the threaded-GEMM
-        // gate, so a wider generator gives its thread leg something to do.
-        let wide = PateCtganOptions {
-            teachers: 4,
-            rounds: 6,
-            batch: 64,
-            z_dim: 32,
-            hidden: 128,
-        };
-        assert_eq!(
-            ml_backend::gemm_threads(3, wide.batch * wide.z_dim * wide.hidden),
-            3,
-            "the wide generator's first layer must fan out"
-        );
-        let cases = SynthKind::ALL
-            .into_iter()
-            .map(|kind| (kind, None))
-            .chain([(SynthKind::PateCtgan, Some(wide))]);
+        // fit.
         let data = correlated_data(1_500, 6);
-        for (kind, options) in cases {
-            let build = || -> Box<dyn Synthesizer> {
-                match options {
-                    Some(o) => Box::new(PateCtgan::with_options(o)),
-                    None => kind.build(),
-                }
-            };
+        for kind in SynthKind::ALL {
             let privacy = kind.native_privacy(std::f64::consts::E, data.n_rows());
             // The fitted state by its `Debug` text (shortest round-trip
             // floats, so equal text means equal bits) and one sample.
             let fit = |ctx: FitContext| {
-                let mut synth = build();
+                let mut synth = kind.build();
                 synth.fit_with(&data, privacy, 11, ctx).unwrap();
                 let state = format!("{:?}", synth.fitted_state().unwrap());
                 (state, synth.sample(400, 3).unwrap())
@@ -489,12 +466,7 @@ mod tests {
             for backend in ml_backend::registered_backends() {
                 for threads in [1, 3] {
                     let (got_state, got_sample) = fit(FitContext { threads, backend });
-                    let at = format!(
-                        "{} (hidden {:?}) on {} at {threads} threads",
-                        kind.name(),
-                        options.map(|o| o.hidden),
-                        backend.name()
-                    );
+                    let at = format!("{} on {} at {threads} threads", kind.name(), backend.name());
                     assert!(got_state == state, "{at}: fitted state differs");
                     assert_eq!(got_sample, sample, "{at}: sample differs");
                 }

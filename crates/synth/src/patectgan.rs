@@ -308,12 +308,8 @@ impl Synthesizer for PateCtgan {
         let mut state = self.fit_setup(data, privacy, &mut rng)?;
         let batch = self.options.batch;
         let od = state.onehot_dim;
-        // The thread allowance only reaches layers big enough to amortize a
-        // parallel region (`gemm_threads`); results are identical either way.
         let mut gen_ws = BatchWorkspace::with_backend(ctx.backend);
-        gen_ws.set_threads(ctx.threads);
         let mut student_ws = BatchWorkspace::with_backend(ctx.backend);
-        student_ws.set_threads(ctx.threads);
         let mut zs = vec![0.0f64; batch * self.options.z_dim];
         let mut softs = vec![0.0f64; batch * od];
         let mut labels = vec![0.0f64; batch];
