@@ -44,6 +44,24 @@ fn sample_cost(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The shape serve time goes to: lee2021's PATECTGAN, whose generator
+    // ends in an 860-wide one-hot layer, asked for a small and a large
+    // request.
+    let data = BenchmarkDataset::Lee2021.generate(2_500, 5);
+    let kind = SynthKind::PateCtgan;
+    let mut synth = kind.build();
+    synth
+        .fit(&data, kind.native_privacy(eps, data.n_rows()), 7)
+        .expect("fit");
+    let mut group = c.benchmark_group("sample_lee2021_patectgan");
+    group.sample_size(10);
+    for rows in [1_000usize, 10_000] {
+        group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, &rows| {
+            b.iter(|| synth.sample(rows, 3).expect("sample"));
+        });
+    }
+    group.finish();
 }
 
 fn wide_domain_fit(c: &mut Criterion) {

@@ -40,9 +40,11 @@
 //!
 //! Requests are bounded: a line longer than [`MAX_LINE`] bytes is answered
 //! with an error and its connection closed, a `"n"` above
-//! [`MAX_SAMPLE_ROWS`] is refused before anything is allocated, and a
+//! [`MAX_SAMPLE_ROWS`] is refused before anything is allocated, a
 //! `workload` request whose queries total more than [`MAX_RESPONSE_CELLS`]
-//! marginal cells is refused before any marginal is counted.
+//! marginal cells is refused before any marginal is counted, and a
+//! `"rows":true` sample whose rows × attributes exceed
+//! [`MAX_RESPONSE_CELLS`] is refused before any column is decoded.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -68,10 +70,12 @@ pub const MAX_SAMPLE_ROWS: usize = 1 << 20;
 pub const MAX_LINE: usize = 1 << 20;
 
 /// Most marginal cells one `workload` response may hold, summed over its
-/// queries: [`DEFAULT_CELL_LIMIT`] (2^22), the largest single marginal the
-/// engine counts. A line of 1 MiB can repeat a wide query tens of thousands
-/// of times, and a failed allocation for the response would abort the
-/// process.
+/// queries, and most codes one `sample` rows payload may hold (rows ×
+/// attributes): [`DEFAULT_CELL_LIMIT`] (2^22), the largest single marginal
+/// the engine counts. A line of 1 MiB can repeat a wide query tens of
+/// thousands of times, a legal `n` over a wide fit makes a rows payload of
+/// tens of millions of values, and a failed allocation for the response
+/// would abort the process.
 pub const MAX_RESPONSE_CELLS: usize = DEFAULT_CELL_LIMIT;
 
 /// Key of one restored synthesizer:
@@ -254,6 +258,16 @@ fn sampled_dataset(service: &FitService, req: &JsonValue) -> Result<Dataset, Str
 
 fn handle_sample(service: &FitService, req: &JsonValue) -> Result<JsonValue, String> {
     let data = sampled_dataset(service, req)?;
+    let with_rows = req.get("rows").and_then(JsonValue::as_bool) == Some(true);
+    let cells = data.n_rows() as u128 * data.n_attrs() as u128;
+    if with_rows && cells > MAX_RESPONSE_CELLS as u128 {
+        return Err(format!(
+            "a rows payload of {} rows x {} attributes is {cells} values, above the limit \
+             of {MAX_RESPONSE_CELLS} values per request",
+            data.n_rows(),
+            data.n_attrs()
+        ));
+    }
     service.samples_served.fetch_add(1, Ordering::Relaxed);
     let mut fields = vec![
         ("ok", JsonValue::Bool(true)),
@@ -262,7 +276,7 @@ fn handle_sample(service: &FitService, req: &JsonValue) -> Result<JsonValue, Str
     ];
     // Row payloads are opt-in: workload-style consumers usually only need
     // counts, and a million-row sample would make a very long line.
-    if req.get("rows").and_then(JsonValue::as_bool) == Some(true) {
+    if with_rows {
         let columns = (0..data.n_attrs())
             .map(|a| {
                 let codes = data

@@ -286,6 +286,50 @@ fn oversized_workload_responses_are_refused_and_the_service_lives_on() {
 }
 
 #[test]
+fn oversized_row_payloads_are_refused_and_the_service_lives_on() {
+    // 64 binary attributes: a legal `n` of one row more than the cap over
+    // 64 makes a rows payload 64 values over it.
+    let domain = Domain::new(
+        (0..64)
+            .map(|a| Attribute::binary(format!("b{a}")))
+            .collect(),
+    );
+    let mut data = Dataset::with_capacity(domain, 240);
+    for i in 0..240u64 {
+        let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let row: Vec<u32> = (0..64).map(|a| ((h >> a) & 1) as u32).collect();
+        data.push_row(&row).unwrap();
+    }
+    let (service, digest) = seeded_service_with("huge-rows", &data);
+    let with_rows = |n: u64| {
+        let mut request = sample_request(digest, n, 7);
+        if let JsonValue::Obj(fields) = &mut request {
+            fields.push(("rows".to_string(), JsonValue::Bool(true)));
+        }
+        request
+    };
+    let n = (MAX_RESPONSE_CELLS / 64 + 1) as u64;
+    assert!(n <= MAX_SAMPLE_ROWS as u64);
+    let refused = handle_request(&service, &with_rows(n));
+    assert_eq!(refused.get("ok"), Some(&JsonValue::Bool(false)));
+    let error = refused.get("error").and_then(JsonValue::as_str).unwrap();
+    assert!(error.contains(&MAX_RESPONSE_CELLS.to_string()), "{error}");
+    assert_eq!(service.served(), (0, 0));
+
+    // The same draw without its rows payload is an ordinary request, and
+    // so is a rows payload under the cap.
+    let next = handle_request(&service, &sample_request(digest, n, 7));
+    assert_ok(&next);
+    assert_eq!(next.get("n"), Some(&JsonValue::Uint(n)));
+    let small = handle_request(&service, &with_rows(16));
+    assert_ok(&small);
+    let columns = small.get("columns").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(columns.len(), 64);
+    assert_eq!(service.served(), (2, 0));
+    let _ = std::fs::remove_dir_all(service.fits().root());
+}
+
+#[test]
 fn over_long_request_lines_are_refused_and_the_server_lives_on() {
     let (service, _) = seeded_service("long-line");
     let root = service.fits().root().to_path_buf();

@@ -25,6 +25,13 @@
 //! fitted state is the same regardless. The per-example formulation of the
 //! same semantics is retained under `cfg(test)` (`fit_naive`) as a
 //! differential oracle; `fit` must reproduce its fitted state bit-for-bit.
+//!
+//! **Sampling is row-tiled**: `sample` pre-draws every row's latent and
+//! uniforms in the per-row order, then runs the generator and the
+//! inverse-CDF decode over fixed tiles of `SAMPLE_TILE_ROWS` rows, so a
+//! large request's activations stay cache-sized instead of growing with the
+//! request. The per-row sampler is retained under `cfg(test)`
+//! (`sample_naive`); `sample` must reproduce its output bit-for-bit.
 
 use crate::common::{dataset_from_columns, measure_gaussian};
 use crate::error::{Result, SynthError};
@@ -65,6 +72,14 @@ impl Default for PateCtganOptions {
         }
     }
 }
+
+/// Rows per generator pass in [`PateCtgan::sample`]. A pass sizes its
+/// workspace arenas to the rows it covers: 10,000 rows of lee2021's
+/// 860-wide one-hot output take about 287 MB, which the GEMM and the decode
+/// would stream from memory, while a tile's arenas are re-read from cache.
+/// Tiles of 64 to 512 rows time the same on lee2021. The tile size has no
+/// effect on the sampled codes.
+const SAMPLE_TILE_ROWS: usize = 256;
 
 /// The PATECTGAN synthesizer.
 #[derive(Default)]
@@ -400,33 +415,38 @@ impl Synthesizer for PateCtgan {
         }
         record_sampling_pass(n as u64);
         // Batched generator forward passes: chunked over rows and
-        // rayon-parallel — one GEMM per layer per chunk via `forward_batch`,
-        // and each row reads only its own pre-drawn randomness and its own
-        // rows of the output block, so the parallel batched pass is
+        // rayon-parallel, and within a chunk one GEMM per layer per
+        // `SAMPLE_TILE_ROWS` rows, decoded while the tile's logits are in
+        // cache. Each row reads only its own pre-drawn randomness and its
+        // own row of the output block, so the tiled parallel pass is
         // bit-identical to the sequential per-row one.
         let onehot_dim: usize = fitted.blocks.iter().map(|&(_, card)| card).sum();
         let sample_chunk = |lo: usize, hi: usize| -> Vec<Vec<u32>> {
-            let rows = hi - lo;
-            let mut cols = vec![Vec::with_capacity(rows); d];
+            let mut cols = vec![Vec::with_capacity(hi - lo); d];
             let mut ws = BatchWorkspace::new();
-            fitted
-                .generator
-                .forward_batch(&latents[lo * zd..hi * zd], rows, &mut ws);
             let mut soft = vec![0.0f64; onehot_dim];
-            for (i, logits) in ws.output().chunks(onehot_dim.max(1)).enumerate() {
-                let r = lo + i;
-                block_softmax_into(logits, &fitted.blocks, &mut soft);
-                for (a, &(off, card)) in fitted.blocks.iter().enumerate() {
-                    let mut t = uniforms[r * d + a];
-                    let mut code = card - 1;
-                    for v in 0..card {
-                        t -= soft[off + v];
-                        if t < 0.0 {
-                            code = v;
-                            break;
+            for tile_lo in (lo..hi).step_by(SAMPLE_TILE_ROWS) {
+                let tile_hi = (tile_lo + SAMPLE_TILE_ROWS).min(hi);
+                fitted.generator.forward_batch(
+                    &latents[tile_lo * zd..tile_hi * zd],
+                    tile_hi - tile_lo,
+                    &mut ws,
+                );
+                for (i, logits) in ws.output().chunks(onehot_dim.max(1)).enumerate() {
+                    let r = tile_lo + i;
+                    block_softmax_into(logits, &fitted.blocks, &mut soft);
+                    for (a, &(off, card)) in fitted.blocks.iter().enumerate() {
+                        let mut t = uniforms[r * d + a];
+                        let mut code = card - 1;
+                        for v in 0..card {
+                            t -= soft[off + v];
+                            if t < 0.0 {
+                                code = v;
+                                break;
+                            }
                         }
+                        cols[a].push(code as u32);
                     }
-                    cols[a].push(code as u32);
                 }
             }
             cols
@@ -658,10 +678,37 @@ mod tests {
         synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 3)
             .unwrap();
+        // 20,000 rows run the parallel chunk path (on more than one
+        // thread) with a ragged last chunk and a ragged last tile.
         for (n, seed) in [(0usize, 1u64), (1, 2), (311, 3), (20_000, 4)] {
             let batched = synth.sample(n, seed).unwrap();
             let naive = synth.sample_naive(n, seed).unwrap();
             assert_eq!(batched, naive, "n = {n}");
+        }
+
+        // A 187-wide one-hot output sampled at either side of one and two
+        // tile edges.
+        let domain = Domain::new(vec![
+            Attribute::ordinal("a", 120),
+            Attribute::ordinal("b", 60),
+            Attribute::ordinal("c", 7),
+        ]);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut wide = Dataset::with_capacity(domain, 600);
+        for _ in 0..600 {
+            let a: u32 = rng.gen_range(0..120);
+            let b = (a / 2 + rng.gen_range(0..3u32)).min(59);
+            wide.push_row(&[a, b, a % 7]).unwrap();
+        }
+        let mut synth = PateCtgan::with_options(small_options());
+        synth
+            .fit(&wide, Privacy::approx(1.0, 1e-9).unwrap(), 9)
+            .unwrap();
+        let t = SAMPLE_TILE_ROWS;
+        for (n, seed) in [(t - 1, 5u64), (t, 6), (t + 1, 7), (2 * t + 1, 8)] {
+            let batched = synth.sample(n, seed).unwrap();
+            let naive = synth.sample_naive(n, seed).unwrap();
+            assert_eq!(batched, naive, "n = {n} over the wide domain");
         }
     }
 
