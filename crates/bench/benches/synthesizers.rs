@@ -87,5 +87,26 @@ fn wide_domain_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, fit_cost, sample_cost, wide_domain_fit);
+fn gem_fit(c: &mut Criterion) {
+    // Where a grid's GEM time goes: quick-scale iverson2021 (27 attributes,
+    // eight of them 18-valued), whose pair measurements make the trainer's
+    // steps the cost. saw2018 above is the small case and jeong2021 the
+    // wide one (57 attributes).
+    let data = BenchmarkDataset::Iverson2021.generate(1_762, 5);
+    let eps = std::f64::consts::E;
+    let kind = SynthKind::Gem;
+    let mut group = c.benchmark_group("fit_iverson_n1762");
+    group.sample_size(10);
+    group.bench_function(kind.name(), |b| {
+        b.iter(|| {
+            let mut synth = kind.build();
+            synth
+                .fit(&data, kind.native_privacy(eps, data.n_rows()), 7)
+                .expect("fit");
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, fit_cost, sample_cost, wide_domain_fit, gem_fit);
 criterion_main!(benches);

@@ -1,12 +1,13 @@
 //! AIM (McKenna, Mullins, Sheldon & Miklau 2022): adaptive, iterative,
 //! workload-aware synthesis under ρ-zCDP.
 //!
-//! Each round spends a slice of the budget to (a) select — via the
-//! exponential mechanism — the workload marginal whose measurement is
-//! expected to improve the model the most, net of the noise it would add,
-//! and (b) measure it with the Gaussian mechanism, then refit the
-//! Private-PGM model. Candidates that would blow up the junction tree are
-//! excluded, which is what limits AIM on wide-domain data.
+//! Each round refits the Private-PGM model to the measurements so far, then
+//! spends a slice of the budget to (a) select — via the exponential
+//! mechanism — the workload marginal whose measurement is expected to
+//! improve the model the most, net of the noise it would add, and (b)
+//! measure it with the Gaussian mechanism. Candidates that would blow up
+//! the junction tree are excluded, which is what limits AIM on wide-domain
+//! data.
 
 use crate::common::{
     check_domain_limit, dataset_from_columns, measure_gaussian, pgm_state, planned_sigma,
@@ -106,16 +107,10 @@ impl Synthesizer for Aim {
             cell_limit,
             fit_threads,
         };
-        // One scratch arena across every refit: AIM re-estimates after each
+        // One scratch arena across every refit: AIM re-estimates once per
         // round, and the workspace re-plans only when the tree topology
-        // actually changes (the final fit reuses the last round's plans).
+        // actually changes.
         let mut ws = CalibrationWorkspace::new();
-        let mut model = estimate_with(
-            &shape,
-            &measurements,
-            est_opts(self.options.refit_iterations, self.options.cell_limit),
-            &mut ws,
-        )?;
 
         // Workload: all pairs that fit the cell limit.
         let workload: Vec<WorkloadQuery> = all_pairs_under(data.domain(), self.options.cell_limit);
@@ -181,6 +176,17 @@ impl Synthesizer for Aim {
             if cand.is_empty() {
                 break;
             }
+            // Refit just before scoring, its only reader. Every round that
+            // scores measures one more set, so each refit is fresh, and no
+            // refit follows the last measurement: the final fit below
+            // starts again from uniform potentials. Estimation draws no
+            // randomness, so where the refit runs does not change the fit.
+            let model = estimate_with(
+                &shape,
+                &measurements,
+                est_opts(self.options.refit_iterations, self.options.cell_limit),
+                &mut ws,
+            )?;
             // Candidate scores: workload error of the current model minus
             // the expected noise cost of measuring (AIM's utility
             // function). Pure reads of the cached marginals and the fitted
@@ -220,12 +226,6 @@ impl Synthesizer for Aim {
                 &mut rng,
             )?);
             chosen_sets.push(attrs);
-            model = estimate_with(
-                &shape,
-                &measurements,
-                est_opts(self.options.refit_iterations, self.options.cell_limit),
-                &mut ws,
-            )?;
         }
 
         // Final, longer fit.

@@ -10,6 +10,15 @@
 //! materializes anything larger than a pair marginal, GEM runs on domains
 //! that defeat every PGM-based method (e.g. Jeong et al.'s 1e43).
 //!
+//! A default fit takes up to 2,040 Adam steps, and the trainer computes each
+//! step's shared values once: one softmax table, shaped like the logits,
+//! holds the softmax of every (component, attribute), and each measurement's
+//! residual `2·w·(μ − y)` is computed once, not once per component. Round
+//! scoring reads one table per round and `sample` one per call. Every value
+//! keeps the operations and the order of the per-component formulation that
+//! `train_naive` retains as the test oracle, so fits are bit-identical to it
+//! (see `train`).
+//!
 //! GEM ignores its `FitContext`: the analytic trainer contains no GEMM, so
 //! the ML backend has no effect, and it runs on the calling thread.
 
@@ -98,11 +107,6 @@ impl GemModel {
         }
     }
 
-    /// Per-component softmax probabilities for one attribute.
-    fn probs(&self, k: usize, attr: usize) -> Vec<f64> {
-        softmax(&self.logits[k][attr])
-    }
-
     /// Export as plain serializable state.
     fn to_state(&self) -> GemState {
         GemState {
@@ -155,46 +159,54 @@ impl GemModel {
             step,
         })
     }
+}
 
-    /// Model marginal over 1 or 2 attributes (probability space).
-    fn marginal(&self, attrs: &[usize]) -> Vec<f64> {
-        let kk = self.logits.len() as f64;
-        match attrs {
-            [a] => {
-                let card = self.logits[0][*a].len();
-                let mut out = vec![0.0; card];
-                for k in 0..self.logits.len() {
-                    for (o, p) in out.iter_mut().zip(self.probs(k, *a)) {
-                        *o += p / kk;
-                    }
-                }
-                out
-            }
-            [a, b] => {
-                let ca = self.logits[0][*a].len();
-                let cb = self.logits[0][*b].len();
-                let mut out = vec![0.0; ca * cb];
-                for k in 0..self.logits.len() {
-                    let pa = self.probs(k, *a);
-                    let pb = self.probs(k, *b);
-                    for (i, &x) in pa.iter().enumerate() {
-                        for (j, &y) in pb.iter().enumerate() {
-                            out[i * cb + j] += x * y / kk;
-                        }
-                    }
-                }
-                out
-            }
-            _ => unreachable!("GEM measures only 1- and 2-way marginals"),
+/// Refill `table` with the softmax of every (component, attribute) of
+/// `logits`, reusing its allocations: each row's max-shifted exponentials
+/// divided by their sum. The table has the logits' shape.
+fn softmax_table(logits: &[Vec<Vec<f64>>], table: &mut Vec<Vec<Vec<f64>>>) {
+    logits.clone_into(table);
+    for p in table.iter_mut().flatten() {
+        let max = p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for v in p.iter_mut() {
+            *v = (*v - max).exp();
+        }
+        let total: f64 = p.iter().sum();
+        for v in p.iter_mut() {
+            *v /= total;
         }
     }
 }
 
-fn softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-    let total: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / total).collect()
+/// Model marginal over 1 or 2 attributes (probability space), read off a
+/// softmax table into `out`: each cell sums its per-component terms in
+/// ascending component order.
+fn table_marginal(probs: &[Vec<Vec<f64>>], attrs: &[usize], out: &mut Vec<f64>) {
+    let kk = probs.len() as f64;
+    out.clear();
+    match attrs {
+        [a] => {
+            out.resize(probs[0][*a].len(), 0.0);
+            for comp in probs {
+                for (o, p) in out.iter_mut().zip(&comp[*a]) {
+                    *o += p / kk;
+                }
+            }
+        }
+        [a, b] => {
+            let cb = probs[0][*b].len();
+            out.resize(probs[0][*a].len() * cb, 0.0);
+            for comp in probs {
+                let pb = &comp[*b];
+                for (i, &x) in comp[*a].iter().enumerate() {
+                    for (o, &y) in out[i * cb..(i + 1) * cb].iter_mut().zip(pb) {
+                        *o += x * y / kk;
+                    }
+                }
+            }
+        }
+        _ => unreachable!("GEM measures only 1- and 2-way marginals"),
+    }
 }
 
 /// The GEM synthesizer.
@@ -271,6 +283,8 @@ impl Synthesizer for Gem {
             engine.prefetch(&sets)?;
         }
         let mut chosen: Vec<Vec<usize>> = Vec::new();
+        let mut probs: Vec<Vec<Vec<f64>>> = Vec::new();
+        let mut model_probs: Vec<f64> = Vec::new();
         for round in 0..rounds {
             let remaining = accountant.remaining();
             if remaining <= 1e-12 {
@@ -280,6 +294,9 @@ impl Synthesizer for Gem {
             let (rho_select, rho_measure) = (rho_round / 2.0, rho_round / 2.0);
 
             // Score candidates by the generator's L1 error on true counts.
+            // The model is fixed while scoring, so every candidate's
+            // marginal is read off one softmax table per round.
+            softmax_table(&model.logits, &mut probs);
             let mut cands: Vec<&Vec<usize>> = Vec::new();
             let mut scores: Vec<f64> = Vec::new();
             for q in &workload {
@@ -287,7 +304,7 @@ impl Synthesizer for Gem {
                     continue;
                 }
                 let true_counts = engine.count(&q.attrs)?;
-                let model_probs = model.marginal(&q.attrs);
+                table_marginal(&probs, &q.attrs, &mut model_probs);
                 let l1: f64 = true_counts
                     .counts()
                     .iter()
@@ -328,7 +345,7 @@ impl Synthesizer for Gem {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-sample"));
         let d = domain.len();
         let kk = model.logits.len();
-        let cums = cumulative_tables(model, d);
+        let cums = cumulative_tables(model);
         // Pre-draw the mixture-component pick and the per-attribute
         // uniforms of every row in the exact row-major order the per-row
         // sampler consumed them, so the node-major pass below is
@@ -392,22 +409,17 @@ impl Synthesizer for Gem {
 }
 
 /// Per-component, per-attribute cumulative probability tables (unnormalized
-/// tails exactly as the per-row sampler accumulated them).
-fn cumulative_tables(model: &GemModel, d: usize) -> Vec<Vec<Vec<f64>>> {
-    let kk = model.logits.len();
-    let mut cums: Vec<Vec<Vec<f64>>> = Vec::with_capacity(kk);
-    for k in 0..kk {
-        let mut per_attr = Vec::with_capacity(d);
-        for a in 0..d {
-            let mut c = model.probs(k, a);
-            let mut acc = 0.0;
-            for v in c.iter_mut() {
-                acc += *v;
-                *v = acc;
-            }
-            per_attr.push(c);
+/// tails exactly as the per-row sampler accumulated them): the softmax
+/// table, prefix-summed in place.
+fn cumulative_tables(model: &GemModel) -> Vec<Vec<Vec<f64>>> {
+    let mut cums = Vec::new();
+    softmax_table(&model.logits, &mut cums);
+    for c in cums.iter_mut().flatten() {
+        let mut acc = 0.0;
+        for v in c.iter_mut() {
+            acc += *v;
+            *v = acc;
         }
-        cums.push(per_attr);
     }
     cums
 }
@@ -421,7 +433,7 @@ impl Gem {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-sample"));
         let d = domain.len();
         let kk = model.logits.len();
-        let cums = cumulative_tables(model, d);
+        let cums = cumulative_tables(model);
         let mut columns = vec![vec![0u32; n]; d];
         for r in 0..n {
             let k = rng.gen_range(0..kk);
@@ -436,11 +448,201 @@ impl Gem {
 
 /// Adam on the mixture logits against all measurements so far.
 ///
-/// The trainer is analytic (no GEMM): each step accumulates per-component
-/// probability-space gradients in ascending measurement order, chains them
-/// through the softmax and takes one Adam step. It runs on the calling
-/// thread, since a default grid gives every fit one thread.
+/// The trainer is analytic (no GEMM) and runs on the calling thread. Each
+/// step first computes what no component's gradient depends on:
+///
+/// * `probs`, the softmax of every (component, attribute) of the pre-step
+///   logits, which the model marginals, the gradients and the softmax chain
+///   of the Adam step all read;
+/// * each measurement's residual `2·w·(μ − y)` against the model marginal.
+///
+/// A component's one-way gradient then adds the shared residual. Its pair
+/// gradient takes dot products of residual rows with the component's `pb`,
+/// plus column sums against its `pa`, added row by row into one reused
+/// buffer. The table, the residuals and the column buffer are held across
+/// steps.
+///
+/// Every value keeps the operations and the order of the per-component
+/// formulation retained as `train_naive`, so the fit is bit-identical to it:
+/// the softmax is a pure function of the logits, and only the Adam step
+/// changes them; each residual is the same left-to-right product that
+/// formulation computed inside every component's loop; every dot product
+/// runs over ascending columns and every column sum over ascending rows;
+/// and every gradient cell adds its measurements' terms in ascending
+/// measurement order.
 fn train(
+    model: &mut GemModel,
+    measured: &[(NoisyMeasurement, f64)],
+    n: f64,
+    steps: usize,
+    lr: f64,
+) {
+    let kf = model.logits.len() as f64;
+    let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8f64);
+    // Normalize weights so the learning rate is scale-free.
+    let wsum: f64 = measured.iter().map(|(_, w)| *w).sum::<f64>().max(1e-12);
+    // Gradient arena wrt probabilities, hoisted out of the step loop and
+    // zeroed in place: allocating `mixture × d` nested Vecs per step made
+    // the trainer allocation-bound at high step counts.
+    let mut grad_p: Vec<Vec<Vec<f64>>> = model
+        .logits
+        .iter()
+        .map(|comp| comp.iter().map(|l| vec![0.0; l.len()]).collect())
+        .collect();
+    // Measurement weights and proportion targets are step-invariant.
+    let prepared: Vec<(&NoisyMeasurement, f64, Vec<f64>)> = measured
+        .iter()
+        .map(|(meas, w)| (meas, w / wsum, meas.values.iter().map(|v| v / n).collect()))
+        .collect();
+    // The softmax table, the residuals and the column sums are refilled in
+    // place every step.
+    let mut probs: Vec<Vec<Vec<f64>>> = Vec::new();
+    let mut resid: Vec<Vec<f64>> = vec![Vec::new(); prepared.len()];
+    let mut col: Vec<f64> = Vec::new();
+
+    for _ in 0..steps {
+        model.step += 1;
+        let t = model.step as f64;
+        // Adam bias-correction scalars hoisted to once per step; `powf` is
+        // deterministic, so dividing by the precomputed corrections is
+        // bit-identical to recomputing them per parameter.
+        let bc1 = 1.0 - b1.powf(t);
+        let bc2 = 1.0 - b2.powf(t);
+
+        softmax_table(&model.logits, &mut probs);
+        for ((meas, w, target), r) in prepared.iter().zip(resid.iter_mut()) {
+            table_marginal(&probs, &meas.attrs, r);
+            for (r, y) in r.iter_mut().zip(target) {
+                *r = 2.0 * w * (*r - y);
+            }
+        }
+
+        // Accumulate gradients wrt probabilities, one component at a time.
+        for (comp, probs_k) in grad_p.iter_mut().zip(&probs) {
+            for g in comp.iter_mut() {
+                g.fill(0.0);
+            }
+            for ((meas, _, _), r) in prepared.iter().zip(&resid) {
+                match meas.attrs.as_slice() {
+                    [a] => {
+                        for (g, r) in comp[*a].iter_mut().zip(r) {
+                            *g += r / kf;
+                        }
+                    }
+                    [a, b] => {
+                        let (pa, pb) = (&probs_k[*a], &probs_k[*b]);
+                        let cb = pb.len();
+                        col.clear();
+                        col.resize(cb, 0.0);
+                        for ((i, &pai), ga) in pa.iter().enumerate().zip(comp[*a].iter_mut()) {
+                            let row = &r[i * cb..(i + 1) * cb];
+                            let mut acc = 0.0;
+                            for (&rij, &pbj) in row.iter().zip(pb) {
+                                acc += rij * pbj;
+                            }
+                            *ga += acc / kf;
+                            for (c, &rij) in col.iter_mut().zip(row) {
+                                *c += rij * pai;
+                            }
+                        }
+                        for (gb, c) in comp[*b].iter_mut().zip(&col) {
+                            *gb += c / kf;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        // Chain through softmax and apply Adam, element-wise per component.
+        for (((logits_k, m_k), v_k), (grad_k, probs_k)) in model
+            .logits
+            .iter_mut()
+            .zip(model.m.iter_mut())
+            .zip(model.v.iter_mut())
+            .zip(grad_p.iter().zip(&probs))
+        {
+            for ((((logits, m), v), gp), p) in logits_k
+                .iter_mut()
+                .zip(m_k.iter_mut())
+                .zip(v_k.iter_mut())
+                .zip(grad_k)
+                .zip(probs_k)
+            {
+                let dot: f64 = p.iter().zip(gp).map(|(x, y)| x * y).sum();
+                for ((((l, m), v), &gpu), &pu) in logits
+                    .iter_mut()
+                    .zip(m.iter_mut())
+                    .zip(v.iter_mut())
+                    .zip(gp)
+                    .zip(p)
+                {
+                    let g = pu * (gpu - dot);
+                    *m = b1 * *m + (1.0 - b1) * g;
+                    *v = b2 * *v + (1.0 - b2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    *l -= lr * mhat / (vhat.sqrt() + eps);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl GemModel {
+    /// Per-component softmax probabilities for one attribute.
+    fn probs(&self, k: usize, attr: usize) -> Vec<f64> {
+        softmax(&self.logits[k][attr])
+    }
+
+    /// Model marginal over 1 or 2 attributes (probability space).
+    fn marginal(&self, attrs: &[usize]) -> Vec<f64> {
+        let kk = self.logits.len() as f64;
+        match attrs {
+            [a] => {
+                let card = self.logits[0][*a].len();
+                let mut out = vec![0.0; card];
+                for k in 0..self.logits.len() {
+                    for (o, p) in out.iter_mut().zip(self.probs(k, *a)) {
+                        *o += p / kk;
+                    }
+                }
+                out
+            }
+            [a, b] => {
+                let ca = self.logits[0][*a].len();
+                let cb = self.logits[0][*b].len();
+                let mut out = vec![0.0; ca * cb];
+                for k in 0..self.logits.len() {
+                    let pa = self.probs(k, *a);
+                    let pb = self.probs(k, *b);
+                    for (i, &x) in pa.iter().enumerate() {
+                        for (j, &y) in pb.iter().enumerate() {
+                            out[i * cb + j] += x * y / kk;
+                        }
+                    }
+                }
+                out
+            }
+            _ => unreachable!("GEM measures only 1- and 2-way marginals"),
+        }
+    }
+}
+
+#[cfg(test)]
+fn softmax(logits: &[f64]) -> Vec<f64> {
+    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
+    let total: f64 = exps.iter().sum();
+    exps.into_iter().map(|e| e / total).collect()
+}
+
+/// The per-component trainer, retained as the differential oracle for
+/// [`train`]: every component recomputes the softmaxes it reads and every
+/// measurement's residual inside its own gradient loop.
+#[cfg(test)]
+fn train_naive(
     model: &mut GemModel,
     measured: &[(NoisyMeasurement, f64)],
     n: f64,
@@ -620,5 +822,109 @@ mod tests {
         });
         synth.fit(&data, Privacy::zcdp(0.5).unwrap(), 1).unwrap();
         assert_eq!(synth.sample(100, 1).unwrap().n_rows(), 100);
+    }
+
+    /// Rows over `cards` whose codes move together, so pair marginals are
+    /// far from independent.
+    fn linked(cards: &[usize], n: usize, seed: u64) -> Dataset {
+        let attrs = cards
+            .iter()
+            .enumerate()
+            .map(|(a, &c)| Attribute::ordinal(format!("a{a}"), c))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ds = Dataset::with_capacity(Domain::new(attrs), n);
+        for _ in 0..n {
+            let u: f64 = rng.gen();
+            let row: Vec<u32> = cards
+                .iter()
+                .map(|&c| {
+                    let jitter: f64 = rng.gen::<f64>() * 0.2;
+                    (((u + jitter) * c as f64) as usize).min(c - 1) as u32
+                })
+                .collect();
+            ds.push_row(&row).unwrap();
+        }
+        ds
+    }
+
+    fn state_bits(model: &GemModel) -> (Vec<u64>, usize) {
+        let bits = [&model.logits, &model.m, &model.v]
+            .into_iter()
+            .flatten()
+            .flatten()
+            .flatten()
+            .map(|x| x.to_bits())
+            .collect();
+        (bits, model.step)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn train_matches_naive() {
+        let cases = [
+            ("correlated", correlated(600)),
+            ("120/60/7", linked(&[120, 60, 7], 600, 3)),
+            ("cardinality 1", linked(&[7, 1, 3, 2], 400, 4)),
+        ];
+        for (name, data) in cases {
+            let d = data.n_attrs();
+            let n = data.n_rows() as f64;
+            let mut engine = MarginalEngine::new(&data);
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut measured = Vec::new();
+            for a in 0..d {
+                let m = measure_gaussian(&mut engine, &[a], 0.5, &mut rng).unwrap();
+                let w = 1.0 / m.sigma.powi(2);
+                measured.push((m, w));
+            }
+            let pairs = all_pairs(data.domain());
+            let mut pending = Vec::new();
+            for q in &pairs {
+                let m = measure_gaussian(&mut engine, &q.attrs, 2.0, &mut rng).unwrap();
+                let w = 1.0 / m.sigma.powi(2);
+                pending.push((m, w));
+            }
+            // The last pair joins between the two calls, so the step counter
+            // and the Adam moments carry over into a longer measurement list.
+            let last = pending.pop().unwrap();
+            measured.extend(pending);
+
+            let mut fast = GemModel::new(6, &data.domain().shape(), &mut rng);
+            let mut naive = fast.clone();
+            train(&mut fast, &measured, n, 9, 0.1);
+            train_naive(&mut naive, &measured, n, 9, 0.1);
+            assert_eq!(state_bits(&fast), state_bits(&naive), "{name}, first call");
+            measured.push(last);
+            train(&mut fast, &measured, n, 9, 0.1);
+            train_naive(&mut naive, &measured, n, 9, 0.1);
+            assert_eq!(state_bits(&fast), state_bits(&naive), "{name}, second call");
+            assert_eq!(fast.step, 18);
+
+            // Round scoring and sampling read the same softmax table.
+            let mut probs = Vec::new();
+            softmax_table(&fast.logits, &mut probs);
+            let mut out = Vec::new();
+            let singles: Vec<Vec<usize>> = (0..d).map(|a| vec![a]).collect();
+            for attrs in singles.iter().chain(pairs.iter().map(|q| &q.attrs)) {
+                table_marginal(&probs, attrs, &mut out);
+                assert_eq!(bits(&out), bits(&fast.marginal(attrs)), "{name} {attrs:?}");
+            }
+            let cums = cumulative_tables(&fast);
+            for (k, per_attr) in cums.iter().enumerate() {
+                for (a, cum) in per_attr.iter().enumerate() {
+                    let mut want = fast.probs(k, a);
+                    let mut acc = 0.0;
+                    for v in want.iter_mut() {
+                        acc += *v;
+                        *v = acc;
+                    }
+                    assert_eq!(bits(cum), bits(&want), "{name} component {k} attr {a}");
+                }
+            }
+        }
     }
 }
