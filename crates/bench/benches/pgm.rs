@@ -89,8 +89,7 @@ fn sampling_kernels(c: &mut Criterion) {
     group.sample_size(10);
     let rows = 100_000usize;
     group.bench_with_input(BenchmarkId::new("batched", rows), &(), |b, ()| {
-        let mut ws = synrd_pgm::SamplingWorkspace::new();
-        b.iter(|| sampler.sample_columns_with(rows, &mut StdRng::seed_from_u64(11), &mut ws));
+        b.iter(|| sampler.sample_columns(rows, &mut StdRng::seed_from_u64(11)));
     });
     group.bench_with_input(BenchmarkId::new("naive", rows), &(), |b, ()| {
         b.iter(|| oracle.sample_columns(rows, &mut StdRng::seed_from_u64(11)));

@@ -36,7 +36,7 @@ use synrd_data::{Marginal, MarginalEngine};
 use synrd_pgm::{
     calibrate_into, calibrate_naive, estimate, estimate_naive, factor_buffer_allocs,
     CalibratedTree, CalibrationWorkspace, EstimationOptions, Factor, FittedModel, JunctionTree,
-    NaiveSampler, NoisyMeasurement, SamplingWorkspace, TreeSampler,
+    NaiveSampler, NoisyMeasurement, TreeSampler,
 };
 use synrd_store::JsonValue;
 
@@ -251,7 +251,8 @@ fn fit(domain: &[usize], ms: Vec<NoisyMeasurement>) -> FittedModel {
 }
 
 /// The sampling-engine third of the perf record: batched clique-major
-/// `sample_columns` vs the per-row `NaiveSampler` on fitted models, with
+/// `sample_columns` (the call production makes, which allocates its
+/// buffers per call) vs the per-row `NaiveSampler` on fitted models, with
 /// bit-identity (batched vs naive, parallel vs sequential) asserted on
 /// every problem. Writes `BENCH_sampling.json`; returns the minimum
 /// `sample_columns` speedup.
@@ -282,9 +283,8 @@ fn sampling_section(quick: bool, out_path: &str) -> f64 {
         });
         assert_eq!(batched, chunked, "{name}: parallel != sequential");
 
-        let mut ws = SamplingWorkspace::new();
         let engine_ns = median_ns(reps, || {
-            let cols = sampler.sample_columns_with(rows, &mut StdRng::seed_from_u64(17), &mut ws);
+            let cols = sampler.sample_columns(rows, &mut StdRng::seed_from_u64(17));
             black_box(cols[0][rows - 1]);
         });
         let naive_ns = median_ns(reps, || {
@@ -354,7 +354,7 @@ fn sampling_section(quick: bool, out_path: &str) -> f64 {
 /// marginal section.) Writes `BENCH_dataset.json`; returns the minimum
 /// bytes-per-row compression ratio.
 fn dataset_section(quick: bool, out_path: &str) -> f64 {
-    use synrd_data::{BenchmarkDataset, ColumnAccess};
+    use synrd_data::BenchmarkDataset;
 
     let rows = if quick { 40_000 } else { 120_000 };
     let d = 12usize;
@@ -920,8 +920,7 @@ fn main() {
         };
         let before = factor_buffer_allocs();
         let model = estimate(&domain, &measurements, o).expect("fit");
-        let mut ws = CalibrationWorkspace::new();
-        TreeSampler::new_with_workspace(&model, &mut ws).expect("sampler");
+        TreeSampler::new(&model).expect("sampler");
         factor_buffer_allocs() - before
     };
     let allocs_30 = allocs_for(30);

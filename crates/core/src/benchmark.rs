@@ -36,10 +36,10 @@ pub fn fits_performed() -> u64 {
     GRID_FITS.load(Ordering::Relaxed)
 }
 
-// The sampling-side mirrors of the fit counter (batched generation passes
-// and total rows generated across every synthesizer), re-exported so grid
-// telemetry and tests read all process counters from one place.
-pub use synrd_synth::{rows_sampled, sampling_passes};
+// The sampling-side mirror of the fit counter (total rows generated across
+// every synthesizer), re-exported so grid telemetry and tests read all
+// process counters from one place.
+pub use synrd_synth::rows_sampled;
 
 /// The paper's ε grid: e⁻³, e⁻², e⁻¹, e⁰, e¹, e².
 pub fn paper_epsilons() -> Vec<f64> {

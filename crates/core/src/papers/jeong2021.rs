@@ -14,7 +14,7 @@ use crate::finding::{Check, Finding, FindingType as FT};
 use crate::publication::Publication;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use synrd_data::{BenchmarkDataset, ColumnAccess, Dataset};
+use synrd_data::{BenchmarkDataset, Dataset};
 use synrd_ml::{
     group_metrics, train_test_split, ForestOptions, Metrics, RandomForest, TreeOptions,
 };

@@ -3,15 +3,15 @@
 //! Storage is one [`PackedColumn`] per attribute: codes cost
 //! `ceil(log2(card))` bits each instead of a full `u32`, which cuts the
 //! bytes the marginal kernels stream by 4–16× on the benchmark registry
-//! (see `packed.rs` for the word layout). All reads go through the
-//! [`ColumnAccess`] trait — bulk readers decode into reusable scratch,
-//! per-row readers use the [`RowRef`] cursor — so the physical layout can
-//! keep evolving (row groups, out-of-core) without touching consumers.
+//! (see `packed.rs` for the word layout). All reads go through
+//! [`PackedColumn`]'s readers — bulk readers decode into reusable scratch,
+//! per-row readers use the [`RowRef`] cursor — never through a raw code
+//! slice.
 
 use crate::attribute::{AttrKind, Attribute};
 use crate::domain::{validate_attr_set, Domain};
 use crate::error::{DataError, Result};
-use crate::packed::{ColumnAccess, PackedColumn};
+use crate::packed::PackedColumn;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -149,8 +149,8 @@ impl Dataset {
         self.rows == 0
     }
 
-    /// The packed column of one attribute (the [`ColumnAccess`] entry point
-    /// for kernels and streaming readers).
+    /// The packed column of one attribute (the entry point for kernels and
+    /// streaming readers).
     pub fn packed_column(&self, attr: usize) -> Result<&PackedColumn> {
         self.columns
             .get(attr)

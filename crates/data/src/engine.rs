@@ -44,7 +44,7 @@ use crate::dataset::Dataset;
 use crate::domain::validate_attr_set;
 use crate::error::{DataError, Result};
 use crate::marginal::{mi_from_joint, strides_of, Marginal, DEFAULT_CELL_LIMIT};
-use crate::packed::{ColumnAccess, PackedColumn};
+use crate::packed::PackedColumn;
 use rayon::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,17 +227,17 @@ fn count_one_way(col: &PackedColumn, lo: usize, hi: usize, hist: &mut [u64], lan
     }
     // Word-major with four interleaved lanes: one u64 load covers
     // `64 / width` rows, each extracted by a shift-and-mask with no
-    // cross-iteration dependency. Widths 4–8 dispatch to a const-width body
-    // whose shift amounts are immediates and whose per-word loop fully
-    // unrolls (mirroring `decode_range_into`); wider codes take the
-    // runtime-width body.
+    // cross-iteration dependency. Widths 4–8 dispatch to a const-width
+    // instance whose shift amounts are immediates and whose per-word loop
+    // fully unrolls (mirroring `decode_range_into`); wider codes take the
+    // out-of-line runtime-width instance.
     with_lanes(hist, lanes, |h0, l1, l2, l3| match col.width() {
-        4 => count_one_way_words::<4>(col.iter_words(), lo, hi, h0, l1, l2, l3),
-        5 => count_one_way_words::<5>(col.iter_words(), lo, hi, h0, l1, l2, l3),
-        6 => count_one_way_words::<6>(col.iter_words(), lo, hi, h0, l1, l2, l3),
-        7 => count_one_way_words::<7>(col.iter_words(), lo, hi, h0, l1, l2, l3),
-        8 => count_one_way_words::<8>(col.iter_words(), lo, hi, h0, l1, l2, l3),
-        _ => count_one_way_words_generic(col.iter_words(), width, lo, hi, h0, l1, l2, l3),
+        4 => count_one_way_words_const::<4>(col.iter_words(), lo, hi, h0, l1, l2, l3),
+        5 => count_one_way_words_const::<5>(col.iter_words(), lo, hi, h0, l1, l2, l3),
+        6 => count_one_way_words_const::<6>(col.iter_words(), lo, hi, h0, l1, l2, l3),
+        7 => count_one_way_words_const::<7>(col.iter_words(), lo, hi, h0, l1, l2, l3),
+        8 => count_one_way_words_const::<8>(col.iter_words(), lo, hi, h0, l1, l2, l3),
+        _ => count_one_way_words_wide(col.iter_words(), width, lo, hi, h0, l1, l2, l3),
     });
 }
 
@@ -289,55 +289,13 @@ fn count_one_way_eq<const WIDTH: usize>(words: &[u64], lo: usize, hi: usize, his
     }
 }
 
-/// Const-width word-major histogram body for [`count_one_way`]: `WIDTH` is
-/// a compile-time constant, so every shift amount is an immediate and the
-/// per-word extraction loop unrolls completely.
+/// Word-major histogram body for [`count_one_way`].
+/// `#[inline(always)]` so the const-width wrapper below folds `width`,
+/// `per_word` and `mask` to constants: every shift amount becomes an
+/// immediate and the per-word extraction loop unrolls completely.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn count_one_way_words<const WIDTH: usize>(
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    h0: &mut [u64],
-    l1: &mut [u64],
-    l2: &mut [u64],
-    l3: &mut [u64],
-) {
-    let per_word = 64 / WIDTH;
-    let mask = (1u64 << WIDTH) - 1;
-    let head_end = hi.min(lo.next_multiple_of(per_word));
-    for r in lo..head_end {
-        h0[((words[r / per_word] >> ((r % per_word) * WIDTH)) & mask) as usize] += 1;
-    }
-    if head_end == hi {
-        return;
-    }
-    let last_word = hi / per_word;
-    for &w in &words[head_end / per_word..last_word] {
-        let mut k = 0usize;
-        while k + 4 <= per_word {
-            h0[((w >> (k * WIDTH)) & mask) as usize] += 1;
-            l1[((w >> ((k + 1) * WIDTH)) & mask) as usize] += 1;
-            l2[((w >> ((k + 2) * WIDTH)) & mask) as usize] += 1;
-            l3[((w >> ((k + 3) * WIDTH)) & mask) as usize] += 1;
-            k += 4;
-        }
-        while k < per_word {
-            h0[((w >> (k * WIDTH)) & mask) as usize] += 1;
-            k += 1;
-        }
-    }
-    for r in last_word * per_word..hi {
-        h0[((words[r / per_word] >> ((r % per_word) * WIDTH)) & mask) as usize] += 1;
-    }
-}
-
-/// Runtime-width fallback of [`count_one_way_words`] for codes wider than 8
-/// bits (cardinalities above 256 — rare in the benchmark's social-science
-/// domains).
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn count_one_way_words_generic(
+fn count_one_way_words(
     words: &[u64],
     width: usize,
     lo: usize,
@@ -374,6 +332,36 @@ fn count_one_way_words_generic(
     for r in last_word * per_word..hi {
         h0[((words[r / per_word] >> ((r % per_word) * width)) & mask) as usize] += 1;
     }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn count_one_way_words_const<const WIDTH: usize>(
+    words: &[u64],
+    lo: usize,
+    hi: usize,
+    h0: &mut [u64],
+    l1: &mut [u64],
+    l2: &mut [u64],
+    l3: &mut [u64],
+) {
+    count_one_way_words(words, WIDTH, lo, hi, h0, l1, l2, l3);
+}
+
+/// [`count_one_way_words`] for codes wider than 8 bits (cardinalities above
+/// 256 — rare in the benchmark's social-science domains), kept out of line.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn count_one_way_words_wide(
+    words: &[u64],
+    width: usize,
+    lo: usize,
+    hi: usize,
+    h0: &mut [u64],
+    l1: &mut [u64],
+    l2: &mut [u64],
+    l3: &mut [u64],
+) {
+    count_one_way_words(words, width, lo, hi, h0, l1, l2, l3);
 }
 
 /// Count one block (`lo..hi`, already decoded into `decoded` per the plan's
@@ -889,6 +877,26 @@ mod tests {
             for (attrs, fast) in sets.iter().zip(&batch) {
                 let naive = Marginal::count_naive(&ds, attrs).unwrap();
                 assert_eq!(fast, &naive, "rows {rows} attrs {attrs:?}");
+            }
+            // One-way sets over codes wider than 8 bits (9 and 12 bits)
+            // take the out-of-line runtime-width body; at 8,195 rows the
+            // second block starts mid-word.
+            let wide_domain = Domain::new(vec![
+                Attribute::ordinal("w9", 257),
+                Attribute::ordinal("w12", 4_096),
+            ]);
+            let wide_cols = vec![
+                (0..rows).map(|r| ((r * 131) % 257) as u32).collect(),
+                (0..rows)
+                    .map(|r| ((r * 2_333 + r / 7) % 4_096) as u32)
+                    .collect(),
+            ];
+            let wide = Dataset::new(wide_domain, wide_cols).unwrap();
+            let one_way = [vec![0], vec![1]];
+            let batch = MarginalEngine::new(&wide).count_many(&one_way).unwrap();
+            for (attrs, fast) in one_way.iter().zip(&batch) {
+                let naive = Marginal::count_naive(&wide, attrs).unwrap();
+                assert_eq!(fast, &naive, "rows {rows} wide attrs {attrs:?}");
             }
         }
     }

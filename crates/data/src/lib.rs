@@ -5,9 +5,8 @@
 //!
 //! * [`Attribute`] / [`Domain`] — fully discretized schemas (the encoding all
 //!   marginal-based DP synthesizers consume);
-//! * [`Dataset`] — column-major, bit-packed code storage (see `packed`)
-//!   behind the [`ColumnAccess`] trait, with selection, filtering and
-//!   resampling;
+//! * [`Dataset`] — column-major, bit-packed code storage (see
+//!   [`PackedColumn`]), with selection, filtering and resampling;
 //! * [`Marginal`] — dense contingency tables with mixed-radix indexing, plus
 //!   empirical [`mutual_information`];
 //! * [`MarginalEngine`] — the batched, cached, parallel counting engine the
@@ -37,4 +36,4 @@ pub use error::{DataError, Result};
 pub use generators::BenchmarkDataset;
 pub use marginal::{mutual_information, Marginal, DEFAULT_CELL_LIMIT};
 pub use metafeatures::{meta_features, MeanStd, MetaFeatures};
-pub use packed::{ColumnAccess, PackedColumn};
+pub use packed::PackedColumn;

@@ -1,4 +1,4 @@
-//! Bit-packed column storage and the [`ColumnAccess`] seam.
+//! Bit-packed column storage.
 //!
 //! A [`PackedColumn`] stores one attribute's codes at `ceil(log2(card))`
 //! bits each inside 64-bit words. The layout is *aligned*: each word holds
@@ -20,60 +20,12 @@
 //! "Faster remainder by direct computation", exact for all row indices
 //! below 2^32) with a plain-division fallback beyond.
 //!
-//! [`ColumnAccess`] is the trait seam between storage and everything that
-//! reads it: the marginal engine's counting kernels, the CSV writer, the
-//! paper replications and the samplers all go through `get` /
-//! `for_each_code` / `decode_into` / `iter_words`, so a future row-group or
-//! out-of-core store can slot in behind the same trait without touching
-//! them. The differential oracle is a plain `Vec<u32>` per column: the
-//! proptests in `tests/packed_oracle.rs` keep one beside every dataset they
-//! pack.
-
-/// Read access to one column of codes, independent of the physical layout.
-///
-/// Implementors must return codes identical to a plain `Vec<u32>` holding
-/// the column: the differential proptests in `tests/packed_oracle.rs` pin a
-/// [`PackedColumn`] against such a mirror under every dataset operation.
-pub trait ColumnAccess {
-    /// Number of codes stored.
-    fn len(&self) -> usize;
-
-    /// Whether the column holds no codes.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bits per code in this layout (0 for constant columns).
-    fn width(&self) -> u32;
-
-    /// The code at `row`. Panics if `row >= len()`.
-    fn get(&self, row: usize) -> u32;
-
-    /// Visit the codes of rows `lo..hi` in order. Panics on an out-of-range
-    /// or inverted range.
-    fn for_each_range(&self, lo: usize, hi: usize, f: impl FnMut(u32));
-
-    /// Visit every code in row order.
-    fn for_each_code(&self, f: impl FnMut(u32)) {
-        self.for_each_range(0, self.len(), f);
-    }
-
-    /// Decode rows `lo..hi` into `out`, which must hold exactly `hi - lo`
-    /// slots.
-    fn decode_range_into(&self, lo: usize, hi: usize, out: &mut [u32]);
-
-    /// Decode the whole column into a reusable scratch vector (cleared and
-    /// resized to `len()`).
-    fn decode_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(self.len(), 0);
-        self.decode_range_into(0, self.len(), out);
-    }
-
-    /// The backing words for kernels that unpack inline. Layouts without a
-    /// word image (width-0 columns) return an empty slice.
-    fn iter_words(&self) -> &[u64];
-}
+//! Everything that reads a column — the marginal engine's counting
+//! kernels, the CSV writer, the paper replications and the samplers — goes
+//! through `get` / `for_each_code` / `decode_into` / `iter_words`, never a
+//! raw code slice. The differential oracle is a plain `Vec<u32>` per
+//! column: the proptests in `tests/packed_oracle.rs` keep one beside every
+//! dataset they pack and pin every reader against it.
 
 /// Bits needed to store codes `0..cardinality`: `ceil(log2(cardinality))`,
 /// with constant columns (cardinality ≤ 1) costing 0 bits. Codes are `u32`,
@@ -189,6 +141,89 @@ impl PackedColumn {
     pub fn packed_bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
     }
+
+    /// Number of codes stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the column holds no codes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bits per code in this layout (0 for constant columns).
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// The code at `row`. Panics if `row >= len()`.
+    #[inline]
+    pub fn get(&self, row: usize) -> u32 {
+        assert!(
+            row < self.len,
+            "row {row} out of range for column of {} rows",
+            self.len
+        );
+        if self.width == 0 {
+            return 0;
+        }
+        let (word, shift) = self.locate(row);
+        ((self.words[word] >> shift) & self.mask) as u32
+    }
+
+    /// Visit the codes of rows `lo..hi` in order. Panics on an out-of-range
+    /// or inverted range.
+    pub fn for_each_range(&self, lo: usize, hi: usize, mut f: impl FnMut(u32)) {
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
+        if self.width == 0 {
+            for _ in lo..hi {
+                f(0);
+            }
+            return;
+        }
+        visit_words(&self.words, self.width, lo, hi, &mut f);
+    }
+
+    /// Visit every code in row order.
+    pub fn for_each_code(&self, f: impl FnMut(u32)) {
+        self.for_each_range(0, self.len, f);
+    }
+
+    /// Decode rows `lo..hi` into `out`, which must hold exactly `hi - lo`
+    /// slots.
+    pub fn decode_range_into(&self, lo: usize, hi: usize, out: &mut [u32]) {
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
+        assert_eq!(out.len(), hi - lo, "output slice must match the range");
+        // Const-width dispatch: the common small widths get fully unrolled
+        // shift/mask bodies; anything wider takes the generic loop.
+        match self.width {
+            0 => out.fill(0),
+            1 => decode_words_const::<1>(&self.words, lo, out),
+            2 => decode_words_const::<2>(&self.words, lo, out),
+            3 => decode_words_const::<3>(&self.words, lo, out),
+            4 => decode_words_const::<4>(&self.words, lo, out),
+            5 => decode_words_const::<5>(&self.words, lo, out),
+            6 => decode_words_const::<6>(&self.words, lo, out),
+            7 => decode_words_const::<7>(&self.words, lo, out),
+            8 => decode_words_const::<8>(&self.words, lo, out),
+            w => decode_words(&self.words, w, lo, out),
+        }
+    }
+
+    /// Decode the whole column into a reusable scratch vector (cleared and
+    /// resized to `len()`).
+    pub fn decode_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.resize(self.len, 0);
+        self.decode_range_into(0, self.len, out);
+    }
+
+    /// The backing words for kernels that unpack inline. Width-0 columns
+    /// store no words and return an empty slice.
+    pub fn iter_words(&self) -> &[u64] {
+        &self.words
+    }
 }
 
 /// Word-major decode of rows `lo..lo + out.len()` from an aligned packing.
@@ -275,64 +310,6 @@ fn visit_words(words: &[u64], width: u32, lo: usize, hi: usize, mut f: impl FnMu
             f((x & mask) as u32);
             x >>= width;
         }
-    }
-}
-
-impl ColumnAccess for PackedColumn {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn width(&self) -> u32 {
-        self.width
-    }
-
-    #[inline]
-    fn get(&self, row: usize) -> u32 {
-        assert!(
-            row < self.len,
-            "row {row} out of range for column of {} rows",
-            self.len
-        );
-        if self.width == 0 {
-            return 0;
-        }
-        let (word, shift) = self.locate(row);
-        ((self.words[word] >> shift) & self.mask) as u32
-    }
-
-    fn for_each_range(&self, lo: usize, hi: usize, mut f: impl FnMut(u32)) {
-        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
-        if self.width == 0 {
-            for _ in lo..hi {
-                f(0);
-            }
-            return;
-        }
-        visit_words(&self.words, self.width, lo, hi, &mut f);
-    }
-
-    fn decode_range_into(&self, lo: usize, hi: usize, out: &mut [u32]) {
-        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
-        assert_eq!(out.len(), hi - lo, "output slice must match the range");
-        // Const-width dispatch: the common small widths get fully unrolled
-        // shift/mask bodies; anything wider takes the generic loop.
-        match self.width {
-            0 => out.fill(0),
-            1 => decode_words_const::<1>(&self.words, lo, out),
-            2 => decode_words_const::<2>(&self.words, lo, out),
-            3 => decode_words_const::<3>(&self.words, lo, out),
-            4 => decode_words_const::<4>(&self.words, lo, out),
-            5 => decode_words_const::<5>(&self.words, lo, out),
-            6 => decode_words_const::<6>(&self.words, lo, out),
-            7 => decode_words_const::<7>(&self.words, lo, out),
-            8 => decode_words_const::<8>(&self.words, lo, out),
-            w => decode_words(&self.words, w, lo, out),
-        }
-    }
-
-    fn iter_words(&self) -> &[u64] {
-        &self.words
     }
 }
 

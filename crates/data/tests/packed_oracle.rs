@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use synrd_data::{Attribute, ColumnAccess, Dataset, Domain};
+use synrd_data::{Attribute, Dataset, Domain};
 
 /// Cardinalities chosen to stress the packing (see module docs).
 fn card_strategy() -> impl Strategy<Value = usize> {

@@ -11,7 +11,7 @@
 //! The hot path (belief-propagation inside mirror descent) never
 //! materializes a union scope: [`Factor::mul_assign_broadcast`] and
 //! [`Factor::div_assign_broadcast`] walk the larger operand once with a
-//! precomputed per-axis stride table ([`StridePlan`]), and
+//! precomputed per-axis stride table (`StridePlan`), and
 //! [`Factor::marginalize_keep`] accumulates through the same strided walk.
 //! Every kernel performs the *same floating-point operations in the same
 //! order* as the retained naive expand-then-zip implementations, so results

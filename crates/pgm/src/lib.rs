@@ -13,13 +13,14 @@
 //!   warm-up via [`workspace::CalibrationWorkspace`];
 //! * [`estimation`] — mirror-descent fitting of clique potentials to noisy
 //!   marginal measurements, with backtracking line search;
-//! * [`sampling`] — batched, clique-major, rayon-parallel ancestral
-//!   sampling from the calibrated tree (bit-identical to the retained
-//!   per-row oracle);
+//! * [`sampling`] — batched, clique-major ancestral sampling from the
+//!   calibrated tree (bit-identical to the retained per-row oracle), and
+//!   [`assemble_chunks`], the one chunk-and-stitch harness every
+//!   synthesizer's row generation runs through;
 //! * [`spanning_tree`] — Kruskal maximum spanning tree / union-find (also
 //!   used directly by the MST synthesizer);
 //! * [`workspace`] — the reusable scratch arena threaded through
-//!   `calibrate` → `estimate` → `TreeSampler`.
+//!   `calibrate` → `estimate`.
 //!
 //! Each kernel keeps one naive oracle, compiled in every build: the
 //! original allocate-per-operation factor algebra
@@ -49,8 +50,7 @@ pub use factor::{factor_buffer_allocs, log_sum_exp, Factor};
 pub use inference::{calibrate, calibrate_into, calibrate_naive, CalibratedTree};
 pub use junction_tree::JunctionTree;
 pub use sampling::{
-    assemble_chunks, parallel_rows, record_sampling_pass, rows_sampled, samplers_built,
-    sampling_passes, search_cumulative, NaiveSampler, SamplingWorkspace, TreeSampler,
+    assemble_chunks, rows_sampled, samplers_built, search_cumulative, NaiveSampler, TreeSampler,
 };
 pub use spanning_tree::{maximum_spanning_tree, UnionFind};
 pub use workspace::CalibrationWorkspace;

@@ -1,4 +1,5 @@
-//! Batched, clique-major ancestral sampling from a calibrated junction tree.
+//! Batched, clique-major ancestral sampling from a calibrated junction tree,
+//! and the row-generation harness every synthesizer samples through.
 //!
 //! The sampler walks each tree component from a root clique: the root's
 //! joint is sampled directly, each child clique is then sampled conditioned
@@ -12,9 +13,15 @@
 //! rows are grouped by separator configuration so each group's draws search
 //! the same cumulative slice back to back, and the chosen cell's attribute
 //! codes come from a pre-decoded table instead of a per-draw div/mod chain.
-//! Work is chunked over rows and rayon-parallelized with integer-indexed
-//! uniform slices, so the parallel pass is bit-identical to the sequential
-//! one (each row depends only on its own uniforms).
+//!
+//! [`assemble_chunks`] is the one harness that runs a generation pass: it
+//! decides whether the pass fans out across threads, counts its rows in
+//! [`rows_sampled`], resolves row ranges through the caller's chunk sampler
+//! and stitches the chunks' columns in chunk order. `TreeSampler` and the
+//! `synrd-synth` samplers (GEM, PrivBayes, PATE-CTGAN) all pre-draw their
+//! randomness and hand it to the harness; each chunk reads integer-indexed
+//! slices of it, so the parallel pass is bit-identical to the sequential
+//! one (each row depends only on its own draws).
 //!
 //! The original per-row implementation is retained as [`NaiveSampler`],
 //! the differential-testing oracle (`tests/sampling_equivalence.rs` pins
@@ -25,21 +32,16 @@
 
 use crate::error::Result;
 use crate::estimation::FittedModel;
-use crate::factor::strides_of;
+use crate::factor::{note_buffer_alloc, strides_of};
 use crate::junction_tree::JunctionTree;
-use crate::workspace::CalibrationWorkspace;
 use rand::Rng;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of synthetic rows generated by batched sampling
+/// Process-wide count of synthetic rows generated by [`assemble_chunks`]
 /// passes (the sampling-side mirror of the grid driver's fit counter and
 /// the marginal engine's counting counter).
 static ROWS_SAMPLED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of batched generation passes (one per `sample` /
-/// `sample_columns` call; the naive oracle does not count).
-static SAMPLING_PASSES: AtomicU64 = AtomicU64::new(0);
 
 /// Total synthetic rows generated by batched sampling passes in this
 /// process. Purely observational, like [`crate::factor_buffer_allocs`]:
@@ -49,13 +51,8 @@ pub fn rows_sampled() -> u64 {
     ROWS_SAMPLED.load(Ordering::Relaxed)
 }
 
-/// Total batched generation passes performed in this process.
-pub fn sampling_passes() -> u64 {
-    SAMPLING_PASSES.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of [`TreeSampler`] constructions (every path: fresh,
-/// workspace-reusing, and the test-only table constructor).
+/// Process-wide count of [`TreeSampler`] constructions (every path: from a
+/// fitted model and the test-only table constructor).
 static SAMPLERS_BUILT: AtomicU64 = AtomicU64::new(0);
 
 /// Total `TreeSampler` constructions in this process. Observational, like
@@ -65,15 +62,6 @@ static SAMPLERS_BUILT: AtomicU64 = AtomicU64::new(0);
 /// not once per bootstrap draw.
 pub fn samplers_built() -> u64 {
     SAMPLERS_BUILT.load(Ordering::Relaxed)
-}
-
-/// Record one batched generation pass of `rows` rows. The `TreeSampler`
-/// records its own passes; the non-PGM synthesizers (GEM, PrivBayes,
-/// PATECTGAN) call this from their batched samplers so the process-wide
-/// counters cover every synthesis path.
-pub fn record_sampling_pass(rows: u64) {
-    SAMPLING_PASSES.fetch_add(1, Ordering::Relaxed);
-    ROWS_SAMPLED.fetch_add(rows, Ordering::Relaxed);
 }
 
 /// Inverse-CDF slot for a uniform draw `u` over a cumulative table: the
@@ -107,29 +95,43 @@ fn production_sample_chunk(rows: usize) -> usize {
     SAMPLE_CHUNK_ROWS.max(rows.div_ceil(max_chunks))
 }
 
-/// Whether a batched sampling pass over `n` rows should fan out across
-/// threads (below the threshold the per-chunk allocations outweigh the
-/// win). One copy of the policy for every sampler in the workspace — the
-/// `TreeSampler` and the `synrd-synth` batched samplers share it.
-pub fn parallel_rows(n: usize) -> bool {
+/// Whether a sampling pass over `n` rows fans out across threads.
+fn parallel_rows(n: usize) -> bool {
     n >= SAMPLE_PAR_THRESHOLD && rayon::current_num_threads() > 1
 }
 
-/// Run `sample_chunk` over row ranges covering `0..n` — in rayon-parallel
-/// chunks when `parallel` is set — and stitch the per-chunk column blocks
-/// in chunk order. Each chunk must read only integer-indexed slices of the
-/// caller's pre-drawn randomness, which makes the stitched result
-/// bit-identical to the sequential single-chunk pass. This is the
-/// generation harness the non-PGM synthesizers (GEM, PrivBayes, PATECTGAN)
-/// batch through; `TreeSampler` applies the same chunk policy internally
-/// with its reusable workspace.
+/// Generate `n` rows of `d` columns through `sample_chunk`, which returns
+/// the `d` columns of rows `lo..hi`. The harness picks the chunking and
+/// whether the pass fans out across threads, adds `n` to
+/// [`rows_sampled`], and stitches the chunks' columns in chunk order. Each
+/// chunk must read only integer-indexed slices of the caller's pre-drawn
+/// randomness, which makes the stitched result bit-identical to the
+/// sequential single-chunk pass.
 pub fn assemble_chunks(
     n: usize,
     d: usize,
+    sample_chunk: impl Fn(usize, usize) -> Vec<Vec<u32>> + Sync,
+) -> Vec<Vec<u32>> {
+    run_chunks(
+        n,
+        d,
+        production_sample_chunk(n),
+        parallel_rows(n),
+        sample_chunk,
+    )
+}
+
+/// The chunk-and-stitch loop behind [`assemble_chunks`], with the chunk
+/// size and fan-out given (the test hook
+/// [`TreeSampler::sample_columns_chunked`] forces small parallel chunks).
+fn run_chunks(
+    n: usize,
+    d: usize,
+    chunk_rows: usize,
     parallel: bool,
     sample_chunk: impl Fn(usize, usize) -> Vec<Vec<u32>> + Sync,
 ) -> Vec<Vec<u32>> {
-    let chunk_rows = production_sample_chunk(n);
+    ROWS_SAMPLED.fetch_add(n as u64, Ordering::Relaxed);
     let n_chunks = n.div_ceil(chunk_rows).max(1);
     if !parallel || n_chunks <= 1 {
         return sample_chunk(0, n);
@@ -145,33 +147,6 @@ pub fn assemble_chunks(
         }
     }
     columns
-}
-
-/// Reusable scratch for batched sampling: the pre-drawn uniform buffer plus
-/// the sequential pass's per-chunk scratch (parallel chunks build their
-/// own). Analogous to [`CalibrationWorkspace`] on the calibration side —
-/// hold one across repeated [`TreeSampler::sample_columns_with`] calls to
-/// amortize the buffers.
-#[derive(Debug, Default)]
-pub struct SamplingWorkspace {
-    uniforms: Vec<f64>,
-    scratch: ChunkScratch,
-}
-
-impl SamplingWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> SamplingWorkspace {
-        SamplingWorkspace::default()
-    }
-}
-
-/// Per-chunk scratch: separator-group id per row and the counting-sort
-/// buffers that bucket rows by group.
-#[derive(Debug, Default)]
-struct ChunkScratch {
-    group_of_row: Vec<usize>,
-    counts: Vec<usize>,
-    order: Vec<u32>,
 }
 
 /// Precomputed sampler for a fitted model.
@@ -384,10 +359,7 @@ impl Node {
 /// (the equivalence tests, which need to force degenerate cases such as
 /// all-zero-mass separator groups).
 enum ProbSource<'a> {
-    Model {
-        model: &'a FittedModel,
-        ws: &'a mut CalibrationWorkspace,
-    },
+    Model(&'a FittedModel),
     Tables(&'a [Vec<f64>]),
 }
 
@@ -407,8 +379,17 @@ impl<'a> ProbSource<'a> {
 /// tables in BFS order (parents first), handing each to `each` as soon as
 /// it is built — so a caller that flattens them holds one clique's grouped
 /// tables at a time.
-fn build_cliques(tree: &JunctionTree, mut source: ProbSource<'_>, mut each: impl FnMut(Clique)) {
+fn build_cliques(tree: &JunctionTree, source: ProbSource<'_>, mut each: impl FnMut(Clique)) {
     let k = tree.cliques().len();
+    // Belief probabilities are materialized one clique at a time into a
+    // scratch sized to the largest clique.
+    let mut prob_scratch = match source {
+        ProbSource::Model(_) => {
+            note_buffer_alloc();
+            vec![0.0; tree.max_clique_cells().max(1)]
+        }
+        ProbSource::Tables(_) => Vec::new(),
+    };
 
     let mut parent: Vec<Option<(usize, usize)>> = vec![None; k];
     let mut order = Vec::with_capacity(k);
@@ -435,10 +416,10 @@ fn build_cliques(tree: &JunctionTree, mut source: ProbSource<'_>, mut each: impl
         let attrs = tree.cliques()[c].clone();
         let shape = tree.clique_shape(c).to_vec();
         let strides = strides_of(&shape);
-        let probs: &[f64] = match &mut source {
-            ProbSource::Model { model, ws } => {
+        let probs: &[f64] = match source {
+            ProbSource::Model(model) => {
                 let belief = &model.calibrated().beliefs[c];
-                let buf = &mut ws.prob_scratch_mut()[..belief.n_cells()];
+                let buf = &mut prob_scratch[..belief.n_cells()];
                 belief.probabilities_into(buf);
                 buf
             }
@@ -519,24 +500,7 @@ fn build_cliques(tree: &JunctionTree, mut source: ProbSource<'_>, mut each: impl
 impl TreeSampler {
     /// Build the sampler from a fitted model.
     pub fn new(model: &FittedModel) -> Result<TreeSampler> {
-        let mut ws = CalibrationWorkspace::new();
-        Self::new_with_workspace(model, &mut ws)
-    }
-
-    /// Build the sampler reusing a calibration workspace's probability
-    /// scratch (the same arena a synthesizer threads through
-    /// [`crate::estimation::estimate_with`]), so belief probabilities are
-    /// materialized without per-clique factor-buffer allocations.
-    pub fn new_with_workspace(
-        model: &FittedModel,
-        ws: &mut CalibrationWorkspace,
-    ) -> Result<TreeSampler> {
-        let tree = model.tree();
-        // Only the probability scratch is needed here; a workspace already
-        // built for this tree (the estimate_with flow) reuses it as-is,
-        // and a fresh one sizes just that buffer — not plans or messages.
-        ws.ensure_prob_scratch(tree);
-        Ok(Self::build(tree, ProbSource::Model { model, ws }))
+        Ok(Self::build(model.tree(), ProbSource::Model(model)))
     }
 
     /// Test-only constructor from raw (unnormalized; negatives are clamped
@@ -560,29 +524,19 @@ impl TreeSampler {
     }
 
     /// Sample `n` rows into column-major storage through the batched
-    /// clique-major engine (allocating a fresh [`SamplingWorkspace`]; use
-    /// [`TreeSampler::sample_columns_with`] to amortize the scratch across
-    /// calls). Bit-identical to [`NaiveSampler`] for the same RNG state,
-    /// sequential or parallel.
+    /// clique-major engine and the [`assemble_chunks`] harness.
+    /// Bit-identical to [`NaiveSampler`] for the same RNG state, sequential
+    /// or parallel.
     pub fn sample_columns<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<u32>> {
-        let mut ws = SamplingWorkspace::new();
-        self.sample_columns_with(n, rng, &mut ws)
-    }
-
-    /// [`TreeSampler::sample_columns`] with a caller-held scratch arena.
-    pub fn sample_columns_with<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-        ws: &mut SamplingWorkspace,
-    ) -> Vec<Vec<u32>> {
-        let parallel = n >= SAMPLE_PAR_THRESHOLD && rayon::current_num_threads() > 1;
-        self.sample_columns_impl(n, rng, ws, production_sample_chunk(n), parallel)
+        let uniforms = self.draw_uniforms(n, rng);
+        assemble_chunks(n, self.n_attrs, |lo, hi| {
+            self.sample_chunk(lo, hi, n, &uniforms)
+        })
     }
 
     /// Test/bench hook: sample with an explicit chunk size, always taking
-    /// the chunked-merge code path. The differential proptests use it to
-    /// pin chunk-parallel vs sequential bit-identity.
+    /// the parallel chunk-and-stitch path of the harness. The differential
+    /// proptests use it to pin chunk-parallel vs sequential bit-identity.
     #[doc(hidden)]
     pub fn sample_columns_chunked<R: Rng + ?Sized>(
         &self,
@@ -590,81 +544,42 @@ impl TreeSampler {
         rng: &mut R,
         chunk_rows: usize,
     ) -> Vec<Vec<u32>> {
-        let mut ws = SamplingWorkspace::new();
-        self.sample_columns_impl(n, rng, &mut ws, chunk_rows.max(1), true)
+        let uniforms = self.draw_uniforms(n, rng);
+        run_chunks(n, self.n_attrs, chunk_rows.max(1), true, |lo, hi| {
+            self.sample_chunk(lo, hi, n, &uniforms)
+        })
     }
 
-    fn sample_columns_impl<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-        ws: &mut SamplingWorkspace,
-        chunk_rows: usize,
-        parallel: bool,
-    ) -> Vec<Vec<u32>> {
-        record_sampling_pass(n as u64);
+    /// Pre-draw every (row, clique) uniform in the exact row-major order
+    /// the per-row sampler consumes them — the same RNG-word sequence as
+    /// `for row { for clique { rng.gen() } }`, which is what keeps the
+    /// batched output bit-identical to the retained naive path (and to the
+    /// pre-rewrite sampler). Storage is *clique-major*
+    /// (`uniforms[clique * n + row]`): the draw order fixes the values, the
+    /// transposed layout gives every clique pass a sequential read stream
+    /// instead of one cache line per draw.
+    fn draw_uniforms<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<f64> {
         let k = self.nodes.len();
-        // Pre-draw every (row, clique) uniform in the exact row-major order
-        // the per-row sampler consumes them — the same RNG-word sequence as
-        // `for row { for clique { rng.gen() } }`, which is what keeps the
-        // batched output bit-identical to the retained naive path (and to
-        // the pre-rewrite sampler). Storage is *clique-major*
-        // (`uniforms[clique * n + row]`): the draw order fixes the values,
-        // the transposed layout gives every clique pass a sequential read
-        // stream instead of one cache line per draw.
-        if ws.uniforms.len() < n * k {
-            ws.uniforms.resize(n * k, 0.0);
-        }
-        let buf = &mut ws.uniforms[..n * k];
+        let mut uniforms = vec![0.0; n * k];
         for r in 0..n {
             for ni in 0..k {
-                buf[ni * n + r] = rng.gen();
+                uniforms[ni * n + r] = rng.gen();
             }
         }
-        let uniforms: &[f64] = &ws.uniforms[..n * k];
-
-        let chunk_rows = chunk_rows.max(1);
-        let n_chunks = n.div_ceil(chunk_rows).max(1);
-        if !parallel || n_chunks <= 1 {
-            // Sequential pass: one chunk spanning every row, reusing the
-            // workspace scratch.
-            return self.sample_chunk(0, n, n, uniforms, &mut ws.scratch);
-        }
-        // Each chunk owns rows `lo..hi` and indexes the shared uniform
-        // buffer by integer row index, so its output is independent of
-        // every other chunk; stitching blocks in chunk order is therefore
-        // bit-identical to the sequential pass.
-        let blocks: Vec<Vec<Vec<u32>>> = (0..n_chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk_rows;
-                let hi = ((c + 1) * chunk_rows).min(n);
-                let mut scratch = ChunkScratch::default();
-                self.sample_chunk(lo, hi, n, uniforms, &mut scratch)
-            })
-            .collect();
-        let mut columns: Vec<Vec<u32>> = (0..self.n_attrs).map(|_| Vec::with_capacity(n)).collect();
-        for block in blocks {
-            for (col, part) in columns.iter_mut().zip(block) {
-                col.extend_from_slice(&part);
-            }
-        }
-        columns
+        uniforms
     }
 
     /// Generate rows `lo..hi` (of a pass over `n` total rows) clique-major
     /// into fresh column storage of length `hi - lo`, reading each clique's
     /// sequential uniform stream `uniforms[clique * n + row]`.
-    fn sample_chunk(
-        &self,
-        lo: usize,
-        hi: usize,
-        n: usize,
-        uniforms: &[f64],
-        scratch: &mut ChunkScratch,
-    ) -> Vec<Vec<u32>> {
+    fn sample_chunk(&self, lo: usize, hi: usize, n: usize, uniforms: &[f64]) -> Vec<Vec<u32>> {
         let rows = hi - lo;
         let mut local: Vec<Vec<u32>> = (0..self.n_attrs).map(|_| vec![0u32; rows]).collect();
+        // Separator-group id per row, and the counting-sort buffers that
+        // bucket rows by group; sized on first use.
+        let mut group_of_row: Vec<usize> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut order: Vec<u32> = Vec::new();
         for (ni, node) in self.nodes.iter().enumerate() {
             let u_col = &uniforms[ni * n + lo..ni * n + hi];
             // Every group is `members ≥ 1` slots wide (the clique has at
@@ -680,10 +595,7 @@ impl TreeSampler {
             // accumulated column-by-column (one streaming pass per
             // separator attribute; the first pass writes instead of
             // zero-then-add, so no memset is needed).
-            if scratch.group_of_row.len() < rows {
-                scratch.group_of_row.resize(rows, 0);
-            }
-            let group_of_row = &mut scratch.group_of_row[..rows];
+            group_of_row.resize(rows, 0);
             for (k2, &pos) in node.sep_positions.iter().enumerate() {
                 let stride = node.sep_strides[k2];
                 let col = &local[node.attrs[pos]];
@@ -702,31 +614,29 @@ impl TreeSampler {
             // counting sort and its scattered accesses cost more than they
             // save. (The rule reads only table/row sizes, so it cannot
             // affect the sampled codes — row order never does.)
-            let group_of_row = &scratch.group_of_row[..rows];
             let bucket_worthwhile = n_groups <= rows && node.cum_flat.len() > (1 << 15);
             if bucket_worthwhile {
                 // Stable counting sort, then resolve each group's draws
                 // back to back over one hot cumulative slice. Row order
                 // within a group does not affect the result — each row
                 // depends only on its own uniform.
-                scratch.counts.clear();
-                scratch.counts.resize(n_groups + 1, 0);
-                for &g in group_of_row {
-                    scratch.counts[g + 1] += 1;
+                counts.clear();
+                counts.resize(n_groups + 1, 0);
+                for &g in &group_of_row {
+                    counts[g + 1] += 1;
                 }
-                for i in 1..scratch.counts.len() {
-                    scratch.counts[i] += scratch.counts[i - 1];
+                for i in 1..counts.len() {
+                    counts[i] += counts[i - 1];
                 }
-                scratch.order.clear();
-                scratch.order.resize(rows, 0);
+                order.resize(rows, 0);
                 for (r, &g) in group_of_row.iter().enumerate() {
-                    scratch.order[scratch.counts[g]] = r as u32;
-                    scratch.counts[g] += 1;
+                    order[counts[g]] = r as u32;
+                    counts[g] += 1;
                 }
                 let mut start = 0usize;
                 for g in 0..n_groups {
-                    let end = scratch.counts[g];
-                    for &r in &scratch.order[start..end] {
+                    let end = counts[g];
+                    for &r in &order[start..end] {
                         node.emit_row(g, r as usize, u_col[r as usize], &mut local);
                     }
                     start = end;
@@ -734,7 +644,7 @@ impl TreeSampler {
             } else {
                 // Cache-resident tables (or more configurations than
                 // rows): resolve rows in row order directly.
-                node.emit_rows(Some(group_of_row), u_col, &mut local);
+                node.emit_rows(Some(&group_of_row), u_col, &mut local);
             }
         }
         local
@@ -755,10 +665,7 @@ pub struct NaiveSampler {
 impl NaiveSampler {
     /// Build the oracle from a fitted model.
     pub fn new(model: &FittedModel) -> Result<NaiveSampler> {
-        let tree = model.tree();
-        let mut ws = CalibrationWorkspace::new();
-        ws.ensure_prob_scratch(tree);
-        Ok(Self::build(tree, ProbSource::Model { model, ws: &mut ws }))
+        Ok(Self::build(model.tree(), ProbSource::Model(model)))
     }
 
     /// The oracle over raw per-clique tables, like
@@ -892,11 +799,10 @@ mod tests {
     fn counters_advance_with_batched_passes() {
         let model = fit_chain();
         let sampler = TreeSampler::new(&model).unwrap();
-        let (rows0, passes0) = (rows_sampled(), sampling_passes());
+        let rows0 = rows_sampled();
         sampler.sample_columns(123, &mut StdRng::seed_from_u64(3));
-        // ≥, not ==: the counters are process-wide and other tests in this
+        // ≥, not ==: the counter is process-wide and other tests in this
         // binary may sample concurrently.
         assert!(rows_sampled() >= rows0 + 123);
-        assert!(sampling_passes() > passes0);
     }
 }

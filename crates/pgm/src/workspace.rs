@@ -3,7 +3,7 @@
 //! [`CalibrationWorkspace`] owns every buffer and precomputed stride table
 //! that belief propagation needs for a given junction tree: the BFS
 //! schedule, one separator-scoped message factor per directed edge, one
-//! [`StridePlan`] per edge side (used both to broadcast a message onto its
+//! stride plan per edge side (used both to broadcast a message onto its
 //! clique and to marginalize a clique product onto its separator), and
 //! clique-sized scratch slices. Built once (lazily, on the first
 //! [`crate::inference::calibrate_into`] call), then reused across every
@@ -41,8 +41,6 @@ pub struct CalibrationWorkspace {
     /// clique (safe upper bound for separators and measurement scopes).
     pub(crate) marg_maxes: Vec<f64>,
     pub(crate) marg_sums: Vec<f64>,
-    /// Probability scratch sized to the largest clique (sampler, loss).
-    pub(crate) prob_scratch: Vec<f64>,
     /// Flat max/sum arena for the estimation loss pass: one disjoint
     /// `(maxes, sums)` pair per measurement target, so targets can be
     /// marginalized concurrently (and the sequential path replays exactly
@@ -168,7 +166,6 @@ impl CalibrationWorkspace {
         note_buffer_alloc(); // clique_scratch
         note_buffer_alloc(); // marg_maxes
         note_buffer_alloc(); // marg_sums
-        note_buffer_alloc(); // prob_scratch
 
         self.fingerprint = fp;
         self.order = order;
@@ -179,14 +176,7 @@ impl CalibrationWorkspace {
         self.clique_scratch = vec![0.0; max_clique_cells];
         self.marg_maxes = vec![0.0; max_clique_cells];
         self.marg_sums = vec![0.0; max_clique_cells];
-        self.prob_scratch = vec![0.0; max_clique_cells];
         Ok(())
-    }
-
-    /// Probability scratch (at least the largest clique's cell count);
-    /// available after the workspace has been built for a tree.
-    pub(crate) fn prob_scratch_mut(&mut self) -> &mut [f64] {
-        &mut self.prob_scratch
     }
 
     /// Grow the per-target marginalization arena to at least `len` floats
@@ -197,21 +187,6 @@ impl CalibrationWorkspace {
         if self.target_scratch.len() < len {
             note_buffer_alloc();
             self.target_scratch.resize(len, 0.0);
-        }
-    }
-
-    /// Size only the probability scratch for `tree` (a no-op when the
-    /// workspace was already built for it). Consumers that need just the
-    /// scratch — sampler construction through a fresh workspace — must not
-    /// pay for message factors and stride plans they never read.
-    pub(crate) fn ensure_prob_scratch(&mut self, tree: &JunctionTree) {
-        if self.fingerprint == tree_fingerprint(tree) {
-            return;
-        }
-        let cells = tree.max_clique_cells().max(1);
-        if self.prob_scratch.len() < cells {
-            note_buffer_alloc();
-            self.prob_scratch = vec![0.0; cells];
         }
     }
 }

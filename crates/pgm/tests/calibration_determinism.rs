@@ -275,7 +275,7 @@ fn fit_allocations_are_independent_of_iteration_count() {
         let mut ws = CalibrationWorkspace::new();
         let before = factor_buffer_allocs();
         let model = synrd_pgm::estimate_with(&domain, &ms, opts, &mut ws).unwrap();
-        let sampler = synrd_pgm::TreeSampler::new_with_workspace(&model, &mut ws).unwrap();
+        let sampler = synrd_pgm::TreeSampler::new(&model).unwrap();
         let _ = sampler;
         factor_buffer_allocs() - before
     };

@@ -10,8 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
 use synrd_pgm::{
-    estimate, EstimationOptions, JunctionTree, NaiveSampler, NoisyMeasurement, SamplingWorkspace,
-    TreeSampler,
+    estimate, EstimationOptions, JunctionTree, NaiveSampler, NoisyMeasurement, TreeSampler,
 };
 
 /// A random domain (including cardinality-1 attributes), random pair/triple
@@ -96,32 +95,12 @@ proptest! {
     ) {
         let tree = JunctionTree::build(&shape, &sets, 1 << 16).unwrap();
         let sampler = TreeSampler::from_probabilities(&tree, &tables_for(&tree, &vals)).unwrap();
-        let mut ws = SamplingWorkspace::new();
-        let sequential =
-            sampler.sample_columns_with(n, &mut StdRng::seed_from_u64(seed), &mut ws);
+        let sequential = sampler.sample_columns(n, &mut StdRng::seed_from_u64(seed));
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let chunked = pool.install(|| {
             sampler.sample_columns_chunked(n, &mut StdRng::seed_from_u64(seed), chunk)
         });
         prop_assert_eq!(sequential, chunked);
-    }
-
-    /// Workspace reuse across calls never changes the sampled codes: a
-    /// fresh-workspace call and a reused-workspace call agree bit for bit.
-    #[test]
-    fn workspace_reuse_is_transparent(
-        (shape, sets, vals) in random_problem(),
-        n in 0usize..=120,
-        seed in 0u64..1_000,
-    ) {
-        let tree = JunctionTree::build(&shape, &sets, 1 << 16).unwrap();
-        let sampler = TreeSampler::from_probabilities(&tree, &tables_for(&tree, &vals)).unwrap();
-        let mut ws = SamplingWorkspace::new();
-        // Dirty the workspace with a different-size pass first.
-        sampler.sample_columns_with(n / 2 + 3, &mut StdRng::seed_from_u64(seed ^ 1), &mut ws);
-        let reused = sampler.sample_columns_with(n, &mut StdRng::seed_from_u64(seed), &mut ws);
-        let fresh = sampler.sample_columns(n, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(reused, fresh);
     }
 }
 

@@ -10,7 +10,7 @@
 //! Three layers, each testable without the one above:
 //!
 //! * [`FitService`] — restores synthesizers from a
-//!   [`DiskFitCache`](synrd_store::DiskFitCache) on first use and memoizes
+//!   [`DiskFitCache`] on first use and memoizes
 //!   them in memory (an `RwLock` map of `Arc`ed synthesizers; the
 //!   [`Synthesizer`] trait is `Send + Sync`, so one restored model serves
 //!   every worker concurrently).

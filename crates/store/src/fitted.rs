@@ -1,6 +1,6 @@
 //! Codecs for fitted synthesizer state — the payloads of the fit cache.
 //!
-//! A [`FittedState`](synrd_synth::FittedState) is whatever a synthesizer
+//! A [`FittedState`] is whatever a synthesizer
 //! needs to sample without refitting: junction-tree beliefs for the PGM
 //! family, conditional probability tables for PrivBayes, the product
 //! distribution and Adam moments for GEM, and the generator MLP for

@@ -1,10 +1,10 @@
 //! # synrd-store — the persistent result store
 //!
 //! PR 1 made every grid cell a pure function of
-//! `(master seed, paper, synthesizer, ε)` via [`synrd_dp::grid_seed`]; this
+//! `(master seed, paper, synthesizer, ε)` via `synrd_dp::grid_seed`; this
 //! crate turns that purity into infrastructure:
 //!
-//! * [`json`] / [`parse`] — a hand-rolled, dependency-free **canonical
+//! * [`json`] / [`parse`](mod@parse) — a hand-rolled, dependency-free **canonical
 //!   JSON** writer and recursive-descent parser (the build environment has
 //!   no crates.io, so no serde). Floats round-trip bit-for-bit, including
 //!   the NaN/∞ values of crosshatched cells; equal values always serialize

@@ -29,10 +29,9 @@ use crate::{FitContext, FittedState, Synthesizer};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use synrd_data::{Dataset, Domain, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
-use synrd_pgm::{parallel_rows, record_sampling_pass, search_cumulative, NoisyMeasurement};
+use synrd_pgm::{assemble_chunks, search_cumulative, NoisyMeasurement};
 
 /// Configuration for [`Gem`].
 #[derive(Debug, Clone, Copy)]
@@ -348,7 +347,7 @@ impl Synthesizer for Gem {
         let cums = cumulative_tables(model);
         // Pre-draw the mixture-component pick and the per-attribute
         // uniforms of every row in the exact row-major order the per-row
-        // sampler consumed them, so the node-major pass below is
+        // sampler consumed them, so the chunked node-major pass below is
         // bit-identical to it.
         let mut comps: Vec<u32> = Vec::with_capacity(n);
         let mut uniforms: Vec<f64> = Vec::with_capacity(n * d);
@@ -358,26 +357,24 @@ impl Synthesizer for Gem {
                 uniforms.push(rng.gen());
             }
         }
-        record_sampling_pass(n as u64);
-        // Node-major batched ancestral sampling: resolve one attribute
-        // across all rows off its precomputed per-component cumulative
-        // tables. Columns are independent given the pre-drawn randomness,
-        // so the parallel map is bit-identical to the sequential one.
-        let build_column = |a: &usize| -> Vec<u32> {
-            let a = *a;
-            (0..n)
-                .map(|r| {
-                    let cum = &cums[comps[r] as usize][a];
-                    search_cumulative(cum, uniforms[r * d + a]) as u32
+        // Node-major batched sampling over a chunk of rows: resolve one
+        // attribute across the chunk off its precomputed per-component
+        // cumulative tables. Each row reads only its own pre-drawn
+        // randomness, so the harness's parallel pass is bit-identical to
+        // the sequential one.
+        let sample_chunk = |lo: usize, hi: usize| -> Vec<Vec<u32>> {
+            (0..d)
+                .map(|a| {
+                    (lo..hi)
+                        .map(|r| {
+                            let cum = &cums[comps[r] as usize][a];
+                            search_cumulative(cum, uniforms[r * d + a]) as u32
+                        })
+                        .collect()
                 })
                 .collect()
         };
-        let attrs: Vec<usize> = (0..d).collect();
-        let columns: Vec<Vec<u32>> = if parallel_rows(n) && d > 1 {
-            attrs.par_iter().map(build_column).collect()
-        } else {
-            attrs.iter().map(build_column).collect()
-        };
+        let columns = assemble_chunks(n, d, sample_chunk);
         dataset_from_columns(domain, columns)
     }
 
@@ -803,8 +800,14 @@ mod tests {
             learning_rate: 0.1,
         });
         synth.fit(&data, Privacy::zcdp(1.0).unwrap(), 5).unwrap();
+        // In a 4-thread pool, 20,000 rows take the harness's parallel
+        // chunk path on any host.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
         for (n, seed) in [(0usize, 1u64), (1, 2), (513, 3), (20_000, 4)] {
-            let batched = synth.sample(n, seed).unwrap();
+            let batched = pool.install(|| synth.sample(n, seed)).unwrap();
             let naive = synth.sample_naive(n, seed).unwrap();
             assert_eq!(batched, naive, "n = {n}");
         }

@@ -37,10 +37,10 @@ pub use privbayes::{BayesNode, PrivBayes, PrivBayesOptions};
 pub use privmrf::{PrivMrf, PrivMrfOptions};
 pub use scoring::{aim_candidate_score, map_scores, mst_edge_score};
 pub use workload::{all_pairs, all_pairs_under, WorkloadQuery};
-// Sampling-side process counters (mirrors of the grid fit counter and the
+// The sampling-side process counter (mirror of the grid fit counter and the
 // marginal counting counter), re-exported so the grid driver and tests can
-// read them without a direct synrd-pgm dependency.
-pub use synrd_pgm::{rows_sampled, sampling_passes};
+// read it without a direct synrd-pgm dependency.
+pub use synrd_pgm::rows_sampled;
 // The ML backend (`cpu | simd`, and the `auto` default), re-exported so
 // callers can name a backend for [`FitContext::backend`] without a direct
 // synrd-ml dependency.
@@ -195,10 +195,8 @@ pub trait Synthesizer: Send + Sync {
     fn sample(&self, n: usize, seed: u64) -> Result<Dataset>;
 
     /// Export the fitted model as plain serializable state. `None` when not
-    /// fitted, or when the implementation does not support state export.
-    fn fitted_state(&self) -> Option<FittedState> {
-        None
-    }
+    /// fitted.
+    fn fitted_state(&self) -> Option<FittedState>;
 
     /// Replace any prior fit with a previously exported state, so that
     /// subsequent [`sample`] calls replay exactly as on the fitting process.
@@ -208,15 +206,7 @@ pub trait Synthesizer: Send + Sync {
     /// variant or internally inconsistent.
     ///
     /// [`sample`]: Synthesizer::sample
-    fn restore_state(&mut self, state: FittedState) -> Result<()> {
-        Err(SynthError::StateMismatch {
-            reason: format!(
-                "{}: state restore unsupported (got {} state)",
-                self.name(),
-                state.variant()
-            ),
-        })
-    }
+    fn restore_state(&mut self, state: FittedState) -> Result<()>;
 }
 
 /// Identifier for the six synthesizers (Figure 3/4 row order).

@@ -42,7 +42,7 @@ use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, MarginalEngine};
 use synrd_dp::{derive_seed, standard_laplace, standard_normal, Accountant, Privacy};
 use synrd_ml::{Activation, BatchWorkspace, Mlp};
-use synrd_pgm::{assemble_chunks, parallel_rows, record_sampling_pass};
+use synrd_pgm::assemble_chunks;
 
 /// Configuration for [`PateCtgan`].
 #[derive(Debug, Clone, Copy)]
@@ -413,7 +413,6 @@ impl Synthesizer for PateCtgan {
                 uniforms.push(rng.gen());
             }
         }
-        record_sampling_pass(n as u64);
         // Batched generator forward passes: chunked over rows and
         // rayon-parallel, and within a chunk one GEMM per layer per
         // `SAMPLE_TILE_ROWS` rows, decoded while the tile's logits are in
@@ -451,7 +450,7 @@ impl Synthesizer for PateCtgan {
             }
             cols
         };
-        let columns = assemble_chunks(n, d, parallel_rows(n), sample_chunk);
+        let columns = assemble_chunks(n, d, sample_chunk);
         dataset_from_columns(&fitted.domain, columns)
     }
 
@@ -678,10 +677,14 @@ mod tests {
         synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 3)
             .unwrap();
-        // 20,000 rows run the parallel chunk path (on more than one
-        // thread) with a ragged last chunk and a ragged last tile.
+        // In a 4-thread pool, 20,000 rows run the harness's parallel chunk
+        // path on any host, with a ragged last chunk and a ragged last tile.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
         for (n, seed) in [(0usize, 1u64), (1, 2), (311, 3), (20_000, 4)] {
-            let batched = synth.sample(n, seed).unwrap();
+            let batched = pool.install(|| synth.sample(n, seed)).unwrap();
             let naive = synth.sample_naive(n, seed).unwrap();
             assert_eq!(batched, naive, "n = {n}");
         }

@@ -20,7 +20,7 @@ use rand::RngCore;
 use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, Marginal, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_mechanism, laplace_mechanism, Privacy};
-use synrd_pgm::{assemble_chunks, parallel_rows, record_sampling_pass};
+use synrd_pgm::assemble_chunks;
 
 /// Configuration for [`PrivBayes`].
 #[derive(Debug, Clone, Copy)]
@@ -292,7 +292,6 @@ impl Synthesizer for PrivBayes {
         for _ in 0..n * k {
             words.push(rng.next_u64());
         }
-        record_sampling_pass(n as u64);
         let sample_chunk = |lo: usize, hi: usize| -> Vec<Vec<u32>> {
             let rows = hi - lo;
             // Row-major code scratch: ancestral sampling reads each row's
@@ -312,7 +311,7 @@ impl Synthesizer for PrivBayes {
                 .map(|a| (0..rows).map(|r| codes[r * d + a]).collect())
                 .collect()
         };
-        let columns = assemble_chunks(n, d, parallel_rows(n), sample_chunk);
+        let columns = assemble_chunks(n, d, sample_chunk);
         dataset_from_columns(domain, columns)
     }
 
@@ -583,8 +582,14 @@ mod tests {
         let data = parented_data(3_000);
         let mut synth = PrivBayes::default();
         synth.fit(&data, Privacy::pure(2.0).unwrap(), 7).unwrap();
+        // In a 4-thread pool, 20,000 rows take the harness's parallel
+        // chunk path on any host.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
         for (n, seed) in [(0usize, 1u64), (1, 2), (777, 3), (20_000, 4)] {
-            let batched = synth.sample(n, seed).unwrap();
+            let batched = pool.install(|| synth.sample(n, seed)).unwrap();
             let naive = synth.sample_naive(n, seed).unwrap();
             assert_eq!(batched, naive, "n = {n}");
         }
