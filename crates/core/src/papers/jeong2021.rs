@@ -55,57 +55,43 @@ fn prepare(ds: &Dataset) -> Result<SupervisedData> {
     Ok((features, y, groups))
 }
 
-/// One memoized pipeline run: dataset fingerprint, model family, and the
-/// (privileged, disadvantaged) group metrics it produced.
-type MemoEntry = (u64, Model, (Metrics, Metrics));
+/// The last dataset a thread ran the pipeline on, with the (privileged,
+/// disadvantaged) group metrics of each model family run on it so far.
+struct Memo {
+    data: Dataset,
+    results: Vec<(Model, (Metrics, Metrics))>,
+}
 
 thread_local! {
     /// Memo of the last pipeline run per thread: the benchmark evaluates all
     /// eight findings on the same dataset in sequence, and four findings
-    /// share each model family — this avoids retraining 4× per draw.
-    /// Keyed by a content fingerprint so address reuse cannot alias.
-    static PIPELINE_MEMO: std::cell::RefCell<Vec<MemoEntry>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Cheap content fingerprint of a dataset (FNV over the label and group
-/// columns plus dimensions) for the pipeline memo.
-fn fingerprint(ds: &Dataset) -> Result<u64> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(ds.n_rows() as u64);
-    mix(ds.n_attrs() as u64);
-    for name in ["top50", "race_group", "ses"] {
-        let idx = ds.domain().index_of(name)?;
-        ds.packed_column(idx)?.for_each_code(|c| mix(u64::from(c)));
-    }
-    Ok(h)
+    /// share each model family — this avoids retraining 4× per draw. It is
+    /// keyed by the dataset's whole content: comparing a kept clone with
+    /// `==` takes microseconds against the milliseconds of a training run,
+    /// and no two datasets can share a key.
+    static PIPELINE_MEMO: std::cell::RefCell<Option<Memo>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// Train the model and return (privileged, disadvantaged) test metrics.
 /// Group code 0 = privileged, 1 = disadvantaged (generator convention).
 fn run_pipeline(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
-    let key = fingerprint(ds)?;
-    let cached = PIPELINE_MEMO.with(|memo| {
-        memo.borrow()
-            .iter()
-            .find(|(k, m, _)| *k == key && *m == model)
-            .map(|(_, _, r)| *r)
-    });
-    if let Some(result) = cached {
-        return Ok(result);
-    }
-    let result = run_pipeline_uncached(ds, model)?;
     PIPELINE_MEMO.with(|memo| {
         let mut memo = memo.borrow_mut();
-        // Keep only the current dataset's entries (one per model family).
-        memo.retain(|(k, _, _)| *k == key);
-        memo.push((key, model, result));
-    });
-    Ok(result)
+        if memo.as_ref().is_some_and(|memo| memo.data != *ds) {
+            *memo = None;
+        }
+        let memo = memo.get_or_insert_with(|| Memo {
+            data: ds.clone(),
+            results: Vec::new(),
+        });
+        if let Some((_, result)) = memo.results.iter().find(|(m, _)| *m == model) {
+            return Ok(*result);
+        }
+        let result = run_pipeline_uncached(ds, model)?;
+        memo.results.push((model, result));
+        Ok(result)
+    })
 }
 
 fn run_pipeline_uncached(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
@@ -251,5 +237,47 @@ impl Publication for Jeong2021 {
                 |p, d| vec![p.pbr, d.pbr],
             ),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every finding's statistics on the last of `datasets`, evaluated in
+    /// turn on one new thread (so on one pipeline memo).
+    fn last_on_new_thread(datasets: Vec<Dataset>) -> Vec<Vec<u64>> {
+        std::thread::spawn(move || {
+            let findings = Jeong2021.findings();
+            let mut last = Vec::new();
+            for ds in &datasets {
+                last = findings
+                    .iter()
+                    .map(|f| {
+                        let stats = f.evaluate(ds).expect("evaluate");
+                        stats.into_iter().map(f64::to_bits).collect()
+                    })
+                    .collect();
+            }
+            last
+        })
+        .join()
+        .expect("evaluation thread")
+    }
+
+    #[test]
+    fn memo_tells_apart_datasets_that_share_label_group_and_ses() {
+        let a = Jeong2021.generate(2_500, 1);
+        let other = Jeong2021.generate(2_500, 2);
+        let mut columns = other.to_columns();
+        for name in ["top50", "race_group", "ses"] {
+            let attr = a.domain().index_of(name).unwrap();
+            columns[attr] = a.decode_column(attr).unwrap();
+        }
+        let spliced = Dataset::new(a.domain().clone(), columns).unwrap();
+        assert_eq!(
+            last_on_new_thread(vec![a, spliced.clone()]),
+            last_on_new_thread(vec![spliced])
+        );
     }
 }

@@ -13,6 +13,8 @@ pub enum MlError {
     NonBinaryLabel(f64),
     /// Rows have inconsistent feature counts.
     RaggedFeatures,
+    /// A feature value is NaN or infinite.
+    NonFiniteFeature { row: usize, feature: usize },
     /// A hyperparameter is out of range.
     InvalidParameter { name: &'static str, value: f64 },
     /// A serialized network snapshot contains no layers.
@@ -30,6 +32,9 @@ impl fmt::Display for MlError {
             }
             MlError::NonBinaryLabel(v) => write!(f, "labels must be 0/1, got {v}"),
             MlError::RaggedFeatures => write!(f, "rows have inconsistent feature counts"),
+            MlError::NonFiniteFeature { row, feature } => {
+                write!(f, "feature {feature} of row {row} is not finite")
+            }
             MlError::InvalidParameter { name, value } => {
                 write!(f, "invalid parameter {name} = {value}")
             }
@@ -62,4 +67,14 @@ pub(crate) fn validate_xy(x: &[Vec<f64>], y: &[f64]) -> Result<usize> {
         return Err(MlError::NonBinaryLabel(bad));
     }
     Ok(d)
+}
+
+/// Reject NaN and infinite features (the tree's split search orders values).
+pub(crate) fn validate_finite(x: &[Vec<f64>]) -> Result<()> {
+    for (row, values) in x.iter().enumerate() {
+        if let Some(feature) = values.iter().position(|v| !v.is_finite()) {
+            return Err(MlError::NonFiniteFeature { row, feature });
+        }
+    }
+    Ok(())
 }

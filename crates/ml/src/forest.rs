@@ -1,7 +1,14 @@
 //! Random forest: bagged Gini trees with √d feature subsampling.
+//!
+//! A fit builds one value table over all its rows (see [`crate::tree`])
+//! and grows each tree on its bootstrap sample, a list of row indices into
+//! that table: no row is copied. The RNG is drawn in the order of the fit
+//! that copied each tree's rows: per tree, `n` calls to `gen_range(0..n)`,
+//! then each node's feature shuffle, left subtree before right. The
+//! sort-based fit stays as the test oracle `fit_naive`.
 
-use crate::error::{validate_xy, Result};
-use crate::tree::{DecisionTree, TreeOptions};
+use crate::error::{validate_finite, validate_xy, MlError, Result};
+use crate::tree::{DecisionTree, TreeOptions, ValueTable};
 use rand::Rng;
 
 /// Hyperparameters for the forest.
@@ -11,6 +18,21 @@ pub struct ForestOptions {
     pub n_trees: usize,
     /// Per-tree options; `max_features = None` here means √d.
     pub tree: TreeOptions,
+}
+
+impl ForestOptions {
+    /// Per-tree options for `d` features: `max_features = None` becomes ⌈√d⌉.
+    fn tree_options(&self, d: usize) -> TreeOptions {
+        let max_features = self
+            .tree
+            .max_features
+            .unwrap_or_else(|| (d as f64).sqrt().ceil() as usize)
+            .max(1);
+        TreeOptions {
+            max_features: Some(max_features),
+            ..self.tree
+        }
+    }
 }
 
 impl Default for ForestOptions {
@@ -34,6 +56,10 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fit with bootstrap rows per tree and √d features per node.
+    ///
+    /// # Errors
+    /// The errors of [`DecisionTree::fit`], and
+    /// [`MlError::InvalidParameter`] for `n_trees == 0`.
     pub fn fit<R: Rng + ?Sized>(
         x: &[Vec<f64>],
         y: &[f64],
@@ -41,28 +67,23 @@ impl RandomForest {
         rng: &mut R,
     ) -> Result<RandomForest> {
         let d = validate_xy(x, y)?;
-        let max_features = options
-            .tree
-            .max_features
-            .unwrap_or_else(|| (d as f64).sqrt().ceil() as usize)
-            .max(1);
-        let tree_options = TreeOptions {
-            max_features: Some(max_features),
-            ..options.tree
-        };
+        validate_finite(x)?;
+        options.tree.validate()?;
+        if options.n_trees == 0 {
+            return Err(MlError::InvalidParameter {
+                name: "n_trees",
+                value: 0.0,
+            });
+        }
+        let tree_options = options.tree_options(d);
         let n = x.len();
+        let table = ValueTable::new(x, y);
+        let mut rows: Vec<usize> = Vec::with_capacity(n);
         let mut trees = Vec::with_capacity(options.n_trees);
-        let mut bx: Vec<Vec<f64>> = Vec::with_capacity(n);
-        let mut by: Vec<f64> = Vec::with_capacity(n);
         for _ in 0..options.n_trees {
-            bx.clear();
-            by.clear();
-            for _ in 0..n {
-                let i = rng.gen_range(0..n);
-                bx.push(x[i].clone());
-                by.push(y[i]);
-            }
-            trees.push(DecisionTree::fit(&bx, &by, tree_options, rng)?);
+            rows.clear();
+            rows.extend((0..n).map(|_| rng.gen_range(0..n)));
+            trees.push(DecisionTree::grow(&table, y, &mut rows, &tree_options, rng));
         }
         Ok(RandomForest { trees })
     }
@@ -82,11 +103,37 @@ impl RandomForest {
     }
 }
 
+/// The sort-based fit the shared value table replaced, the oracle of
+/// `forest_matches_naive`. Each tree's `grow_naive` reads its bootstrap rows
+/// through the index list in draw order, the order of the copies the fit
+/// used to make, so it sorts the same values in the same order.
+#[cfg(test)]
+impl RandomForest {
+    fn fit_naive<R: Rng + ?Sized>(
+        x: &[Vec<f64>],
+        y: &[f64],
+        options: ForestOptions,
+        rng: &mut R,
+    ) -> RandomForest {
+        let tree_options = options.tree_options(x[0].len());
+        let n = x.len();
+        let trees = (0..options.n_trees)
+            .map(|_| {
+                let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                DecisionTree::fit_naive(x, y, &rows, tree_options, rng)
+            })
+            .collect();
+        RandomForest { trees }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tests::{kinds, mixed_data};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn beats_chance_on_noisy_linear_data() {
@@ -118,6 +165,102 @@ mod tests {
         let forest = RandomForest::fit(&x, &y, ForestOptions::default(), &mut rng).unwrap();
         for p in forest.predict_proba(&x) {
             assert!((0.0..=1.0).contains(&p));
+        }
+    }
+
+    #[test]
+    fn non_finite_features_are_an_error() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = vec![vec![0.0], vec![f64::NAN], vec![2.0]];
+        let y = [0.0, 1.0, 1.0];
+        assert_eq!(
+            RandomForest::fit(&x, &y, ForestOptions::default(), &mut rng).unwrap_err(),
+            MlError::NonFiniteFeature { row: 1, feature: 0 }
+        );
+    }
+
+    #[test]
+    fn zero_trees_is_an_error() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let options = ForestOptions {
+            n_trees: 0,
+            ..ForestOptions::default()
+        };
+        assert_eq!(
+            RandomForest::fit(&[vec![0.0], vec![1.0]], &[0.0, 1.0], options, &mut rng).unwrap_err(),
+            MlError::InvalidParameter {
+                name: "n_trees",
+                value: 0.0
+            }
+        );
+    }
+
+    /// Fit with the shared table and with the sort-based oracle from one
+    /// seed, and require equal trees, predictions and RNG states, bit for
+    /// bit.
+    fn assert_matches_naive(x: &[Vec<f64>], y: &[f64], options: ForestOptions, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng_naive = StdRng::seed_from_u64(seed);
+        let forest = RandomForest::fit(x, y, options, &mut rng).unwrap();
+        let naive = RandomForest::fit_naive(x, y, options, &mut rng_naive);
+        assert_eq!(forest.trees.len(), naive.trees.len());
+        for (tree, naive_tree) in forest.trees.iter().zip(&naive.trees) {
+            assert_eq!(tree.node_bits(), naive_tree.node_bits(), "{options:?}");
+        }
+        let bits = |p: Vec<f64>| p.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(forest.predict_proba(x)), bits(naive.predict_proba(x)));
+        assert_eq!(rng.next_u64(), rng_naive.next_u64(), "{options:?}");
+    }
+
+    #[test]
+    fn forest_matches_naive() {
+        // jeong2021's pipeline forest on jeong2021-shaped codes (55 features
+        // of 1-10 levels), then mixed kinds under other options.
+        let (x, y) = mixed_data(1_000, &[0; 55], 11);
+        let jeong = ForestOptions {
+            n_trees: 20,
+            tree: TreeOptions {
+                max_depth: 8,
+                min_samples_split: 10,
+                max_features: None,
+            },
+        };
+        assert_matches_naive(&x, &y, jeong, 12);
+        let (x, y) = mixed_data(400, &[0, 1, 2, 3, 0, 1], 13);
+        for max_depth in [1, 12] {
+            for min_samples_split in [2, 10] {
+                for max_features in [None, Some(2)] {
+                    let options = ForestOptions {
+                        n_trees: 5,
+                        tree: TreeOptions {
+                            max_depth,
+                            min_samples_split,
+                            max_features,
+                        },
+                    };
+                    assert_matches_naive(&x, &y, options, 14);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn forest_matches_naive_on_random_matrices(
+            (n, d, n_trees) in (1usize..=60, 1usize..=5, 1usize..=4),
+            (max_depth, min_samples_split, features) in (1usize..=12, 0usize..=8, 0usize..=6),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (x, y) = mixed_data(n, &kinds(d, seed), seed);
+            let options = ForestOptions {
+                n_trees,
+                tree: TreeOptions {
+                    max_depth,
+                    min_samples_split,
+                    max_features: features.checked_sub(1),
+                },
+            };
+            assert_matches_naive(&x, &y, options, seed ^ 2);
         }
     }
 }
