@@ -28,7 +28,6 @@ fn one_cell(c: &mut Criterion) {
             min_rows: 1_000,
             data_seed: 7,
             threads: 1,
-            fit_threads: None,
             fit_timeout: Some(Duration::from_secs(600)),
             restrict_privmrf: true,
             synthesizers: vec![SynthKind::Mst],

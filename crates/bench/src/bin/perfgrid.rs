@@ -660,14 +660,9 @@ fn rich_problem(d: usize, card: usize) -> (Vec<usize>, Vec<NoisyMeasurement>) {
 }
 
 /// Intra-fit parallelism: sequential vs 8-thread mirror descent on
-/// descent-dominated shapes (bit-identity asserted before any timing), plus
-/// the two-level core-budget grid leg; writes `BENCH_fit.json`. Returns
-/// `(min single-cell speedup at 8 threads, grid plain/budget wall ratio)`.
-fn fit_section(quick: bool, out_path: &str) -> (f64, f64) {
-    use synrd::benchmark::{run_paper, BenchmarkConfig};
-    use synrd::publication_by_id;
-    use synrd_synth::SynthKind;
-
+/// descent-dominated shapes (bit-identity asserted before any timing);
+/// writes `BENCH_fit.json`. Returns the minimum speedup at 8 threads.
+fn fit_section(quick: bool, out_path: &str) -> f64 {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mt = 8usize;
     let est_reps = if quick { 3 } else { 7 };
@@ -731,47 +726,8 @@ fn fit_section(quick: bool, out_path: &str) -> (f64, f64) {
     }
     let fit_min = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
 
-    // Full-grid leg: the two-level core budget (grid workers + intra-fit
-    // allowance from the same pool) must not lose to cells-only
-    // parallelism. Reports are asserted bitwise equal first.
-    let paper = publication_by_id("fruiht2018").expect("registered paper");
-    let base = BenchmarkConfig {
-        epsilons: vec![1.0, std::f64::consts::E],
-        seeds: 1,
-        bootstraps: 1,
-        data_scale: 0.02,
-        min_rows: 500,
-        data_seed: 11,
-        threads: host_threads.min(8),
-        fit_threads: Some(1),
-        fit_timeout: None,
-        restrict_privmrf: true,
-        synthesizers: vec![SynthKind::Mst, SynthKind::Gem],
-    };
-    let budget = BenchmarkConfig {
-        fit_threads: None,
-        ..base.clone()
-    };
-    let plain_report = run_paper(paper.as_ref(), &base).expect("grid");
-    let budget_report = run_paper(paper.as_ref(), &budget).expect("grid");
-    assert!(
-        budget_report.bitwise_eq(&plain_report),
-        "core-budget grid diverged from cells-only grid"
-    );
-    let grid_reps = if quick { 3 } else { 5 };
-    let plain_ns = median_ns(grid_reps, || {
-        run_paper(paper.as_ref(), &base).expect("grid");
-    });
-    let budget_ns = median_ns(grid_reps, || {
-        run_paper(paper.as_ref(), &budget).expect("grid");
-    });
-    let grid_ratio = plain_ns / budget_ns;
-    println!(
-        "fit        grid-budget    cells-only {plain_ns:>10.0} ns   budgeted {budget_ns:>10.0} ns   ratio {grid_ratio:>5.2}x"
-    );
-
     let doc = JsonValue::obj(vec![
-        ("schema", JsonValue::Str("synrd-bench-fit/1".to_string())),
+        ("schema", JsonValue::Str("synrd-bench-fit/2".to_string())),
         (
             "mode",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
@@ -780,27 +736,16 @@ fn fit_section(quick: bool, out_path: &str) -> (f64, f64) {
         ("fit_threads", JsonValue::Uint(mt as u64)),
         ("benches", JsonValue::Arr(bench_rows)),
         (
-            "grid",
-            JsonValue::obj(vec![
-                ("paper", JsonValue::Str("fruiht2018".to_string())),
-                ("cells_only_ns", JsonValue::Num(plain_ns)),
-                ("core_budget_ns", JsonValue::Num(budget_ns)),
-                ("ratio", JsonValue::Num(grid_ratio)),
-                ("report_bitwise_equal", JsonValue::Bool(true)),
-            ]),
-        ),
-        (
             "summary",
             JsonValue::obj(vec![
                 ("fit_speedup_min", JsonValue::Num(fit_min)),
-                ("grid_budget_ratio", JsonValue::Num(grid_ratio)),
                 ("speedup_gate_active", JsonValue::Bool(host_threads >= mt)),
             ]),
         ),
     ]);
     std::fs::write(out_path, format!("{}\n", doc.to_text())).expect("write BENCH_fit.json");
-    println!("wrote {out_path} (min fit speedup {fit_min:.2}x, grid ratio {grid_ratio:.2}x)");
-    (fit_min, grid_ratio)
+    println!("wrote {out_path} (min fit speedup {fit_min:.2}x)");
+    fit_min
 }
 
 /// The output flags, one per perf record, with their default paths.
@@ -983,8 +928,8 @@ fn main() {
     // --- ML kernels: batched MLP round vs the per-example oracle -----------
     let (ml_min, ml_simd_min) = ml_section(quick, &ml_out);
 
-    // --- Intra-fit parallelism: descent scaling + core-budget grid ---------
-    let (fit_min, grid_ratio) = fit_section(quick, &fit_out);
+    // --- Intra-fit parallelism: descent scaling ----------------------------
+    let fit_min = fit_section(quick, &fit_out);
 
     if min_speedup < 1.0 {
         eprintln!("warning: stride kernels slower than naive on some problem");
@@ -1050,16 +995,6 @@ fn main() {
     if host_threads >= 8 && fit_min < fit_gate {
         eprintln!(
             "warning: intra-fit descent scaling under the {fit_gate:.1}x gate ({fit_min:.2}x)"
-        );
-        std::process::exit(1);
-    }
-    // The two-level core budget must not lose to cells-only parallelism
-    // (25% slack full, 33% in --quick mode, for grid-scale timing noise).
-    let grid_gate = if quick { 0.67 } else { 0.8 };
-    if grid_ratio < grid_gate {
-        eprintln!(
-            "warning: core-budget grid slower than cells-only parallelism \
-             (ratio {grid_ratio:.2}x, gate {grid_gate:.2}x)"
         );
         std::process::exit(1);
     }

@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 use synrd::benchmark::{
     assemble_report, fits_performed, rows_sampled, run_grid_sharded_with_stores,
-    run_paper_with_stores, BenchmarkConfig, CellStore, FitStore, PaperReport, Shard,
+    run_paper_with_stores, BenchmarkConfig, CellStore, FitStore, PaperReport, Shard, MAX_THREADS,
 };
 use synrd::Publication;
 use synrd_store::{
@@ -118,23 +118,21 @@ pub fn cli_from_args() -> CliOptions {
 /// * `--paper-scale` — full protocol (expect hours of compute);
 /// * `--papers a,b,c` — restrict to specific paper ids;
 /// * `--seeds K` / `--bootstraps B` / `--scale F` — override grid knobs
-///   (`K` and `B` at least 1);
-/// * `--threads N` — worker threads for the grid (1 = sequential; results
-///   are bit-identical either way);
+///   (`K` and `B` at least 1, `F` finite and above 0);
+/// * `--threads N` — cores for the grid, 1 to [`MAX_THREADS`] (1 =
+///   sequential). Cells run on up to `N` workers, and each fit gets
+///   `N / running cells` threads (at least 1) for mirror descent. Results
+///   are bit-identical at any `N`;
 /// * `--out-dir DIR` — persist cells/fits/reports into a result store;
 /// * `--resume` — serve already-stored cells and fits instead of refitting;
 /// * `--shard i/n` — compute only shard `i` of `n` (requires `--out-dir`);
 /// * `--merge-shards a,b,c` — union shard stores into `--out-dir` and
-///   assemble reports purely from cached cells;
-/// * `--fit-threads auto|N` — intra-fit thread allowance per cell. `auto`
-///   (the default) derives it from the core budget (`threads / live cells`,
-///   floored at 1); `N` pins it. Fits are bit-identical at any thread
-///   count, so this changes throughput only.
+///   assemble reports purely from cached cells.
 ///
 /// # Errors
 /// A message naming the flag for an unknown flag or paper id, a value that
-/// does not parse, a missing value, or `--shard`/`--merge-shards` without
-/// `--out-dir`.
+/// does not parse or is out of range, a missing value, or
+/// `--shard`/`--merge-shards` without `--out-dir`.
 pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
     let args: Vec<String> = args.into_iter().collect();
     let mut config = if args.iter().any(|a| a == "--paper-scale") {
@@ -169,8 +167,8 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
             }
             "--seeds" => config.seeds = positive_count("--seeds", it.next())?,
             "--bootstraps" => config.bootstraps = positive_count("--bootstraps", it.next())?,
-            "--scale" => config.data_scale = parsed_value("--scale", it.next())?,
-            "--threads" => config.threads = parsed_value("--threads", it.next())?,
+            "--scale" => config.data_scale = positive_scale("--scale", it.next())?,
+            "--threads" => config.threads = thread_count("--threads", it.next())?,
             "--out-dir" => {
                 store.out_dir = Some(PathBuf::from(flag_value("--out-dir", it.next())?));
             }
@@ -186,21 +184,6 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
                     .into_iter()
                     .map(PathBuf::from)
                     .collect();
-            }
-            "--fit-threads" => {
-                let spec = flag_value("--fit-threads", it.next())?;
-                config.fit_threads = match spec.as_str() {
-                    "auto" => None,
-                    n => match n.parse::<usize>() {
-                        Ok(v) if v >= 1 => Some(v),
-                        _ => {
-                            return Err(format!(
-                                "bad --fit-threads '{spec}': expected 'auto' or a positive \
-                                 thread count"
-                            ))
-                        }
-                    },
-                };
             }
             _ => return Err(format!("unknown flag '{arg}'")),
         }
@@ -375,6 +358,31 @@ fn positive_count(flag: &str, next: Option<&String>) -> Result<usize, String> {
     }
 }
 
+/// The parsed value for `--scale`: a finite multiplier above 0. `rows_for`
+/// would floor zero, negatives and NaN at `min_rows` and cap infinity at
+/// each paper's size, each value storing the same cells under a
+/// fingerprint of its own.
+fn positive_scale(flag: &str, next: Option<&String>) -> Result<f64, String> {
+    let value = flag_value(flag, next)?;
+    match value.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "bad {flag} '{value}': expected a finite number above 0"
+        )),
+    }
+}
+
+/// The parsed value for a thread-count flag: 1 to [`MAX_THREADS`].
+fn thread_count(flag: &str, next: Option<&String>) -> Result<usize, String> {
+    let value = flag_value(flag, next)?;
+    match value.parse::<usize>() {
+        Ok(threads) if (1..=MAX_THREADS).contains(&threads) => Ok(threads),
+        _ => Err(format!(
+            "bad {flag} '{value}': expected a thread count from 1 to {MAX_THREADS}"
+        )),
+    }
+}
+
 /// The non-empty items of a comma-separated list.
 fn split_list(list: &str) -> Vec<String> {
     list.split(',')
@@ -531,8 +539,6 @@ mod tests {
             "0.5",
             "--threads",
             "4",
-            "--fit-threads",
-            "2",
             "--out-dir",
             "store",
             "--resume",
@@ -546,7 +552,6 @@ mod tests {
             (2, 3, 4)
         );
         assert_eq!(cli.config.data_scale, 0.5);
-        assert_eq!(cli.config.fit_threads, Some(2));
         assert_eq!(cli.store.out_dir, Some(PathBuf::from("store")));
         assert!(cli.store.resume);
         assert_eq!(cli.store.shard, Some(Shard::new(1, 3).unwrap()));
@@ -584,12 +589,34 @@ mod tests {
             let err = parse(&[flag, "0"]).unwrap_err();
             assert!(err.contains(flag) && err.contains("'0'"), "{err}");
         }
-        assert!(parse(&["--fit-threads", "0"]).is_err());
-        for flag in ["--ml-backend", "--seed", "saw2018"] {
+        for flag in ["--ml-backend", "--fit-threads", "--seed", "saw2018"] {
             let err = parse(&["--papers", "saw2018", flag, "1"]).unwrap_err();
             assert_eq!(err, format!("unknown flag '{flag}'"));
         }
         assert!(parse(&["--shard", "3/3", "--out-dir", "store"]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_scales_and_thread_counts_are_rejected() {
+        for scale in ["0", "-3", "-0.5", "NaN", "inf", "-inf", "1e400"] {
+            let err = parse(&["--scale", scale]).unwrap_err();
+            assert!(
+                err.contains("--scale") && err.contains(&format!("'{scale}'")),
+                "{err}"
+            );
+        }
+        assert_eq!(parse(&["--scale", "2.5"]).unwrap().config.data_scale, 2.5);
+        for threads in ["0", "1025", "1000000"] {
+            let err = parse(&["--threads", threads]).unwrap_err();
+            assert!(
+                err.contains("--threads") && err.contains(&format!("'{threads}'")),
+                "{err}"
+            );
+        }
+        for threads in [1, MAX_THREADS] {
+            let cli = parse(&["--threads", &threads.to_string()]).unwrap();
+            assert_eq!(cli.config.threads, threads);
+        }
     }
 
     #[test]

@@ -47,9 +47,14 @@ fn unknown_flags_exit_with_code_2() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown flag '--seed'"), "{stderr}");
     for bin in [env!("CARGO_BIN_EXE_fig3"), env!("CARGO_BIN_EXE_fig4")] {
-        let (code, stderr) = run(bin, &["--papers", "saw2018", "--ml-backend", "cpu"]);
-        assert_eq!(code, Some(2), "{bin}: {stderr}");
-        assert!(stderr.contains("unknown flag '--ml-backend'"), "{stderr}");
+        for (flag, value) in [("--ml-backend", "cpu"), ("--fit-threads", "2")] {
+            let (code, stderr) = run(bin, &["--papers", "saw2018", flag, value]);
+            assert_eq!(code, Some(2), "{bin} {flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!("unknown flag '{flag}'")),
+                "{stderr}"
+            );
+        }
     }
 }
 

@@ -66,16 +66,13 @@ pub struct BenchmarkConfig {
     pub min_rows: usize,
     /// Seed of the "real" data generation.
     pub data_seed: u64,
-    /// Worker threads for the cell grid.
-    pub threads: usize,
-    /// Intra-fit thread allowance per cell, spent by mirror descent (AIM,
-    /// MST, PrivMRF): `None` derives it from the core budget
-    /// (`threads / live cells`, floored at 1), `Some(n)` pins it.
+    /// Worker threads for the cell grid. Each cell's intra-fit thread
+    /// allowance is carved from the same pool (see [`CoreBudget`]).
     ///
     /// Throughput-only, like the ML backend: every fit is bit-identical at
     /// any thread count, so this never enters the config fingerprint, the
     /// fit-cache fingerprint, or any fitted state.
-    pub fit_threads: Option<usize>,
+    pub threads: usize,
     /// Per-fit wall-clock budget (the paper's 6-hour rule); exceeding it on
     /// the first seed crosshatches the cell.
     pub fit_timeout: Option<Duration>,
@@ -99,7 +96,6 @@ impl BenchmarkConfig {
             min_rows: 2_500,
             data_seed: 20230531,
             threads: available_threads(),
-            fit_threads: None,
             fit_timeout: Some(Duration::from_secs(300)),
             restrict_privmrf: true,
             synthesizers: SynthKind::ALL.to_vec(),
@@ -127,6 +123,12 @@ impl BenchmarkConfig {
     }
 }
 
+/// The most threads a command line may ask for: grid workers (`--threads`
+/// on fig3/fig4) and `synrd serve`'s pool (`--workers`). Ample for any host
+/// this runs on, and it keeps a typo from asking the OS for a million
+/// threads.
+pub const MAX_THREADS: usize = 1_024;
+
 fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -149,28 +151,21 @@ fn available_threads() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreBudget {
     total: usize,
-    fixed: Option<usize>,
 }
 
 impl CoreBudget {
-    /// Budget for a run: `config.threads` cores, with `config.fit_threads`
-    /// optionally pinning the per-fit allowance.
+    /// Budget for a run: `config.threads` cores.
     pub fn from_config(config: &BenchmarkConfig) -> CoreBudget {
         CoreBudget {
             total: config.threads.max(1),
-            fixed: config.fit_threads,
         }
     }
 
-    /// Per-fit thread allowance when `cells` cells are in the batch: the
-    /// pinned count if one was configured, otherwise
+    /// Per-fit thread allowance when `cells` cells are in the batch:
     /// `total / min(total, cells)` floored at 1 (cells beyond the worker
     /// count queue rather than run, so they never dilute the allowance).
     pub fn fit_threads(&self, cells: usize) -> usize {
-        match self.fixed {
-            Some(n) => n.max(1),
-            None => (self.total / self.total.min(cells).max(1)).max(1),
-        }
+        (self.total / self.total.min(cells).max(1)).max(1)
     }
 }
 
@@ -548,7 +543,7 @@ pub fn run_paper_with_stores(
     // Control row: nonparametric bootstrap of the real data through the
     // same pipeline (in place of the paper's Bayesian-bootstrap control; see
     // the README's "Departures from the paper").
-    let control = control_row(paper, &ground, config)?;
+    let control = control_row(&ground, config)?;
 
     let grid = full_grid(config);
     let fit_threads = CoreBudget::from_config(config).fit_threads(grid.len());
@@ -629,7 +624,7 @@ pub fn assemble_report(
     store: &dyn CellStore,
 ) -> Result<PaperReport> {
     let ground = ground_truth(paper, config)?;
-    let control = control_row(paper, &ground, config)?;
+    let control = control_row(&ground, config)?;
     let paper_id = paper.dataset().id();
     let mut cells: Vec<Vec<CellOutcome>> = Vec::with_capacity(config.synthesizers.len());
     for &kind in &config.synthesizers {
@@ -831,11 +826,7 @@ fn run_cell(
 }
 
 /// The "real, bootstrap" control row.
-fn control_row(
-    _paper: &dyn Publication,
-    ground: &PaperGround,
-    config: &BenchmarkConfig,
-) -> Result<Vec<f64>> {
+fn control_row(ground: &PaperGround, config: &BenchmarkConfig) -> Result<Vec<f64>> {
     let PaperGround {
         real,
         findings,
@@ -883,6 +874,33 @@ mod tests {
         assert_eq!(paper.rows_for(293_581), 293_581);
         assert_eq!(paper.seeds, 10);
         assert_eq!(paper.bootstraps, 25);
+    }
+
+    #[test]
+    fn fit_allowance_splits_the_threads_among_running_cells() {
+        let allowance = |threads: usize, cells: usize| {
+            let config = BenchmarkConfig {
+                threads,
+                ..BenchmarkConfig::quick()
+            };
+            CoreBudget::from_config(&config).fit_threads(cells)
+        };
+        // (threads, [allowance at 0, 1, 2, 3, 8, 9, 36 cells]).
+        let table: [(usize, [usize; 7]); 4] = [
+            (0, [1, 1, 1, 1, 1, 1, 1]),
+            (1, [1, 1, 1, 1, 1, 1, 1]),
+            (2, [2, 2, 1, 1, 1, 1, 1]),
+            (8, [8, 8, 4, 2, 1, 1, 1]),
+        ];
+        for (threads, want) in table {
+            for (cells, want) in [0, 1, 2, 3, 8, 9, 36].into_iter().zip(want) {
+                assert_eq!(
+                    allowance(threads, cells),
+                    want,
+                    "{threads} threads, {cells} cells"
+                );
+            }
+        }
     }
 
     #[test]
@@ -960,7 +978,6 @@ mod tests {
                 min_rows: 400,
                 data_seed: 5,
                 threads,
-                fit_threads: None,
                 fit_timeout: None,
                 restrict_privmrf: true,
                 synthesizers: vec![SynthKind::Mst],

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use synrd::benchmark::{run_paper_with_stores, BenchmarkConfig, FitStore};
+use synrd::benchmark::{run_paper_with_stores, BenchmarkConfig, CoreBudget, FitStore};
 use synrd::finding::{Check, Finding, FindingType};
 use synrd::Publication;
 use synrd_data::{Attribute, BenchmarkDataset, Dataset, Domain};
@@ -183,7 +183,6 @@ fn config() -> BenchmarkConfig {
         min_rows: 600,
         data_seed: 7,
         threads: 1,
-        fit_threads: None,
         fit_timeout: None,
         restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Gem],
@@ -232,12 +231,11 @@ fn fit_cache_hits_across_fit_thread_counts() {
     // absent from both `FittedState` and the fit-cache key: fits are
     // bit-identical at any thread count, so a store populated by a
     // sequential run must serve a multi-threaded run (and vice versa) with
-    // zero refits and bit-identical reports. MST + GEM exercise both the
-    // mirror-descent and analytic-trainer parallel paths.
-    let config = BenchmarkConfig {
-        fit_threads: Some(1),
-        ..config()
-    };
+    // zero refits and bit-identical reports. The config's two cells give
+    // each fit 1 thread at `threads: 1` and 4 at `threads: 8`; MST spends
+    // them in mirror descent.
+    let config = config();
+    assert_eq!(CoreBudget::from_config(&config).fit_threads(2), 1);
     let store = MemFitStore::default();
     let expected_fits = (config.seeds * config.synthesizers.len() * config.epsilons.len()) as u64;
 
@@ -245,9 +243,10 @@ fn fit_cache_hits_across_fit_thread_counts() {
     assert_eq!(store.counts(), (expected_fits, 0));
 
     let mt_config = BenchmarkConfig {
-        fit_threads: Some(4),
+        threads: 8,
         ..config
     };
+    assert_eq!(CoreBudget::from_config(&mt_config).fit_threads(2), 4);
     let mt_report = run_paper_with_stores(&MeanPaper, &mt_config, None, Some(&store)).unwrap();
     assert_eq!(
         store.counts(),

@@ -199,32 +199,6 @@ impl Attribute {
             None => f64::from(code),
         })
     }
-
-    /// Bin a raw continuous value into this attribute's code space, assuming
-    /// the attribute was built with [`Attribute::binned`] or
-    /// [`Attribute::ordinal_scored`] with monotone scores. Values outside the
-    /// score range clamp to the first/last bin.
-    pub fn bin_value(&self, value: f64) -> u32 {
-        match &self.numeric_values {
-            Some(scores) if !scores.is_empty() => {
-                // Scores are midpoints; choose the nearest.
-                let mut best = 0usize;
-                let mut best_dist = f64::INFINITY;
-                for (i, s) in scores.iter().enumerate() {
-                    let d = (value - s).abs();
-                    if d < best_dist {
-                        best_dist = d;
-                        best = i;
-                    }
-                }
-                best as u32
-            }
-            _ => {
-                let max = self.cardinality().saturating_sub(1) as f64;
-                value.round().clamp(0.0, max) as u32
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,9 +228,6 @@ mod tests {
         assert_eq!(age.cardinality(), 10);
         assert!((age.numeric(0).unwrap() - 5.0).abs() < 1e-12);
         assert!((age.numeric(9).unwrap() - 95.0).abs() < 1e-12);
-        assert_eq!(age.bin_value(12.0), 1);
-        assert_eq!(age.bin_value(-50.0), 0);
-        assert_eq!(age.bin_value(1e9), 9);
     }
 
     #[test]

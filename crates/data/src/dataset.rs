@@ -8,7 +8,7 @@
 //! per-row readers use the [`RowRef`] cursor — never through a raw code
 //! slice.
 
-use crate::attribute::{AttrKind, Attribute};
+use crate::attribute::AttrKind;
 use crate::domain::{validate_attr_set, Domain};
 use crate::error::{DataError, Result};
 use crate::packed::PackedColumn;
@@ -250,12 +250,6 @@ impl Dataset {
         })
     }
 
-    /// Project onto attributes by name.
-    pub fn select_by_name(&self, names: &[&str]) -> Result<Dataset> {
-        let attrs: Result<Vec<usize>> = names.iter().map(|n| self.domain.index_of(n)).collect();
-        self.select(&attrs?)
-    }
-
     /// Keep the rows for which `pred` returns true, streaming matches
     /// straight into pre-sized packed builders (no intermediate keep-list).
     pub fn filter_rows(&self, pred: impl Fn(RowRef<'_>) -> bool) -> Dataset {
@@ -356,20 +350,6 @@ impl Dataset {
         Ok(hits as f64 / col.len() as f64)
     }
 
-    /// Row indices where `attr == code`.
-    pub fn rows_where(&self, attr: usize, code: u32) -> Result<Vec<usize>> {
-        let col = self.packed_column(attr)?;
-        let mut out = Vec::new();
-        let mut r = 0usize;
-        col.for_each_code(|c| {
-            if c == code {
-                out.push(r);
-            }
-            r += 1;
-        });
-        Ok(out)
-    }
-
     /// 64-bit FNV-1a digest over the full content: schema (names, kinds,
     /// labels, numeric scores bit-exactly) and every cell in column-major
     /// order. Two datasets digest equal iff they would behave identically
@@ -423,17 +403,12 @@ impl Dataset {
         }
         h.0
     }
-
-    /// Extract an [`Attribute`] reference by name.
-    pub fn attribute_by_name(&self, name: &str) -> Result<&Attribute> {
-        let idx = self.domain.index_of(name)?;
-        self.domain.attribute(idx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attribute::Attribute;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -472,7 +447,7 @@ mod tests {
     #[test]
     fn select_and_filter() {
         let ds = toy();
-        let only_score = ds.select_by_name(&["score"]).unwrap();
+        let only_score = ds.select(&[1]).unwrap();
         assert_eq!(only_score.n_attrs(), 1);
         assert_eq!(only_score.decode_column(0).unwrap(), vec![0, 4, 3, 1, 4]);
 
@@ -487,7 +462,6 @@ mod tests {
         assert!((ds.mean_of(0).unwrap() - 0.6).abs() < 1e-12);
         assert!((ds.proportion(1, 4).unwrap() - 0.4).abs() < 1e-12);
         assert_eq!(ds.value_counts(1).unwrap(), vec![1.0, 1.0, 0.0, 1.0, 2.0]);
-        assert_eq!(ds.rows_where(0, 0).unwrap(), vec![0, 3]);
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub enum DataError {
     DuplicateAttribute(usize),
     /// Numeric interpretation was requested for an attribute without one.
     NotNumeric(String),
-    /// CSV parsing failed.
-    Csv { line: usize, message: String },
 }
 
 impl fmt::Display for DataError {
@@ -71,9 +69,6 @@ impl fmt::Display for DataError {
             }
             DataError::NotNumeric(name) => {
                 write!(f, "attribute `{name}` has no numeric interpretation")
-            }
-            DataError::Csv { line, message } => {
-                write!(f, "csv parse error on line {line}: {message}")
             }
         }
     }

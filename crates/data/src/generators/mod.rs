@@ -59,18 +59,6 @@ impl BenchmarkDataset {
         BenchmarkDataset::Mushroom,
     ];
 
-    /// The eight paper datasets (no UCI comparisons).
-    pub const PAPERS: [BenchmarkDataset; 8] = [
-        BenchmarkDataset::Assari2019,
-        BenchmarkDataset::Fairman2019,
-        BenchmarkDataset::Fruiht2018,
-        BenchmarkDataset::Iverson2021,
-        BenchmarkDataset::Jeong2021,
-        BenchmarkDataset::Lee2021,
-        BenchmarkDataset::Pierce2019,
-        BenchmarkDataset::Saw2018,
-    ];
-
     /// Citation-style name as used in the paper's tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -133,11 +121,6 @@ impl BenchmarkDataset {
             BenchmarkDataset::Adult => uci::adult(n, seed),
             BenchmarkDataset::Mushroom => uci::mushroom(n, seed),
         }
-    }
-
-    /// Generate at the paper's sample size.
-    pub fn generate_paper(self, seed: u64) -> Dataset {
-        self.generate(self.paper_n(), seed)
     }
 }
 

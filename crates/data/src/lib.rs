@@ -6,7 +6,7 @@
 //! * [`Attribute`] / [`Domain`] — fully discretized schemas (the encoding all
 //!   marginal-based DP synthesizers consume);
 //! * [`Dataset`] — column-major, bit-packed code storage (see
-//!   [`PackedColumn`]), with selection, filtering and resampling;
+//!   [`PackedColumn`]), with projection, filtering and resampling;
 //! * [`Marginal`] — dense contingency tables with mixed-radix indexing, plus
 //!   empirical [`mutual_information`];
 //! * [`MarginalEngine`] — the batched, cached, parallel counting engine the
@@ -18,7 +18,6 @@
 //!   comparison datasets (see the README's "Departures from the paper").
 
 pub mod attribute;
-pub mod csv;
 pub mod dataset;
 pub mod domain;
 pub mod engine;

@@ -21,7 +21,7 @@
 //! below 2^32) with a plain-division fallback beyond.
 //!
 //! Everything that reads a column — the marginal engine's counting
-//! kernels, the CSV writer, the paper replications and the samplers — goes
+//! kernels, the paper replications and the samplers — goes
 //! through `get` / `for_each_code` / `decode_into` / `iter_words`, never a
 //! raw code slice. The differential oracle is a plain `Vec<u32>` per
 //! column: the proptests in `tests/packed_oracle.rs` keep one beside every

@@ -4,8 +4,8 @@
 //!
 //! * [`budget`] — (ε,δ)-DP / ρ-zCDP accounting with the Bun–Steinke
 //!   conversions the paper uses to put all mechanisms on one ε axis;
-//! * [`mechanisms`] — Laplace, Gaussian, two-sided geometric, exponential
-//!   mechanism (Gumbel trick) and report-noisy-max;
+//! * [`mechanisms`] — Laplace, Gaussian and the exponential mechanism
+//!   (Gumbel trick);
 //! * [`rng`] — deterministic seed derivation so every experiment is
 //!   reproducible bit-for-bit from a single master seed.
 
@@ -20,7 +20,7 @@ pub use budget::{
 };
 pub use error::{DpError, Result};
 pub use mechanisms::{
-    exponential_mechanism, gaussian_mechanism, geometric_mechanism, laplace_mechanism,
-    report_noisy_max, standard_gumbel, standard_laplace, standard_normal,
+    exponential_mechanism, gaussian_mechanism, laplace_mechanism, standard_gumbel,
+    standard_laplace, standard_normal,
 };
-pub use rng::{derive_seed, derive_seed_indexed, grid_rng, grid_seed, rng_for, rng_for_indexed};
+pub use rng::{derive_seed, grid_rng, grid_seed, rng_for};

@@ -1,5 +1,5 @@
-//! The base DP mechanisms: Laplace, Gaussian, two-sided geometric, the
-//! exponential mechanism, and report-noisy-max via the Gumbel trick.
+//! The base DP mechanisms: Laplace, Gaussian, and the exponential mechanism
+//! via the Gumbel trick.
 //!
 //! All samplers take an explicit RNG so callers control determinism; privacy
 //! parameters are translated to noise scales by [`crate::budget`].
@@ -67,38 +67,6 @@ pub fn gaussian_mechanism<R: Rng + ?Sized>(
     Ok(sigma)
 }
 
-/// Two-sided geometric (discrete Laplace) mechanism for integer-valued
-/// queries at ε-DP with sensitivity 1: P(k) ∝ exp(-ε·|k|).
-pub fn geometric_mechanism<R: Rng + ?Sized>(value: i64, epsilon: f64, rng: &mut R) -> Result<i64> {
-    if !(epsilon.is_finite() && epsilon > 0.0) {
-        return Err(DpError::InvalidParameter {
-            name: "epsilon",
-            value: epsilon,
-        });
-    }
-    let alpha = (-epsilon).exp();
-    // Sample magnitude from a geometric distribution, sign uniformly;
-    // handle the double-counted zero by rejection.
-    loop {
-        let u: f64 = rng.gen();
-        let magnitude = if alpha <= 0.0 {
-            0.0
-        } else {
-            (u.max(f64::MIN_POSITIVE).ln() / alpha.ln()).floor()
-        };
-        let negative = rng.gen::<bool>();
-        if magnitude == 0.0 && negative {
-            continue; // avoid double-weighting zero
-        }
-        let noise = if negative {
-            -(magnitude as i64)
-        } else {
-            magnitude as i64
-        };
-        return Ok(value.saturating_add(noise));
-    }
-}
-
 /// Exponential mechanism: select the index of one candidate with probability
 /// ∝ exp(ε·score / (2·sensitivity)). Implemented with the Gumbel-max trick,
 /// which is exactly equivalent and needs no normalization.
@@ -139,30 +107,6 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(best)
 }
 
-/// Report-noisy-max with Laplace noise: ε-DP selection of the highest-scoring
-/// candidate (sensitivity-1 scores).
-pub fn report_noisy_max<R: Rng + ?Sized>(
-    scores: &[f64],
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) -> Result<usize> {
-    if scores.is_empty() {
-        return Err(DpError::EmptyCandidates);
-    }
-    let b = laplace_scale(2.0 * sensitivity, epsilon)?;
-    let mut best = 0usize;
-    let mut best_value = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        let value = s + b * standard_laplace(rng);
-        if value > best_value {
-            best_value = value;
-            best = i;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,17 +132,6 @@ mod tests {
         assert!((sigma - 1.0).abs() < 1e-12);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         assert!((mean - 100.0).abs() < 0.05, "mean = {mean}");
-    }
-
-    #[test]
-    fn geometric_is_integer_and_centered() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 40_000;
-        let sum: i64 = (0..n)
-            .map(|_| geometric_mechanism(10, 1.0, &mut rng).unwrap())
-            .sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean = {mean}");
     }
 
     #[test]
@@ -229,27 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn noisy_max_prefers_high_scores() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let scores = [1.0, 5.0, 2.0];
-        let mut hits = 0;
-        for _ in 0..1000 {
-            if report_noisy_max(&scores, 1.0, 4.0, &mut rng).unwrap() == 1 {
-                hits += 1;
-            }
-        }
-        assert!(hits > 900, "hits = {hits}");
-    }
-
-    #[test]
     fn empty_candidates_error() {
         let mut rng = StdRng::seed_from_u64(7);
         assert!(matches!(
             exponential_mechanism(&[], 1.0, 1.0, &mut rng),
-            Err(DpError::EmptyCandidates)
-        ));
-        assert!(matches!(
-            report_noisy_max(&[], 1.0, 1.0, &mut rng),
             Err(DpError::EmptyCandidates)
         ));
     }

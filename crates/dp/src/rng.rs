@@ -33,20 +33,9 @@ pub fn derive_seed(master: u64, tag: &str) -> u64 {
     splitmix64(master ^ fnv1a(tag.as_bytes()))
 }
 
-/// Deterministic child seed for `(master, tag, index)` — for per-trial or
-/// per-round streams.
-pub fn derive_seed_indexed(master: u64, tag: &str, index: u64) -> u64 {
-    splitmix64(derive_seed(master, tag) ^ splitmix64(index))
-}
-
 /// A seeded RNG for `(master, tag)`.
 pub fn rng_for(master: u64, tag: &str) -> StdRng {
     StdRng::seed_from_u64(derive_seed(master, tag))
-}
-
-/// A seeded RNG for `(master, tag, index)`.
-pub fn rng_for_indexed(master: u64, tag: &str, index: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed_indexed(master, tag, index))
 }
 
 /// 32-byte ChaCha8 key identifying one benchmark grid cell: the master seed,
@@ -88,14 +77,6 @@ mod tests {
         assert_eq!(derive_seed(1, "fit"), derive_seed(1, "fit"));
         assert_ne!(derive_seed(1, "fit"), derive_seed(1, "sample"));
         assert_ne!(derive_seed(1, "fit"), derive_seed(2, "fit"));
-    }
-
-    #[test]
-    fn indexed_streams_differ() {
-        let a = derive_seed_indexed(7, "trial", 0);
-        let b = derive_seed_indexed(7, "trial", 1);
-        assert_ne!(a, b);
-        assert_eq!(a, derive_seed_indexed(7, "trial", 0));
     }
 
     #[test]

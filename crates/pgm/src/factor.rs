@@ -8,15 +8,16 @@
 //!
 //! # Stride kernels
 //!
-//! The hot path (belief-propagation inside mirror descent) never
-//! materializes a union scope: [`Factor::mul_assign_broadcast`] and
-//! [`Factor::div_assign_broadcast`] walk the larger operand once with a
-//! precomputed per-axis stride table (`StridePlan`), and
-//! [`Factor::marginalize_keep`] accumulates through the same strided walk.
-//! Every kernel performs the *same floating-point operations in the same
-//! order* as the retained naive expand-then-zip implementations, so results
-//! are bit-identical — a property pinned by the differential proptests in
-//! `tests/factor_equivalence.rs`.
+//! The hot path (belief propagation inside mirror descent) never
+//! materializes a union scope: calibration and the mirror-descent gradient
+//! call the slice kernels `bcast_add` and `bcast_assign`, which walk the
+//! larger operand once with a precomputed per-axis stride table
+//! (`StridePlan`), and [`Factor::marginalize_keep`] accumulates through the
+//! same strided walk. Every kernel performs the *same floating-point
+//! operations in the same order* as the retained naive expand-then-zip
+//! implementations, so results are bit-identical — a property pinned by the
+//! differential proptests in `tests/factor_equivalence.rs` and
+//! `tests/calibration_determinism.rs`.
 
 use crate::error::{PgmError, Result};
 use std::cell::Cell;
@@ -132,11 +133,6 @@ impl StridePlan {
         }
     }
 
-    /// Cells of the big scope.
-    pub(crate) fn big_cells(&self) -> usize {
-        self.big_cells
-    }
-
     /// Cells of the small scope.
     pub(crate) fn small_cells(&self) -> usize {
         self.small_cells
@@ -201,23 +197,6 @@ pub(crate) fn bcast_add(dst: &mut [f64], src: &[f64], plan: &StridePlan) {
     debug_assert_eq!(dst.len(), plan.big_cells);
     debug_assert_eq!(src.len(), plan.small_cells);
     plan.walk(|big, small| dst[big] += src[small]);
-}
-
-/// In-place log-space division with the zero-mass convention:
-/// `-inf / -inf := -inf` (zero over zero stays zero mass); division by zero
-/// where mass exists yields `+inf`.
-pub(crate) fn bcast_div(dst: &mut [f64], src: &[f64], plan: &StridePlan) {
-    debug_assert_eq!(dst.len(), plan.big_cells);
-    debug_assert_eq!(src.len(), plan.small_cells);
-    plan.walk(|big, small| {
-        let y = src[small];
-        let x = &mut dst[big];
-        if y.is_finite() {
-            *x -= y;
-        } else if x.is_finite() {
-            *x = f64::INFINITY;
-        }
-    });
 }
 
 /// Pass 1 of strided marginalization: per-output-cell maximum (for the
@@ -338,15 +317,6 @@ impl Factor {
         })
     }
 
-    /// Build from non-negative linear-space values (zeros become -inf).
-    pub fn from_values(attrs: Vec<usize>, shape: Vec<usize>, values: &[f64]) -> Result<Factor> {
-        let logs = values
-            .iter()
-            .map(|&v| if v > 0.0 { v.ln() } else { f64::NEG_INFINITY })
-            .collect();
-        Self::from_log_values(attrs, shape, logs)
-    }
-
     /// Sorted global attribute ids in scope.
     pub fn attrs(&self) -> &[usize] {
         &self.attrs
@@ -403,54 +373,6 @@ impl Factor {
     pub fn probabilities_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.n_cells(), "probability buffer size");
         probabilities_into_slice(&self.log_values, out);
-    }
-
-    /// In-place log-space product with a factor whose scope is contained in
-    /// this one: `self[x] += other[x restricted]`, walking this factor once
-    /// with a precomputed stride table. No union scope is materialized.
-    ///
-    /// # Errors
-    /// [`PgmError::ScopeMismatch`] if `other.attrs ⊄ self.attrs`.
-    pub fn mul_assign_broadcast(&mut self, other: &Factor) -> Result<()> {
-        let plan = StridePlan::embed(&other.attrs, &other.shape, &self.attrs, &self.shape)?;
-        bcast_add(&mut self.log_values, &other.log_values, &plan);
-        Ok(())
-    }
-
-    /// In-place log-space division by a factor whose scope is contained in
-    /// this one (zero-mass convention of [`Factor::divide`]).
-    ///
-    /// # Errors
-    /// [`PgmError::ScopeMismatch`] if `other.attrs ⊄ self.attrs`.
-    pub fn div_assign_broadcast(&mut self, other: &Factor) -> Result<()> {
-        let plan = StridePlan::embed(&other.attrs, &other.shape, &self.attrs, &self.shape)?;
-        bcast_div(&mut self.log_values, &other.log_values, &plan);
-        Ok(())
-    }
-
-    /// Log-space product: scope is the union of both scopes. The result is
-    /// assembled with one broadcast copy of `self` plus one broadcast add of
-    /// `other` — per cell the same single `a + b` the naive
-    /// expand-both-then-zip implementation performs.
-    pub fn multiply(&self, other: &Factor) -> Result<Factor> {
-        let (union_attrs, union_shape) = union_scope(self, other)?;
-        let plan_a = StridePlan::embed(&self.attrs, &self.shape, &union_attrs, &union_shape)?;
-        let plan_b = StridePlan::embed(&other.attrs, &other.shape, &union_attrs, &union_shape)?;
-        let mut out = vec![0.0f64; plan_a.big_cells()];
-        bcast_assign(&mut out, &self.log_values, &plan_a);
-        bcast_add(&mut out, &other.log_values, &plan_b);
-        Factor::from_log_values(union_attrs, union_shape, out)
-    }
-
-    /// Log-space division (used to form conditional distributions).
-    /// `-inf / -inf := -inf` (zero over zero stays zero mass).
-    ///
-    /// # Errors
-    /// [`PgmError::ScopeMismatch`] if `other.attrs ⊄ self.attrs`.
-    pub fn divide(&self, other: &Factor) -> Result<Factor> {
-        let mut out = self.clone();
-        out.div_assign_broadcast(other)?;
-        Ok(out)
     }
 
     /// Strided-marginalization plan from this factor's scope onto `keep`
@@ -551,7 +473,8 @@ impl Factor {
         Factor::from_log_values(target.to_vec(), target_shape.to_vec(), out)
     }
 
-    /// Original `multiply`: expand both operands onto the union, then zip.
+    /// Log-space product over the union scope: expand both operands onto
+    /// the union, then zip. `calibrate_naive` is built on it.
     pub fn naive_multiply(&self, other: &Factor) -> Result<Factor> {
         let (union_attrs, union_shape) = union_scope(self, other)?;
         let mut a = self.expand(&union_attrs, &union_shape)?;
@@ -560,21 +483,6 @@ impl Factor {
             *x += y;
         }
         Ok(a)
-    }
-
-    /// Original `divide`: expand the divisor onto this scope, then zip.
-    pub fn naive_divide(&self, other: &Factor) -> Result<Factor> {
-        let b = other.expand(&self.attrs, &self.shape)?;
-        let mut out = self.clone();
-        for (x, y) in out.log_values.iter_mut().zip(b.log_values) {
-            // -inf / -inf := -inf (zero over zero stays zero mass).
-            if y.is_finite() {
-                *x -= y;
-            } else if x.is_finite() {
-                *x = f64::INFINITY; // division by zero where mass exists
-            }
-        }
-        Ok(out)
     }
 
     /// Original `marginalize_keep`: per-cell division/modulo index mapping.
@@ -671,8 +579,13 @@ pub fn log_sum_exp(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A factor from non-negative linear-space values (zeros become -inf).
     fn factor(attrs: Vec<usize>, shape: Vec<usize>, vals: Vec<f64>) -> Factor {
-        Factor::from_values(attrs, shape, &vals).unwrap()
+        let logs = vals
+            .iter()
+            .map(|&v| if v > 0.0 { v.ln() } else { f64::NEG_INFINITY })
+            .collect();
+        Factor::from_log_values(attrs, shape, logs).unwrap()
     }
 
     #[test]
@@ -693,27 +606,10 @@ mod tests {
     fn multiply_matches_manual_product() {
         let fa = factor(vec![0], vec![2], vec![0.25, 0.75]);
         let fb = factor(vec![1], vec![2], vec![0.5, 0.5]);
-        let joint = fa.multiply(&fb).unwrap();
+        let joint = fa.naive_multiply(&fb).unwrap();
         let p = joint.probabilities();
         assert!((p[0] - 0.125).abs() < 1e-12); // 0.25 * 0.5
         assert!((p[3] - 0.375).abs() < 1e-12); // 0.75 * 0.5
-    }
-
-    #[test]
-    fn mul_assign_broadcast_matches_multiply() {
-        let big = factor(
-            vec![0, 1, 2],
-            vec![2, 3, 2],
-            (1..=12).map(f64::from).collect(),
-        );
-        let small = factor(vec![0, 2], vec![2, 2], vec![0.5, 1.0, 2.0, 4.0]);
-        let via_multiply = big.multiply(&small).unwrap();
-        let mut in_place = big.clone();
-        in_place.mul_assign_broadcast(&small).unwrap();
-        assert_eq!(in_place, via_multiply);
-        // A non-subset operand is rejected.
-        let outside = factor(vec![3], vec![2], vec![1.0, 1.0]);
-        assert!(in_place.mul_assign_broadcast(&outside).is_err());
     }
 
     #[test]
@@ -790,19 +686,16 @@ mod tests {
         let f = factor(vec![0], vec![2], vec![1.0, 1.0]);
         assert!(f.expand(&[1], &[2]).is_err());
         assert!(f.marginalize_keep(&[1]).is_err());
+        assert!(
+            StridePlan::embed(&[1], &[2], &[0], &[2]).is_err(),
+            "not a subset"
+        );
+        assert!(
+            StridePlan::embed(&[0], &[3], &[0], &[2]).is_err(),
+            "cardinality"
+        );
         assert!(Factor::uniform(vec![1, 0], vec![2, 2]).is_err());
         assert!(Factor::uniform(vec![0, 0], vec![2, 2]).is_err());
-    }
-
-    #[test]
-    fn divide_forms_conditionals() {
-        let joint = factor(vec![0, 1], vec![2, 2], vec![0.1, 0.3, 0.2, 0.4]);
-        let marg = joint.marginalize_keep(&[0]).unwrap();
-        let cond = joint.divide(&marg).unwrap();
-        let p: Vec<f64> = cond.log_values().iter().map(|v| v.exp()).collect();
-        // p(b|a=0) = [0.25, 0.75].
-        assert!((p[0] - 0.25).abs() < 1e-9);
-        assert!((p[1] - 0.75).abs() < 1e-9);
     }
 
     #[test]

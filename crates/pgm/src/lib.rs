@@ -4,9 +4,8 @@
 //! graphical model estimated from noisy marginals (McKenna et al.'s
 //! Private-PGM). This crate provides that machinery from scratch:
 //!
-//! * [`factor`] — log-space factors with stride-kernel product /
-//!   marginalization / division (no union scope is ever materialized on the
-//!   hot path);
+//! * [`factor`] — log-space factors with stride-kernel broadcast products and
+//!   marginalization (no union scope is ever materialized on the hot path);
 //! * [`junction_tree`] — min-fill triangulation + maximal cliques + maximum
 //!   spanning tree with the running-intersection property;
 //! * [`inference`] — Shafer–Shenoy calibration, allocation-free after
@@ -24,13 +23,13 @@
 //!
 //! Each kernel keeps one naive oracle, compiled in every build: the
 //! original allocate-per-operation factor algebra
-//! ([`Factor::naive_multiply`], [`Factor::naive_divide`],
-//! [`Factor::naive_marginalize_keep`], [`Factor::expand`]), the calibration
-//! and mirror descent built on it ([`calibrate_naive`], [`estimate_naive`])
-//! and the per-row [`NaiveSampler`]. The stride kernels, the workspace
-//! calibration and the batched sampler are proven **bit-identical** to them
-//! by the proptests in `tests/factor_equivalence.rs`,
-//! `tests/calibration_determinism.rs` and `tests/sampling_equivalence.rs`.
+//! ([`Factor::naive_multiply`], [`Factor::naive_marginalize_keep`],
+//! [`Factor::expand`]), the calibration and mirror descent built on it
+//! ([`calibrate_naive`], [`estimate_naive`]) and the per-row
+//! [`NaiveSampler`]. The stride kernels, the workspace calibration and the
+//! batched sampler are proven **bit-identical** to them by the proptests in
+//! `tests/factor_equivalence.rs`, `tests/calibration_determinism.rs` and
+//! `tests/sampling_equivalence.rs`.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the clearer idiom in numeric kernels
 pub mod error;

@@ -12,8 +12,10 @@
 //! `--paper-scale` and `--scale` must match the run that populated the
 //! store: they set each paper's row count, hence the dataset digests
 //! requests resolve against. Seeds and bootstrap draws change no fit, so
-//! serve takes neither. An unknown flag or a value that does not parse
-//! exits with code 2 before anything binds.
+//! serve takes neither. An unknown flag, a value that does not parse, a
+//! `--scale` that is not a finite number above 0, or a `--workers` count
+//! outside 1 to `MAX_THREADS` (1,024) exits with code 2 before anything
+//! binds.
 //!
 //! `bench-serve` measures the serve-path win and writes `BENCH_serve.json`:
 //! cold fit-and-sample versus warm serve-mode sampling from a cached fit.
@@ -25,7 +27,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
-use synrd::benchmark::{BenchmarkConfig, FitStore};
+use synrd::benchmark::{BenchmarkConfig, FitStore, MAX_THREADS};
 use synrd::publication_by_id;
 use synrd_serve::{handle_request, serve, FitService};
 use synrd_store::JsonValue;
@@ -78,9 +80,24 @@ fn parse_serve(args: &[String]) -> Result<ServeOptions, String> {
         match flag.as_str() {
             "--out-dir" => out_dir = Some(parsed(flag, it.next())?),
             "--addr" => addr = parsed(flag, it.next())?,
-            "--workers" => workers = parsed(flag, it.next())?,
+            "--workers" => {
+                workers = parsed(flag, it.next())?;
+                if !(1..=MAX_THREADS).contains(&workers) {
+                    return Err(format!(
+                        "bad {flag} '{workers}': expected a worker count from 1 to {MAX_THREADS}"
+                    ));
+                }
+            }
             "--paper-scale" => {}
-            "--scale" => config.data_scale = parsed(flag, it.next())?,
+            "--scale" => {
+                config.data_scale = parsed(flag, it.next())?;
+                if !(config.data_scale.is_finite() && config.data_scale > 0.0) {
+                    return Err(format!(
+                        "bad {flag} '{}': expected a finite number above 0",
+                        config.data_scale
+                    ));
+                }
+            }
             _ => return Err(format!("unknown flag '{flag}' for synrd serve")),
         }
     }
@@ -271,5 +288,38 @@ fn cmd_bench_serve(args: &[String]) {
     if speedup < 5.0 {
         eprintln!("serve-mode warm sampling is below the 5x gate");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ServeOptions, String> {
+        let mut all = vec!["--out-dir".to_string(), "store".to_string()];
+        all.extend(args.iter().map(|a| a.to_string()));
+        parse_serve(&all)
+    }
+
+    #[test]
+    fn worker_counts_outside_the_cap_are_rejected() {
+        for workers in ["0", "1025", "1000000"] {
+            let err = parse(&["--workers", workers]).err().expect(workers);
+            assert!(err.contains(&format!("bad --workers '{workers}'")), "{err}");
+        }
+        for workers in [1, MAX_THREADS] {
+            let options = parse(&["--workers", &workers.to_string()]).unwrap();
+            assert_eq!(options.workers, workers);
+        }
+    }
+
+    #[test]
+    fn scales_that_are_not_finite_and_positive_are_rejected() {
+        for scale in ["0", "-3", "NaN", "inf"] {
+            let err = parse(&["--scale", scale]).err().expect(scale);
+            assert!(err.contains(&format!("bad --scale '{scale}'")), "{err}");
+        }
+        let options = parse(&["--scale", "0.02"]).unwrap();
+        assert_eq!(options.config.data_scale, 0.02);
     }
 }

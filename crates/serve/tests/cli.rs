@@ -56,6 +56,19 @@ fn unparseable_values_exit_with_code_2() {
 }
 
 #[test]
+fn scales_that_are_not_finite_and_positive_exit_with_code_2() {
+    // Each would floor or cap the row counts and resolve other digests.
+    for scale in ["0", "-3", "NaN", "inf"] {
+        let (code, stderr) = serve(&["--scale", scale]);
+        assert_eq!(code, Some(2), "--scale {scale}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad --scale '{scale}'")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flags_exit_with_code_2() {
     for flag in [
         "--sedes",

@@ -1,5 +1,4 @@
-//! Correlation measures: Pearson, Spearman (average-rank ties), and the
-//! paper's qualitative "strong correlation" convention (|r| > 0.7).
+//! Correlation measures: Pearson and Spearman (average-rank ties).
 
 use crate::error::{Result, StatsError};
 
@@ -75,11 +74,6 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64> {
     pearson(&ranks(x), &ranks(y))
 }
 
-/// The paper's convention: a correlation is "strong" when |r| > 0.7.
-pub fn is_strong(r: f64) -> bool {
-    r.abs() > 0.7
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,13 +102,6 @@ mod tests {
         assert!((spearman(&x, &y).unwrap() - 1.0).abs() < 1e-12);
         // Pearson is below 1 for the same data.
         assert!(pearson(&x, &y).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn strong_convention() {
-        assert!(is_strong(0.71));
-        assert!(is_strong(-0.9));
-        assert!(!is_strong(0.69));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Descriptive statistics: means, variances, quantiles, proportions.
+//! Descriptive statistics: means, variances and quantiles.
 //!
 //! These back the paper's *Descriptive Statistics* finding type (8 findings,
 //! including the hard ones #4 and #39).
@@ -28,32 +28,6 @@ pub fn variance(values: &[f64]) -> Result<f64> {
     Ok(values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64)
 }
 
-/// Sample standard deviation.
-pub fn std_dev(values: &[f64]) -> Result<f64> {
-    Ok(variance(values)?.sqrt())
-}
-
-/// Weighted mean with non-negative weights.
-///
-/// # Errors
-/// Length mismatch or all-zero weights.
-pub fn weighted_mean(values: &[f64], weights: &[f64]) -> Result<f64> {
-    if values.len() != weights.len() {
-        return Err(StatsError::LengthMismatch {
-            left: values.len(),
-            right: weights.len(),
-        });
-    }
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "weights_sum",
-            value: total,
-        });
-    }
-    Ok(values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / total)
-}
-
 /// Linear-interpolation quantile (type 7). Sorts a copy.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
@@ -81,27 +55,6 @@ pub fn iqr(values: &[f64]) -> f64 {
     quantile(values, 0.75) - quantile(values, 0.25)
 }
 
-/// Proportion of values satisfying a predicate.
-pub fn proportion_where(values: &[f64], pred: impl Fn(f64) -> bool) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    values.iter().filter(|&&v| pred(v)).count() as f64 / values.len() as f64
-}
-
-/// Standard error of a proportion p estimated from n observations.
-pub fn proportion_se(p: f64, n: usize) -> f64 {
-    if n == 0 {
-        return f64::NAN;
-    }
-    (p * (1.0 - p) / n as f64).sqrt()
-}
-
-/// Difference of two group means.
-pub fn mean_difference(a: &[f64], b: &[f64]) -> f64 {
-    mean(a) - mean(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,25 +69,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_matches_manual() {
-        let wm = weighted_mean(&[1.0, 3.0], &[1.0, 3.0]).unwrap();
-        assert!((wm - 2.5).abs() < 1e-12);
-        assert!(weighted_mean(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(weighted_mean(&[1.0], &[0.0]).is_err());
-    }
-
-    #[test]
     fn too_few_observations() {
         assert!(matches!(
             variance(&[1.0]),
             Err(StatsError::TooFewObservations { .. })
         ));
-    }
-
-    #[test]
-    fn proportions() {
-        let v = [0.0, 1.0, 1.0, 0.0];
-        assert!((proportion_where(&v, |x| x > 0.5) - 0.5).abs() < 1e-12);
-        assert!((proportion_se(0.5, 100) - 0.05).abs() < 1e-12);
     }
 }

@@ -4,22 +4,16 @@
 //! once on real data, once on DP synthetic data. This crate provides those
 //! computations:
 //!
-//! * [`descriptive`] — means, quantiles, proportions (finding type
+//! * [`descriptive`] — means, variances and quantiles (finding type
 //!   *Descriptive Statistics*);
-//! * [`correlation`] — Pearson / Spearman with the paper's |r| > 0.7
-//!   "strong" convention;
-//! * [`regression`] / [`logistic`](mod@logistic) — OLS/WLS and IRLS logistic regression
+//! * [`correlation`] — Pearson / Spearman;
+//! * [`regression`] / [`logistic`](mod@logistic) — OLS and IRLS logistic regression
 //!   with standard errors (coefficient-comparison finding types);
 //! * [`mediation`](mod@mediation) — PROCESS-style moderation/mediation via OLS;
-//! * [`hypothesis`] — two-proportion z, Welch t, χ² independence;
-//! * [`bootstrap`] — standard and Bayesian (Dirichlet-weight) bootstrap, the
-//!   paper's control condition;
-//! * [`rubin`] — Rubin's rules (paper Eqs. 1–5) for combining estimates over
-//!   synthetic replicates;
+//! * [`hypothesis`] — the two-proportion z-test;
 //! * [`special`] / [`linalg`] — numerical underpinnings.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the clearer idiom in numeric kernels
-pub mod bootstrap;
 pub mod correlation;
 pub mod descriptive;
 pub mod error;
@@ -28,17 +22,13 @@ pub mod linalg;
 pub mod logistic;
 pub mod mediation;
 pub mod regression;
-pub mod rubin;
 pub mod special;
 
-pub use correlation::{is_strong, pearson, ranks, spearman};
-pub use descriptive::{
-    iqr, mean, mean_difference, median, quantile, std_dev, variance, weighted_mean,
-};
+pub use correlation::{pearson, ranks, spearman};
+pub use descriptive::{iqr, mean, median, quantile, variance};
 pub use error::{Result, StatsError};
-pub use hypothesis::{chi_square_independence, two_proportion_z, welch_t, TestResult};
+pub use hypothesis::{two_proportion_z, TestResult};
 pub use linalg::Matrix;
 pub use logistic::{logistic, logistic_columns, odds_ratio_2x2, LogisticFit, LogisticOptions};
 pub use mediation::{mediation, moderation, Mediation, Moderation};
-pub use regression::{ols, ols_columns, wls, LinearFit};
-pub use rubin::{combine as rubin_combine, RubinResult};
+pub use regression::{ols, ols_columns, LinearFit};

@@ -1,4 +1,4 @@
-//! Ordinary and weighted least squares via the normal equations.
+//! Ordinary least squares via the normal equations.
 //!
 //! Backs the paper's *Regression Between-Coefficients*, *Fixed Coefficient
 //! (Sign)*, *Coefficient Difference* and *Causal Paths* finding types.
@@ -39,11 +39,6 @@ impl LinearFit {
 /// # Errors
 /// Dimension mismatches, or an unresolvably singular Gram matrix.
 pub fn ols(x: &Matrix, y: &[f64]) -> Result<LinearFit> {
-    wls(x, y, None)
-}
-
-/// Fit weighted least squares with optional per-row weights (None = OLS).
-pub fn wls(x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<LinearFit> {
     let n = x.n_rows();
     let k = x.n_cols();
     if y.len() != n {
@@ -58,30 +53,20 @@ pub fn wls(x: &Matrix, y: &[f64], weights: Option<&[f64]>) -> Result<LinearFit> 
             got: n,
         });
     }
-    let gram = x.gram(weights)?;
-    let rhs = x.gram_rhs(y, weights)?;
+    let gram = x.gram(None)?;
+    let rhs = x.gram_rhs(y, None)?;
     let coefficients = solve_spd(&gram, &rhs)?;
 
-    // Residuals and fit quality (weighted when weights are given).
+    // Residuals and fit quality.
     let fitted = x.matvec(&coefficients)?;
+    let ybar = y.iter().sum::<f64>() / n as f64;
     let mut ssr = 0.0;
     let mut sst = 0.0;
-    let mut wsum = 0.0;
-    let ybar = match weights {
-        Some(w) => {
-            let tw: f64 = w.iter().sum();
-            y.iter().zip(w).map(|(yi, wi)| yi * wi).sum::<f64>() / tw
-        }
-        None => y.iter().sum::<f64>() / n as f64,
-    };
     for r in 0..n {
-        let w = weights.map_or(1.0, |w| w[r]);
-        ssr += w * (y[r] - fitted[r]).powi(2);
-        sst += w * (y[r] - ybar).powi(2);
-        wsum += w;
+        ssr += (y[r] - fitted[r]).powi(2);
+        sst += (y[r] - ybar).powi(2);
     }
-    let dof = (wsum - k as f64).max(1.0);
-    let residual_variance = ssr / dof;
+    let residual_variance = ssr / (n - k) as f64;
     let cov = inverse_spd(&gram)?;
     let std_errors = (0..k)
         .map(|j| (residual_variance * cov.at(j, j)).max(0.0).sqrt())
@@ -134,27 +119,6 @@ mod tests {
         assert!((fit.coefficients[2] + 1.5).abs() < 0.01);
         // t statistics should be overwhelming.
         assert!(fit.t_stat(1).abs() > 50.0);
-    }
-
-    #[test]
-    fn weights_shift_the_fit() {
-        // Two clusters with different relationships; upweighting one pulls
-        // the slope toward it.
-        let x = vec![0.0, 1.0, 0.0, 1.0];
-        let y = vec![0.0, 1.0, 0.0, 3.0];
-        let even = wls(
-            &Matrix::design_with_intercept(std::slice::from_ref(&x)).unwrap(),
-            &y,
-            Some(&[1.0, 1.0, 1.0, 1.0]),
-        )
-        .unwrap();
-        let tilted = wls(
-            &Matrix::design_with_intercept(&[x]).unwrap(),
-            &y,
-            Some(&[1.0, 1.0, 1.0, 10.0]),
-        )
-        .unwrap();
-        assert!(tilted.coefficients[1] > even.coefficients[1]);
     }
 
     #[test]

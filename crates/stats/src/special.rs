@@ -1,11 +1,6 @@
-//! Special functions backing p-values and confidence intervals:
-//! error function, normal CDF/quantile, log-gamma, regularized incomplete
-//! beta, and Student-t CDF/quantile.
-//!
-//! Implementations follow the classic Numerical-Recipes-style series /
-//! continued-fraction forms, accurate to ~1e-7 — far below the statistical
+//! Special functions backing the z-test's p-value: the error function and
+//! the standard normal CDF, accurate to ~1e-7 — far below the statistical
 //! noise of any benchmark quantity.
-#![allow(clippy::excessive_precision)] // coefficients quoted verbatim from the references
 
 /// Error function via the Abramowitz & Stegun 7.1.26 rational approximation
 /// (|error| < 1.5e-7).
@@ -24,215 +19,6 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Standard normal quantile via Acklam's inverse-CDF approximation
-/// (relative error < 1.15e-9 over (0,1)).
-pub fn normal_quantile(p: f64) -> f64 {
-    if !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383577518672690e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
-/// Log-gamma via the Lanczos approximation (g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
-    const COEF: [f64; 9] = [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut a = COEF[0];
-    let t = x + 7.5;
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        a += c / (x + i as f64);
-    }
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
-/// Regularized incomplete beta function I_x(a, b) via the Lentz continued
-/// fraction.
-pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x >= 1.0 {
-        return 1.0;
-    }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    // The front factor is symmetric under (a,b,x) -> (b,a,1-x), so both
-    // branches reuse it; choosing the branch keeps the continued fraction in
-    // its fast-converging regime.
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
-}
-
-/// Continued fraction for the incomplete beta (Numerical Recipes betacf).
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 300;
-    const EPS: f64 = 1e-14;
-    const FPMIN: f64 = 1e-300;
-
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..=MAX_ITER {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        // Even step.
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        // Odd step.
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    h
-}
-
-/// Student-t CDF with `df` degrees of freedom.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
-    if df <= 0.0 {
-        return f64::NAN;
-    }
-    if !t.is_finite() {
-        return if t > 0.0 { 1.0 } else { 0.0 };
-    }
-    let x = df / (df + t * t);
-    let p = 0.5 * incomplete_beta(0.5 * df, 0.5, x);
-    if t > 0.0 {
-        1.0 - p
-    } else {
-        p
-    }
-}
-
-/// Student-t quantile by bisection on [`t_cdf`] (bracketing from the normal
-/// quantile; monotone, so convergence is guaranteed).
-pub fn t_quantile(p: f64, df: f64) -> f64 {
-    if !(0.0 < p && p < 1.0) || df <= 0.0 {
-        return f64::NAN;
-    }
-    // Large df: the normal quantile is already accurate to < 1e-3.
-    let z = normal_quantile(p);
-    if df > 1e6 {
-        return z;
-    }
-    let mut lo = z.abs().mul_add(-4.0, -2.0);
-    let mut hi = z.abs().mul_add(4.0, 2.0);
-    // Widen until bracketed (heavy tails at tiny df).
-    while t_cdf(lo, df) > p {
-        lo *= 2.0;
-    }
-    while t_cdf(hi, df) < p {
-        hi *= 2.0;
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if t_cdf(mid, df) < p {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        if hi - lo < 1e-10 {
-            break;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,48 +28,5 @@ mod tests {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-9);
         assert!((normal_cdf(1.959964) - 0.975).abs() < 1e-5);
         assert!((normal_cdf(-1.959964) - 0.025).abs() < 1e-5);
-    }
-
-    #[test]
-    fn normal_quantile_inverts_cdf() {
-        for &p in &[0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-6, "p = {p}");
-        }
-    }
-
-    #[test]
-    fn ln_gamma_known_values() {
-        // Γ(5) = 24.
-        assert!((ln_gamma(5.0) - 24.0f64.ln()).abs() < 1e-10);
-        // Γ(0.5) = √π.
-        assert!((ln_gamma(0.5) - 0.5 * std::f64::consts::PI.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn t_cdf_matches_reference() {
-        // t = 2.228, df = 10 is the classic two-sided 95% critical value.
-        assert!((t_cdf(2.228, 10.0) - 0.975).abs() < 1e-3);
-        assert!((t_cdf(0.0, 7.0) - 0.5).abs() < 1e-12);
-        // Converges to the normal for large df.
-        assert!((t_cdf(1.96, 1e5) - normal_cdf(1.96)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn t_quantile_inverts_cdf() {
-        for &df in &[1.5, 4.0, 10.0, 50.0] {
-            for &p in &[0.05, 0.5, 0.9, 0.975] {
-                let t = t_quantile(p, df);
-                assert!((t_cdf(t, df) - p).abs() < 1e-6, "df {df}, p {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn incomplete_beta_boundaries() {
-        assert_eq!(incomplete_beta(2.0, 3.0, 0.0), 0.0);
-        assert_eq!(incomplete_beta(2.0, 3.0, 1.0), 1.0);
-        // I_{0.5}(a, a) = 0.5 by symmetry.
-        assert!((incomplete_beta(4.0, 4.0, 0.5) - 0.5).abs() < 1e-10);
     }
 }

@@ -328,10 +328,6 @@ impl JsonCodec for BenchmarkConfig {
             ("data_scale", JsonValue::Num(self.data_scale)),
             ("min_rows", JsonValue::Uint(self.min_rows as u64)),
             ("data_seed", JsonValue::Uint(self.data_seed)),
-            // `fit_threads` is deliberately absent: like the ML backend it
-            // is a throughput-only knob (fits are bit-identical at any
-            // thread count), so serialized configs stay byte-identical
-            // across intra-fit thread settings.
             ("threads", JsonValue::Uint(self.threads as u64)),
             ("fit_timeout", timeout),
             ("restrict_privmrf", JsonValue::Bool(self.restrict_privmrf)),
@@ -376,7 +372,6 @@ impl JsonCodec for BenchmarkConfig {
             min_rows: usize_field(value, "min_rows")?,
             data_seed: u64_field(value, "data_seed")?,
             threads: usize_field(value, "threads")?,
-            fit_threads: None,
             fit_timeout,
             restrict_privmrf: field(value, "restrict_privmrf")?
                 .as_bool()

@@ -749,6 +749,7 @@ mod cell_tests {
 mod fit_tests {
     use super::*;
     use crate::SessionFits;
+    use synrd::benchmark::CoreBudget;
     use synrd_data::{Attribute, Dataset, Domain};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -866,32 +867,34 @@ mod fit_tests {
     #[test]
     fn fit_thread_allowance_never_reaches_the_fingerprint() {
         // Intra-fit parallelism is bit-identical at any thread count, so the
-        // allowance must stay out of fit identity: configs differing only in
-        // `fit_threads` fingerprint identically, and a fit saved by a
-        // sequential run loads under any allowance.
+        // allowance must stay out of fit identity: two-cell configs whose
+        // `threads` give each fit 1 and 4 threads fingerprint identically,
+        // and a fit saved by the sequential run loads under the wider one.
         let dir = tmp_dir("fit-threads");
-        let seq = BenchmarkConfig {
-            fit_threads: Some(1),
+        let two_cells = BenchmarkConfig {
+            epsilons: vec![1.0],
+            synthesizers: vec![SynthKind::Mst, SynthKind::Gem],
             ..BenchmarkConfig::quick()
+        };
+        let seq = BenchmarkConfig {
+            threads: 1,
+            ..two_cells.clone()
         };
         let wide = BenchmarkConfig {
-            fit_threads: Some(8),
-            ..BenchmarkConfig::quick()
+            threads: 8,
+            ..two_cells
         };
-        let auto = BenchmarkConfig {
-            fit_threads: None,
-            ..BenchmarkConfig::quick()
-        };
-        let fp = fit_fingerprint(&seq);
-        assert_eq!(fit_fingerprint(&wide), fp);
-        assert_eq!(fit_fingerprint(&auto), fp);
+        assert_eq!(CoreBudget::from_config(&seq).fit_threads(2), 1);
+        assert_eq!(CoreBudget::from_config(&wide).fit_threads(2), 4);
+        assert_eq!(fit_fingerprint(&wide), fit_fingerprint(&seq));
+        assert_eq!(config_fingerprint(&wide), config_fingerprint(&seq));
 
         let cache = DiskFitCache::open(&dir, &seq).unwrap();
         cache.save(9, SynthKind::Mst, 1.0, 0, &fitted_state(3));
         let reopened = DiskFitCache::open(&dir, &wide).unwrap();
         assert!(
             reopened.load(9, SynthKind::Mst, 1.0, 0).is_some(),
-            "a sequential fit must hit under an 8-thread allowance"
+            "a sequential fit must hit under a 4-thread allowance"
         );
         fs::remove_dir_all(&dir).unwrap();
     }

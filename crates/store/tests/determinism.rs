@@ -32,7 +32,6 @@ fn mini_config() -> BenchmarkConfig {
         min_rows: 800,
         data_seed: 99,
         threads: 4,
-        fit_threads: None,
         fit_timeout: Some(Duration::from_secs(300)),
         restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Gem],

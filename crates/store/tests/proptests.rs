@@ -119,7 +119,6 @@ fn arb_config(rng: &mut StdRng) -> BenchmarkConfig {
         min_rows: rng.gen::<u32>() as usize,
         data_seed: rng.gen::<u64>(),
         threads: rng.gen_range(1..32),
-        fit_threads: None,
         fit_timeout: if rng.gen::<bool>() {
             Some(std::time::Duration::new(
                 rng.gen_range(0..10_000),

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, Marginal, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
-use synrd_pgm::{estimate_with, CalibrationWorkspace, EstimationOptions, FittedModel, UnionFind};
+use synrd_pgm::{estimate, EstimationOptions, FittedModel, UnionFind};
 
 /// Configuration for [`Mst`].
 #[derive(Debug, Clone, Copy)]
@@ -172,8 +172,7 @@ impl Synthesizer for Mst {
             measurements.push(measure_gaussian(&mut engine, &[a, b], rho_pair, &mut rng)?);
         }
 
-        let mut ws = CalibrationWorkspace::new();
-        let model = estimate_with(
+        let model = estimate(
             &data.domain().shape(),
             &measurements,
             EstimationOptions {
@@ -182,7 +181,6 @@ impl Synthesizer for Mst {
                 cell_limit: self.options.cell_limit,
                 fit_threads: ctx.threads.max(1),
             },
-            &mut ws,
         )?;
         self.fitted = Some((data.domain().clone(), model));
         Ok(())

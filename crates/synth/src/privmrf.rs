@@ -18,9 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
-use synrd_pgm::{
-    estimate_with, CalibrationWorkspace, EstimationOptions, FittedModel, JunctionTree,
-};
+use synrd_pgm::{estimate, EstimationOptions, FittedModel, JunctionTree};
 
 /// Configuration for [`PrivMrf`].
 #[derive(Debug, Clone, Copy)]
@@ -195,8 +193,7 @@ impl Synthesizer for PrivMrf {
             chosen.push(attrs);
         }
 
-        let mut ws = CalibrationWorkspace::new();
-        let model = estimate_with(
+        let model = estimate(
             &shape,
             &measurements,
             EstimationOptions {
@@ -205,7 +202,6 @@ impl Synthesizer for PrivMrf {
                 cell_limit: self.options.cell_limit,
                 fit_threads: ctx.threads.max(1),
             },
-            &mut ws,
         )?;
         self.fitted = Some((data.domain().clone(), model));
         Ok(())

@@ -18,7 +18,6 @@ fn mini_config() -> BenchmarkConfig {
         min_rows: 1_500,
         data_seed: 99,
         threads: 4,
-        fit_threads: None,
         fit_timeout: Some(Duration::from_secs(300)),
         restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Gem],

@@ -41,7 +41,6 @@ fn digest_config() -> BenchmarkConfig {
         min_rows: 1_500,
         data_seed: 99,
         threads: 4,
-        fit_threads: None,
         fit_timeout: None,
         restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Aim],
