@@ -521,8 +521,8 @@ fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
                 batched.backward_apply_batch(&mut ws, &grads);
             }
             assert_eq!(
-                batched.export_state(),
-                naive.export_state(),
+                batched,
+                naive,
                 "{name}: {} batched round != per-example oracle",
                 backend.name()
             );

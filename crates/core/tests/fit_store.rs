@@ -86,12 +86,7 @@ impl FitStore for SabotagedStore {
                 // Swap variants: hand PGM methods a GEM-shaped husk.
                 FittedState::Pgm { domain, .. } => FittedState::Gem {
                     domain,
-                    model: synrd_synth::GemState {
-                        logits: vec![],
-                        m: vec![],
-                        v: vec![],
-                        step: 0,
-                    },
+                    model: synrd_synth::GemState { logits: vec![] },
                 },
                 other => other,
             })

@@ -164,14 +164,6 @@ impl Attribute {
         self.categories.get(code as usize).map(|s| s.as_str())
     }
 
-    /// Code for a label, if present.
-    pub fn code_of(&self, label: &str) -> Option<u32> {
-        self.categories
-            .iter()
-            .position(|c| c == label)
-            .map(|i| i as u32)
-    }
-
     /// Whether this attribute participates in numeric statistics
     /// (means, skewness, outlier counting). Categorical attributes do not.
     pub fn is_numeric(&self) -> bool {
@@ -211,7 +203,6 @@ mod tests {
         assert_eq!(race.cardinality(), 3);
         assert!(!race.is_numeric());
         assert!(matches!(race.numeric(0), Err(DataError::NotNumeric(_))));
-        assert_eq!(race.code_of("black"), Some(1));
         assert_eq!(race.label(2), Some("hispanic"));
     }
 

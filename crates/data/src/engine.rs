@@ -702,14 +702,6 @@ impl<'d> MarginalEngine<'d> {
         }
     }
 
-    /// Override the cache's total-cell budget (see
-    /// [`DEFAULT_CACHE_CELL_BUDGET`]); mainly for tests and memory-tight
-    /// callers.
-    pub fn with_cache_budget(mut self, cells: usize) -> MarginalEngine<'d> {
-        self.cache.cell_budget = cells;
-        self
-    }
-
     /// The dataset this engine counts over.
     pub fn dataset(&self) -> &'d Dataset {
         self.data
@@ -955,7 +947,8 @@ mod tests {
         let ds = toy(90);
         // Budget of 8 cells: the 2-way tables (6, 8, 12 cells) cannot all
         // stay resident; the newest entry always survives.
-        let mut engine = MarginalEngine::new(&ds).with_cache_budget(8);
+        let mut engine = MarginalEngine::new(&ds);
+        engine.cache.cell_budget = 8;
         let sets = [vec![0, 1], vec![0, 2], vec![1, 2]];
         for _ in 0..3 {
             for attrs in &sets {

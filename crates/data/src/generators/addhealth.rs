@@ -108,11 +108,6 @@ pub fn fruiht2018(n: usize, seed: u64) -> Dataset {
     ds
 }
 
-/// Marginal prevalences for Iverson & Terry's five adult-diagnosis
-/// descriptives (hard finding #39): depression, suicidality, counseling,
-/// anxiety disorder, psychiatric hospitalization.
-pub const IVERSON_DIAGNOSIS_RATES: [f64; 5] = [0.111, 0.042, 0.185, 0.092, 0.021];
-
 /// Iverson & Terry (2021): high-school football and adult depression /
 /// suicidality in men. 27 variables (19 binary + 8 wide categoricals),
 /// domain ≈ 5.8e15 with near-zero pairwise mutual information — the
@@ -218,6 +213,11 @@ pub fn iverson2021(n: usize, seed: u64) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Marginal prevalences for Iverson & Terry's five adult-diagnosis
+    /// descriptives (hard finding #39): depression, suicidality, counseling,
+    /// anxiety disorder, psychiatric hospitalization.
+    const IVERSON_DIAGNOSIS_RATES: [f64; 5] = [0.111, 0.042, 0.185, 0.092, 0.021];
 
     #[test]
     fn fruiht_mentor_lifts_attainment() {

@@ -14,8 +14,7 @@ use crate::generators::util::{bernoulli, categorical, softmax_choice};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Codes of the `first_substance` attribute.
-pub const FIRST_NONE: u32 = 0;
+/// Codes of the `first_substance` attribute (code 0 is "none").
 pub const FIRST_ALCOHOL: u32 = 1;
 pub const FIRST_CIGARETTES: u32 = 2;
 pub const FIRST_MARIJUANA: u32 = 3;

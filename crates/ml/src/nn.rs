@@ -44,7 +44,7 @@ pub enum Activation {
 }
 
 /// One dense layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Dense {
     input: usize,
     output: usize,
@@ -88,7 +88,7 @@ impl Dense {
 }
 
 /// MLP with ReLU hidden layers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
     output_activation: Activation,
@@ -97,9 +97,9 @@ pub struct Mlp {
     pub learning_rate: f64,
 }
 
-/// Serializable snapshot of one dense layer: weights, biases, and the full
-/// Adam moment state (so a restored network resumes training exactly where
-/// the exported one stopped).
+/// Serializable snapshot of one dense layer: what a forward pass reads,
+/// its weights and biases. The Adam moments stay out: no restored network
+/// is trained further.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseState {
     /// Input dimension.
@@ -110,28 +110,17 @@ pub struct DenseState {
     pub w: Vec<f64>,
     /// Biases, one per output.
     pub b: Vec<f64>,
-    /// Adam first moment of the weights.
-    pub mw: Vec<f64>,
-    /// Adam second moment of the weights.
-    pub vw: Vec<f64>,
-    /// Adam first moment of the biases.
-    pub mb: Vec<f64>,
-    /// Adam second moment of the biases.
-    pub vb: Vec<f64>,
 }
 
-/// Serializable snapshot of a full [`Mlp`] — the unit the fit cache
-/// round-trips for the PATECTGAN generator.
+/// Serializable snapshot of a full [`Mlp`]'s forward pass — the unit the
+/// fit cache round-trips for the PATECTGAN generator. It holds no
+/// optimizer state (step counter, learning rate or moments).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlpState {
     /// Layer snapshots, input-to-output order.
     pub layers: Vec<DenseState>,
     /// Output-layer activation.
     pub output_activation: Activation,
-    /// Adam step counter.
-    pub step: u64,
-    /// Adam learning rate.
-    pub learning_rate: f64,
 }
 
 /// Per-example caches captured on the forward pass for backprop, used only
@@ -481,8 +470,8 @@ impl Mlp {
         }
     }
 
-    /// Snapshot the full network state (weights + Adam moments) for
-    /// serialization.
+    /// Snapshot the network's forward pass (weights, biases and output
+    /// activation) for serialization.
     pub fn export_state(&self) -> MlpState {
         MlpState {
             layers: self
@@ -493,26 +482,21 @@ impl Mlp {
                     output: l.output,
                     w: l.w.clone(),
                     b: l.b.clone(),
-                    mw: l.mw.clone(),
-                    vw: l.vw.clone(),
-                    mb: l.mb.clone(),
-                    vb: l.vb.clone(),
                 })
                 .collect(),
             output_activation: self.output_activation,
-            step: self.step as u64,
-            learning_rate: self.learning_rate,
         }
     }
 
-    /// Rebuild a network from an exported snapshot. Inverse of
-    /// [`Mlp::export_state`]: `from_state(net.export_state())` predicts
-    /// bit-identically to `net`.
+    /// Rebuild a network from an exported snapshot, with zeroed Adam state
+    /// and the default learning rate: `from_state(net.export_state())`
+    /// predicts bit-identically to `net`.
     ///
     /// # Errors
     /// [`MlError::EmptyNetwork`] when the snapshot has no layers;
     /// [`MlError::LengthMismatch`] when a layer's buffers disagree with its
-    /// declared dimensions or adjacent layers do not chain.
+    /// declared dimensions, its weight count overflows `usize`, it has no
+    /// outputs, or adjacent layers do not chain.
     pub fn from_state(state: MlpState) -> Result<Mlp> {
         if state.layers.is_empty() {
             return Err(MlError::EmptyNetwork);
@@ -520,14 +504,21 @@ impl Mlp {
         let mut prev_output = state.layers[0].input;
         let mut layers = Vec::with_capacity(state.layers.len());
         for s in state.layers {
-            let weight_len = s.input * s.output;
+            // Every width must be backed by the weights the snapshot holds:
+            // no buffer holds a weight count that overflows `usize`, and a
+            // layer without outputs holds no weights for its `input` (for
+            // the first layer, the latent width sampling allocates per row).
+            let weight_len = s
+                .input
+                .checked_mul(s.output)
+                .filter(|_| s.output > 0)
+                .ok_or(MlError::LengthMismatch {
+                    left: s.w.len(),
+                    right: usize::MAX,
+                })?;
             for (len, expected) in [
                 (s.w.len(), weight_len),
-                (s.mw.len(), weight_len),
-                (s.vw.len(), weight_len),
                 (s.b.len(), s.output),
-                (s.mb.len(), s.output),
-                (s.vb.len(), s.output),
                 (s.input, prev_output),
             ] {
                 if len != expected {
@@ -541,19 +532,19 @@ impl Mlp {
             layers.push(Dense {
                 input: s.input,
                 output: s.output,
+                mw: vec![0.0; weight_len],
+                vw: vec![0.0; weight_len],
+                mb: vec![0.0; s.output],
+                vb: vec![0.0; s.output],
                 w: s.w,
                 b: s.b,
-                mw: s.mw,
-                vw: s.vw,
-                mb: s.mb,
-                vb: s.vb,
             });
         }
         Ok(Mlp {
             layers,
             output_activation: state.output_activation,
-            step: state.step as usize,
-            learning_rate: state.learning_rate,
+            step: 0,
+            learning_rate: 1e-3,
         })
     }
 }
@@ -797,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_is_exact_and_resumes_training() {
+    fn state_roundtrip_is_exact() {
         let mut rng = StdRng::seed_from_u64(23);
         let mut net = Mlp::new(&[2, 6, 1], Activation::Sigmoid, &mut rng);
         net.learning_rate = 4e-3;
@@ -808,13 +799,7 @@ mod tests {
         let restored = Mlp::from_state(net.export_state()).unwrap();
         let (a, b) = (predict(&net, &[0.3, 0.4]), predict(&restored, &[0.3, 0.4]));
         assert_eq!(a[0].to_bits(), b[0].to_bits(), "prediction must be exact");
-        // The Adam state round-trips too: one more identical step on both
-        // networks lands on identical weights.
-        let mut net2 = restored;
-        let mut net1 = net;
-        train_bce(&mut net1, &mut ws, &[0.2, 0.8], 0.0);
-        train_bce(&mut net2, &mut ws, &[0.2, 0.8], 0.0);
-        assert_eq!(net1.export_state(), net2.export_state());
+        assert_eq!(restored.export_state(), net.export_state());
     }
 
     #[test]
@@ -833,13 +818,32 @@ mod tests {
             Mlp::from_state(state),
             Err(MlError::LengthMismatch { .. })
         ));
+        // A 2^63-wide input backed by no weights is a length error, whether
+        // its weight count overflows `usize` or a zero-width layer hides it.
+        let dense = |input, output, w_len, b_len| DenseState {
+            input,
+            output,
+            w: vec![0.0; w_len],
+            b: vec![0.0; b_len],
+        };
+        for layers in [
+            vec![dense(1 << 63, 2, 0, 2)],
+            vec![dense(1 << 63, 0, 0, 0), dense(0, 2, 0, 2)],
+        ] {
+            let state = MlpState {
+                layers,
+                output_activation: Activation::Linear,
+            };
+            assert!(matches!(
+                Mlp::from_state(state),
+                Err(MlError::LengthMismatch { .. })
+            ));
+        }
         // A layerless snapshot is its own error, not a bogus length report.
         assert!(matches!(
             Mlp::from_state(MlpState {
                 layers: vec![],
                 output_activation: Activation::Linear,
-                step: 0,
-                learning_rate: 1e-3,
             }),
             Err(MlError::EmptyNetwork)
         ));
@@ -874,7 +878,7 @@ mod tests {
     fn empty_batch_is_a_noop() {
         let mut rng = StdRng::seed_from_u64(31);
         let mut net = Mlp::new(&[2, 4, 1], Activation::Sigmoid, &mut rng);
-        let before = net.export_state();
+        let before = net.clone();
         let mut ws = BatchWorkspace::new();
         net.forward_batch(&[], 0, &mut ws);
         assert!(ws.output().is_empty());
@@ -882,7 +886,7 @@ mod tests {
         let mut dx = vec![1.0; 3];
         net.input_gradient_batch(&mut ws, &[], &mut dx);
         assert!(dx.is_empty());
-        assert_eq!(net.export_state(), before, "no step on an empty batch");
+        assert_eq!(net, before, "no step on an empty batch");
     }
 
     /// Pins the batch-of-one path the training tests above take to the
@@ -900,6 +904,6 @@ mod tests {
         batched.backward_apply_batch(&mut ws, &g);
         let caches = naive.forward_batch_naive(&x, 1);
         naive.backward_apply_batch_naive(&caches, &g);
-        assert_eq!(batched.export_state(), naive.export_state());
+        assert_eq!(batched, naive);
     }
 }

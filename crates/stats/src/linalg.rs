@@ -24,21 +24,6 @@ impl Matrix {
         }
     }
 
-    /// Build from row-major data.
-    ///
-    /// # Errors
-    /// [`StatsError::DimensionMismatch`] if `data.len() != rows*cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Matrix> {
-        if data.len() != rows * cols {
-            return Err(StatsError::DimensionMismatch {
-                rows,
-                cols,
-                expected: data.len(),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Build a design matrix from columns (each a predictor), prepending an
     /// intercept column of ones.
     pub fn design_with_intercept(columns: &[Vec<f64>]) -> Result<Matrix> {
@@ -271,10 +256,16 @@ pub fn inverse_spd(a: &Matrix) -> Result<Matrix> {
 mod tests {
     use super::*;
 
+    /// A matrix from row-major data.
+    fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
+        assert_eq!(data.len(), rows * cols);
+        Matrix { rows, cols, data }
+    }
+
     #[test]
     fn cholesky_round_trip() {
         // A = Lref·Lrefᵀ for a known L.
-        let a = Matrix::from_rows(2, 2, vec![4.0, 2.0, 2.0, 5.0]).unwrap();
+        let a = from_rows(2, 2, vec![4.0, 2.0, 2.0, 5.0]);
         let l = cholesky(&a).unwrap();
         assert!((l.at(0, 0) - 2.0).abs() < 1e-12);
         assert!((l.at(1, 0) - 1.0).abs() < 1e-12);
@@ -283,7 +274,7 @@ mod tests {
 
     #[test]
     fn solve_spd_solves() {
-        let a = Matrix::from_rows(2, 2, vec![4.0, 2.0, 2.0, 5.0]).unwrap();
+        let a = from_rows(2, 2, vec![4.0, 2.0, 2.0, 5.0]);
         let x = solve_spd(&a, &[10.0, 13.0]).unwrap();
         // 4x + 2y = 10, 2x + 5y = 13 => x = 1.5, y = 2.
         assert!((x[0] - 1.5).abs() < 1e-10);
@@ -293,7 +284,7 @@ mod tests {
     #[test]
     fn solve_spd_survives_collinearity_with_ridge() {
         // Perfectly collinear columns: rank 1.
-        let a = Matrix::from_rows(2, 2, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
+        let a = from_rows(2, 2, vec![1.0, 1.0, 1.0, 1.0]);
         let x = solve_spd(&a, &[2.0, 2.0]).unwrap();
         // Any solution with x0 + x1 ≈ 2 is acceptable under ridge.
         assert!((x[0] + x[1] - 2.0).abs() < 1e-3, "{x:?}");
@@ -301,7 +292,7 @@ mod tests {
 
     #[test]
     fn gram_matches_manual() {
-        let x = Matrix::from_rows(3, 2, vec![1.0, 2.0, 1.0, 3.0, 1.0, 4.0]).unwrap();
+        let x = from_rows(3, 2, vec![1.0, 2.0, 1.0, 3.0, 1.0, 4.0]);
         let g = x.gram(None).unwrap();
         assert!((g.at(0, 0) - 3.0).abs() < 1e-12);
         assert!((g.at(0, 1) - 9.0).abs() < 1e-12);
@@ -313,7 +304,7 @@ mod tests {
 
     #[test]
     fn inverse_spd_inverts() {
-        let a = Matrix::from_rows(2, 2, vec![4.0, 2.0, 2.0, 5.0]).unwrap();
+        let a = from_rows(2, 2, vec![4.0, 2.0, 2.0, 5.0]);
         let inv = inverse_spd(&a).unwrap();
         // A * A^-1 = I.
         for i in 0..2 {

@@ -2,12 +2,12 @@
 //!
 //! A [`FittedState`] is whatever a synthesizer
 //! needs to sample without refitting: junction-tree beliefs for the PGM
-//! family, conditional probability tables for PrivBayes, the product
-//! distribution and Adam moments for GEM, and the generator MLP for
-//! PATECTGAN. Everything routes through the canonical JSON model, so the
-//! same guarantees hold as for cell outcomes: floats round-trip
-//! bit-for-bit (NaN and ±∞ included) and equal states serialize to equal
-//! bytes.
+//! family, conditional probability tables for PrivBayes, the mixture logits
+//! for GEM, and the generator MLP's weights and biases for PATECTGAN. No
+//! optimizer state is stored, since no restored synthesizer trains.
+//! Everything routes through the canonical JSON model, so the same
+//! guarantees hold as for cell outcomes: floats round-trip bit-for-bit (NaN
+//! and ±∞ included) and equal states serialize to equal bytes.
 //!
 //! The junction tree itself is **not** serialized edge-by-edge: the tree
 //! is a deterministic function of its maximal cliques
@@ -17,9 +17,7 @@
 //! ([`FittedModel::from_parts`]), so a corrupted or hand-edited file
 //! surfaces as a decode error, never as a silently wrong model.
 
-use crate::codec::{
-    codec_err, f64_field, f64_vec, field, str_field, u64_field, usize_field, JsonCodec,
-};
+use crate::codec::{codec_err, f64_field, f64_vec, field, str_field, usize_field, JsonCodec};
 use crate::json::JsonValue;
 use crate::StoreError;
 use synrd_data::{AttrKind, Attribute, Domain, Marginal};
@@ -284,20 +282,12 @@ impl JsonCodec for FittedModel {
 
 impl JsonCodec for GemState {
     fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("logits", tensor3(&self.logits)),
-            ("m", tensor3(&self.m)),
-            ("v", tensor3(&self.v)),
-            ("step", JsonValue::Uint(self.step)),
-        ])
+        JsonValue::obj(vec![("logits", tensor3(&self.logits))])
     }
 
     fn from_json(value: &JsonValue) -> Result<GemState, StoreError> {
         Ok(GemState {
             logits: tensor3_field(value, "logits")?,
-            m: tensor3_field(value, "m")?,
-            v: tensor3_field(value, "v")?,
-            step: u64_field(value, "step")?,
         })
     }
 }
@@ -326,10 +316,6 @@ impl JsonCodec for DenseState {
             ("output", JsonValue::Uint(self.output as u64)),
             ("w", JsonValue::num_arr(&self.w)),
             ("b", JsonValue::num_arr(&self.b)),
-            ("mw", JsonValue::num_arr(&self.mw)),
-            ("vw", JsonValue::num_arr(&self.vw)),
-            ("mb", JsonValue::num_arr(&self.mb)),
-            ("vb", JsonValue::num_arr(&self.vb)),
         ])
     }
 
@@ -339,10 +325,6 @@ impl JsonCodec for DenseState {
             output: usize_field(value, "output")?,
             w: f64_vec(value, "w")?,
             b: f64_vec(value, "b")?,
-            mw: f64_vec(value, "mw")?,
-            vw: f64_vec(value, "vw")?,
-            mb: f64_vec(value, "mb")?,
-            vb: f64_vec(value, "vb")?,
         })
     }
 }
@@ -358,8 +340,6 @@ impl JsonCodec for MlpState {
                 "output_activation",
                 JsonValue::Str(activation_code(self.output_activation).to_string()),
             ),
-            ("step", JsonValue::Uint(self.step)),
-            ("learning_rate", JsonValue::Num(self.learning_rate)),
         ])
     }
 
@@ -370,8 +350,6 @@ impl JsonCodec for MlpState {
                 .map(DenseState::from_json)
                 .collect::<Result<Vec<_>, StoreError>>()?,
             output_activation: activation_from_code(str_field(value, "output_activation")?)?,
-            step: u64_field(value, "step")?,
-            learning_rate: f64_field(value, "learning_rate")?,
         })
     }
 }

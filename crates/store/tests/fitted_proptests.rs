@@ -109,16 +109,10 @@ fn arb_gem_state(rng: &mut StdRng) -> GemState {
     let k = rng.gen_range(1..4usize);
     let attrs = rng.gen_range(1..4usize);
     let cards: Vec<usize> = (0..attrs).map(|_| rng.gen_range(1..4)).collect();
-    let tensor = |rng: &mut StdRng| -> Vec<Vec<Vec<f64>>> {
-        (0..k)
-            .map(|_| cards.iter().map(|&c| arb_f64_vec(rng, c)).collect())
-            .collect()
-    };
     GemState {
-        logits: tensor(rng),
-        m: tensor(rng),
-        v: tensor(rng),
-        step: rng.gen(),
+        logits: (0..k)
+            .map(|_| cards.iter().map(|&c| arb_f64_vec(rng, c)).collect())
+            .collect(),
     }
 }
 
@@ -133,10 +127,6 @@ fn arb_mlp_state(rng: &mut StdRng) -> MlpState {
                 output,
                 w: arb_f64_vec(rng, input * output),
                 b: arb_f64_vec(rng, output),
-                mw: arb_f64_vec(rng, input * output),
-                vw: arb_f64_vec(rng, input * output),
-                mb: arb_f64_vec(rng, output),
-                vb: arb_f64_vec(rng, output),
             };
             input = output;
             layer
@@ -149,8 +139,6 @@ fn arb_mlp_state(rng: &mut StdRng) -> MlpState {
             1 => Activation::Sigmoid,
             _ => Activation::Tanh,
         },
-        step: rng.gen(),
-        learning_rate: arb_f64(rng).abs(),
     }
 }
 
@@ -256,7 +244,6 @@ proptest! {
         let state = arb_gem_state(&mut rng);
         assert_text_fixed_point(&state, "gem state");
         let back = GemState::from_json_text(&state.to_json_text()).unwrap();
-        prop_assert_eq!(back.step, state.step);
         prop_assert_eq!(back.logits.len(), state.logits.len());
     }
 

@@ -1,12 +1,14 @@
 //! The on-disk entry format is pinned byte for byte: file name (the
-//! content address) and file text of one cell entry and one fit entry.
-//! Existing stores — and `synrd serve` over them — keep hitting only while
-//! both stay identical, so a change here needs a fingerprint version bump.
+//! content address) and file text of one cell entry and of one GEM and one
+//! PATECTGAN fit entry. Existing stores — and `synrd serve` over them —
+//! keep hitting only while these stay identical, so a change here needs a
+//! fingerprint version bump.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use synrd::benchmark::{BenchmarkConfig, CellOutcome, CellStatus, CellStore, FitStore};
 use synrd_data::{Attribute, Domain};
+use synrd_ml::{Activation, DenseState, MlpState};
 use synrd_store::{DiskCellCache, DiskFitCache};
 use synrd_synth::{FittedState, GemState, SynthKind};
 
@@ -18,14 +20,23 @@ const CELL_TEXT: &str = concat!(
     r#""status":"ok","fit_seconds":0.5}}"#,
 );
 
-const FIT_NAME: &str = "f2c3b435ac6ec7cf.json";
+const FIT_NAME: &str = "95e682b387b5b837.json";
 const FIT_TEXT: &str = concat!(
-    r#"{"key":{"fingerprint":"a59235e98beab678","dataset":"123456789abcdef0","#,
+    r#"{"key":{"fingerprint":"6c85f8b8f8dfb731","dataset":"123456789abcdef0","#,
     r#""synth":"GEM","epsilon_bits":"3ff0000000000000","epsilon":1.0,"seed_index":2},"#,
     r#""state":{"kind":"gem","domain":[{"name":"x","kind":"binary","#,
     r#""categories":["no","yes"],"numeric_values":null}],"#,
-    r#""model":{"logits":[[[0.5,-1.25]]],"m":[[[0.0,0.125]]],"v":[[[0.001,2.5e-7]]],"#,
-    r#""step":3}}}"#,
+    r#""model":{"logits":[[[0.5,-1.25]]]}}}"#,
+);
+
+const PATECTGAN_FIT_NAME: &str = "ac56cd3094226da5.json";
+const PATECTGAN_FIT_TEXT: &str = concat!(
+    r#"{"key":{"fingerprint":"6c85f8b8f8dfb731","dataset":"123456789abcdef0","#,
+    r#""synth":"PATECTGAN","epsilon_bits":"3ff0000000000000","epsilon":1.0,"seed_index":0},"#,
+    r#""state":{"kind":"patectgan","domain":[{"name":"x","kind":"binary","#,
+    r#""categories":["no","yes"],"numeric_values":null}],"#,
+    r#""generator":{"layers":[{"input":1,"output":2,"w":[0.75,-2.5],"b":[0.0,0.125]}],"#,
+    r#""output_activation":"linear"},"blocks":[[0,2]],"z_dim":1}}"#,
 );
 
 fn scratch(tag: &str) -> PathBuf {
@@ -74,15 +85,40 @@ fn fit_entry_bytes_are_pinned() {
         domain: Domain::new(vec![Attribute::binary("x")]),
         model: GemState {
             logits: vec![vec![vec![0.5, -1.25]]],
-            m: vec![vec![vec![0.0, 0.125]]],
-            v: vec![vec![vec![1e-3, 2.5e-7]]],
-            step: 3,
         },
     };
     fits.save(0x1234_5678_9abc_def0, SynthKind::Gem, 1.0, 2, &state);
     assert_eq!(
         only_entry(&dir.join("fits")),
         (FIT_NAME.into(), FIT_TEXT.into())
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn patectgan_fit_entry_bytes_are_pinned() {
+    let dir = scratch("patectgan-fit");
+    let fits = DiskFitCache::open(&dir, &BenchmarkConfig::quick()).unwrap();
+    // A one-layer generator from a one-wide latent to one binary
+    // attribute's softmax block.
+    let state = FittedState::PateCtgan {
+        domain: Domain::new(vec![Attribute::binary("x")]),
+        generator: MlpState {
+            layers: vec![DenseState {
+                input: 1,
+                output: 2,
+                w: vec![0.75, -2.5],
+                b: vec![0.0, 0.125],
+            }],
+            output_activation: Activation::Linear,
+        },
+        blocks: vec![(0, 2)],
+        z_dim: 1,
+    };
+    fits.save(0x1234_5678_9abc_def0, SynthKind::PateCtgan, 1.0, 0, &state);
+    assert_eq!(
+        only_entry(&dir.join("fits")),
+        (PATECTGAN_FIT_NAME.into(), PATECTGAN_FIT_TEXT.into())
     );
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -57,22 +57,16 @@ impl Default for GemOptions {
     }
 }
 
-/// Serializable GEM generator state: the mixture logits plus the Adam
-/// moments, so a restored model resumes (or replays) exactly where the fit
-/// left off. Shapes are `[component][attribute][code]`.
+/// Serializable GEM generator state: the mixture logits, which are all
+/// `sample` reads. Shape `[component][attribute][code]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GemState {
     /// Mixture logits.
     pub logits: Vec<Vec<Vec<f64>>>,
-    /// Adam first moments, same shape as `logits`.
-    pub m: Vec<Vec<Vec<f64>>>,
-    /// Adam second moments, same shape as `logits`.
-    pub v: Vec<Vec<Vec<f64>>>,
-    /// Adam step counter.
-    pub step: u64,
 }
 
-/// Mixture-of-products generator parameters.
+/// Mixture-of-products generator parameters with their Adam state, for
+/// training.
 #[derive(Debug, Clone)]
 struct GemModel {
     /// logits[k][attr][code].
@@ -105,59 +99,32 @@ impl GemModel {
             step: 0,
         }
     }
+}
 
-    /// Export as plain serializable state.
-    fn to_state(&self) -> GemState {
-        GemState {
-            logits: self.logits.clone(),
-            m: self.m.clone(),
-            v: self.v.clone(),
-            step: self.step as u64,
-        }
+/// Check that `logits` holds at least one component and that every
+/// component matches `shape` (the domain's per-attribute cardinalities).
+fn check_logits(logits: &[Vec<Vec<f64>>], shape: &[usize]) -> std::result::Result<(), String> {
+    if logits.is_empty() {
+        return Err("empty mixture".to_string());
     }
-
-    /// Rebuild from exported state, validating that all three parameter
-    /// tensors share one shape and that shape matches `shape` (the domain's
-    /// per-attribute cardinalities).
-    fn from_state(state: GemState, shape: &[usize]) -> std::result::Result<GemModel, String> {
-        let k = state.logits.len();
-        if k == 0 {
-            return Err("empty mixture".to_string());
-        }
-        if state.m.len() != k || state.v.len() != k {
+    for (comp, per_attr) in logits.iter().enumerate() {
+        if per_attr.len() != shape.len() {
             return Err(format!(
-                "moment tensors have {} / {} components, logits have {k}",
-                state.m.len(),
-                state.v.len()
+                "component {comp} covers {} attributes, domain has {}",
+                per_attr.len(),
+                shape.len()
             ));
         }
-        for comp in 0..k {
-            for tensor in [&state.logits[comp], &state.m[comp], &state.v[comp]] {
-                if tensor.len() != shape.len() {
-                    return Err(format!(
-                        "component {comp} covers {} attributes, domain has {}",
-                        tensor.len(),
-                        shape.len()
-                    ));
-                }
-                for (a, (per_code, &card)) in tensor.iter().zip(shape).enumerate() {
-                    if per_code.len() != card {
-                        return Err(format!(
-                            "component {comp} attribute {a} has {} codes, domain has {card}",
-                            per_code.len()
-                        ));
-                    }
-                }
+        for (a, (per_code, &card)) in per_attr.iter().zip(shape).enumerate() {
+            if per_code.len() != card {
+                return Err(format!(
+                    "component {comp} attribute {a} has {} codes, domain has {card}",
+                    per_code.len()
+                ));
             }
         }
-        let step = usize::try_from(state.step).map_err(|_| "step overflows usize".to_string())?;
-        Ok(GemModel {
-            logits: state.logits,
-            m: state.m,
-            v: state.v,
-            step,
-        })
     }
+    Ok(())
 }
 
 /// Refill `table` with the softmax of every (component, attribute) of
@@ -212,7 +179,7 @@ fn table_marginal(probs: &[Vec<Vec<f64>>], attrs: &[usize], out: &mut Vec<f64>) 
 #[derive(Debug, Clone, Default)]
 pub struct Gem {
     options: GemOptions,
-    fitted: Option<(Domain, GemModel)>,
+    fitted: Option<(Domain, GemState)>,
 }
 
 impl Gem {
@@ -335,16 +302,17 @@ impl Synthesizer for Gem {
             );
         }
 
-        self.fitted = Some((data.domain().clone(), model));
+        let logits = model.logits;
+        self.fitted = Some((data.domain().clone(), GemState { logits }));
         Ok(())
     }
 
     fn sample(&self, n: usize, seed: u64) -> Result<Dataset> {
-        let (domain, model) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
+        let (domain, state) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-sample"));
         let d = domain.len();
-        let kk = model.logits.len();
-        let cums = cumulative_tables(model);
+        let kk = state.logits.len();
+        let cums = cumulative_tables(&state.logits);
         // Pre-draw the mixture-component pick and the per-attribute
         // uniforms of every row in the exact row-major order the per-row
         // sampler consumed them, so the chunked node-major pass below is
@@ -381,16 +349,16 @@ impl Synthesizer for Gem {
     fn fitted_state(&self) -> Option<FittedState> {
         self.fitted
             .as_ref()
-            .map(|(domain, model)| FittedState::Gem {
+            .map(|(domain, state)| FittedState::Gem {
                 domain: domain.clone(),
-                model: model.to_state(),
+                model: state.clone(),
             })
     }
 
     fn restore_state(&mut self, state: FittedState) -> Result<()> {
         match state {
             FittedState::Gem { domain, model } => {
-                let model = GemModel::from_state(model, &domain.shape()).map_err(|reason| {
+                check_logits(&model.logits, &domain.shape()).map_err(|reason| {
                     SynthError::StateMismatch {
                         reason: format!("GEM: {reason}"),
                     }
@@ -407,10 +375,10 @@ impl Synthesizer for Gem {
 
 /// Per-component, per-attribute cumulative probability tables (unnormalized
 /// tails exactly as the per-row sampler accumulated them): the softmax
-/// table, prefix-summed in place.
-fn cumulative_tables(model: &GemModel) -> Vec<Vec<Vec<f64>>> {
+/// table of `logits`, prefix-summed in place.
+fn cumulative_tables(logits: &[Vec<Vec<f64>>]) -> Vec<Vec<Vec<f64>>> {
     let mut cums = Vec::new();
-    softmax_table(&model.logits, &mut cums);
+    softmax_table(logits, &mut cums);
     for c in cums.iter_mut().flatten() {
         let mut acc = 0.0;
         for v in c.iter_mut() {
@@ -426,11 +394,11 @@ impl Gem {
     /// The original per-row sampler, retained as the differential oracle
     /// for the node-major batched path.
     fn sample_naive(&self, n: usize, seed: u64) -> Result<Dataset> {
-        let (domain, model) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
+        let (domain, state) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-sample"));
         let d = domain.len();
-        let kk = model.logits.len();
-        let cums = cumulative_tables(model);
+        let kk = state.logits.len();
+        let cums = cumulative_tables(&state.logits);
         let mut columns = vec![vec![0u32; n]; d];
         for r in 0..n {
             let k = rng.gen_range(0..kk);
@@ -916,7 +884,7 @@ mod tests {
                 table_marginal(&probs, attrs, &mut out);
                 assert_eq!(bits(&out), bits(&fast.marginal(attrs)), "{name} {attrs:?}");
             }
-            let cums = cumulative_tables(&fast);
+            let cums = cumulative_tables(&fast.logits);
             for (k, per_attr) in cums.iter().enumerate() {
                 for (a, cum) in per_attr.iter().enumerate() {
                     let mut want = fast.probs(k, a);

@@ -115,18 +115,18 @@ pub enum FittedState {
         /// Network nodes in ancestral (topological) order.
         nodes: Vec<BayesNode>,
     },
-    /// GEM: mixture-of-products logits plus Adam moments.
+    /// GEM: mixture-of-products logits.
     Gem {
         /// Domain the mixture was fitted on.
         domain: Domain,
-        /// Generator parameters and optimizer state.
+        /// Mixture logits.
         model: GemState,
     },
     /// PATECTGAN: the generator network and its one-hot output layout.
     PateCtgan {
         /// Domain the generator was fitted on.
         domain: Domain,
-        /// Generator MLP weights and Adam moments.
+        /// Generator MLP weights, biases and output activation.
         generator: MlpState,
         /// `(offset, cardinality)` of each attribute's softmax block.
         blocks: Vec<(usize, usize)>,
@@ -276,15 +276,6 @@ impl SynthKind {
             },
             _ => Privacy::Approx { epsilon, delta },
         }
-    }
-
-    /// Whether this method parameterizes through Private-PGM (and therefore
-    /// inherits its domain-size ceiling).
-    pub fn is_pgm_based(self) -> bool {
-        matches!(
-            self,
-            SynthKind::Aim | SynthKind::PrivMrf | SynthKind::Mst | SynthKind::PrivBayes
-        )
     }
 }
 

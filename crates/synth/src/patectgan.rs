@@ -724,9 +724,10 @@ mod tests {
         let mut naive = PateCtgan::with_options(small_options());
         naive.fit_naive(&data, privacy, 7).unwrap();
         let (b, n) = (batched.fitted.unwrap(), naive.fitted.unwrap());
+        // The whole generator: weights, Adam moments, step counter and
+        // learning rate.
         assert_eq!(
-            b.generator.export_state(),
-            n.generator.export_state(),
+            b.generator, n.generator,
             "batched round loop must reproduce the per-example oracle bit-for-bit"
         );
         assert_eq!(b.blocks, n.blocks);

@@ -99,14 +99,14 @@ fn wrong_variant_restores_are_rejected() {
 fn inconsistent_states_are_rejected() {
     let data = correlated_data(1_500);
 
-    // GEM with a truncated moment tensor.
+    // GEM with a truncated logits row.
     let mut gem = SynthKind::Gem.build();
     gem.fit(&data, SynthKind::Gem.native_privacy(1.0, data.n_rows()), 3)
         .unwrap();
     let Some(FittedState::Gem { domain, mut model }) = gem.fitted_state() else {
         panic!("gem state");
     };
-    model.m.pop();
+    model.logits[0][0].pop();
     let err = SynthKind::Gem
         .build()
         .restore_state(FittedState::Gem { domain, model })
