@@ -29,7 +29,6 @@ fn one_cell(c: &mut Criterion) {
             data_seed: 7,
             threads: 1,
             fit_timeout: Some(Duration::from_secs(600)),
-            restrict_privmrf: true,
             synthesizers: vec![SynthKind::Mst],
         };
         b.iter(|| run_paper(paper.as_ref(), &config).expect("run"));

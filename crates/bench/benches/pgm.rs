@@ -50,7 +50,6 @@ fn estimation_iterations(c: &mut Criterion) {
                     &ms,
                     EstimationOptions {
                         iterations: iters,
-                        initial_step: 1.0,
                         cell_limit: 1 << 21,
                         fit_threads: 1,
                     },
@@ -107,14 +106,14 @@ fn calibrate_kernels(c: &mut Criterion) {
     group.sample_size(20);
     for (d, card) in [(8usize, 4usize), (6, 10)] {
         let (tree, pots) = synrd_bench::pgm_chain_problem(d, card);
-        let mut ws = CalibrationWorkspace::new();
+        let mut ws = CalibrationWorkspace::new(&tree).expect("workspace");
         let mut out = CalibratedTree::default();
         group.bench_with_input(
             BenchmarkId::new("stride", format!("d{d}c{card}")),
             &(),
             |b, ()| {
                 b.iter(|| {
-                    calibrate_into(&tree, &pots, &mut ws, &mut out).expect("calibrate");
+                    calibrate_into(&pots, &mut ws, &mut out).expect("calibrate");
                     out.beliefs[0].log_values()[0]
                 });
             },

@@ -70,15 +70,28 @@ fn triples(d: usize, card: usize) -> Problem {
 
 /// Median wall time (ns) of `reps` timed runs of `body`.
 fn median_ns(reps: usize, mut body: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
+    interleaved_median_ns(reps, &mut [&mut body])[0]
+}
+
+/// Median wall time (ns) of each body over `reps` rounds, each round
+/// running every body once in turn, so a change in host load moves every
+/// median alike and leaves their ratios comparable.
+fn interleaved_median_ns(reps: usize, bodies: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut samples = vec![Vec::with_capacity(reps); bodies.len()];
+    for _ in 0..reps {
+        for (body, times) in bodies.iter_mut().zip(&mut samples) {
             let t = Instant::now();
             body();
-            t.elapsed().as_secs_f64() * 1e9
+            times.push(t.elapsed().as_secs_f64() * 1e9);
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut times| {
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            times[times.len() / 2]
         })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
+        .collect()
 }
 
 /// The marginal-engine half of the perf record: time the synthesizer
@@ -242,7 +255,6 @@ fn fit(domain: &[usize], ms: Vec<NoisyMeasurement>) -> FittedModel {
         &ms,
         EstimationOptions {
             iterations: 40,
-            initial_step: 1.0,
             cell_limit: 1 << 21,
             fit_threads: 1,
         },
@@ -528,31 +540,36 @@ fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
             );
         }
 
-        // Timings: one full round per rep, workspace already warm. The
-        // oracle comparison is pinned to `Backend::Cpu` so the record stays
-        // comparable across machines with and without SIMD.
-        let mut ws = BatchWorkspace::with_backend(Backend::Cpu);
+        // Timings: one full round per rep, the CPU-batched, oracle and SIMD
+        // rounds taking turns rep by rep. The oracle comparison is pinned
+        // to `Backend::Cpu` so the record stays comparable across machines
+        // with and without SIMD.
+        let mut cpu_ws = BatchWorkspace::with_backend(Backend::Cpu);
         let mut cpu_net = net.clone();
-        let engine_ns = median_ns(reps, || {
-            cpu_net.forward_batch(&xs, batch, &mut ws);
-            cpu_net.backward_apply_batch(&mut ws, &grads);
-            black_box(ws.output().len());
-        });
-        let simd_ns = simd.then(|| {
-            let mut ws = BatchWorkspace::with_backend(Backend::Simd);
-            let mut simd_net = net.clone();
-            median_ns(reps, || {
-                simd_net.forward_batch(&xs, batch, &mut ws);
-                simd_net.backward_apply_batch(&mut ws, &grads);
-                black_box(ws.output().len());
-            })
-        });
-        let mut naive_net = net;
-        let naive_ns = median_ns(reps, || {
+        let mut cpu_round = || {
+            cpu_net.forward_batch(&xs, batch, &mut cpu_ws);
+            cpu_net.backward_apply_batch(&mut cpu_ws, &grads);
+            black_box(cpu_ws.output().len());
+        };
+        let mut naive_net = net.clone();
+        let mut naive_round = || {
             let caches = naive_net.forward_batch_naive(&xs, batch);
             naive_net.backward_apply_batch_naive(&caches, &grads);
             black_box(caches.len());
-        });
+        };
+        let mut simd_ws = BatchWorkspace::with_backend(Backend::Simd);
+        let mut simd_net = net;
+        let mut simd_round = || {
+            simd_net.forward_batch(&xs, batch, &mut simd_ws);
+            simd_net.backward_apply_batch(&mut simd_ws, &grads);
+            black_box(simd_ws.output().len());
+        };
+        let mut rounds: Vec<&mut dyn FnMut()> = vec![&mut cpu_round, &mut naive_round];
+        if simd {
+            rounds.push(&mut simd_round);
+        }
+        let medians = interleaved_median_ns(reps, &mut rounds);
+        let (engine_ns, naive_ns, simd_ns) = (medians[0], medians[1], medians.get(2).copied());
         let speedup = naive_ns / engine_ns;
         gated_speedups.push(speedup);
         let simd_speedup = simd_ns.map(|ns| engine_ns / ns);
@@ -676,7 +693,6 @@ fn fit_section(quick: bool, out_path: &str) -> f64 {
         let (domain, ms) = rich_problem(d, card);
         let opts = EstimationOptions {
             iterations: if quick { 25 } else { 80 },
-            initial_step: 1.0,
             cell_limit: 1 << 21,
             fit_threads: 1,
         };
@@ -698,16 +714,11 @@ fn fit_section(quick: bool, out_path: &str) -> f64 {
             mt_model.final_loss().to_bits(),
             "{name}: {mt}-thread descent changed the final loss"
         );
-        let mut seq_ws = CalibrationWorkspace::new();
-        let mut mt_ws = CalibrationWorkspace::new();
-        // Warm both workspaces so timings reflect steady state.
-        synrd_pgm::estimate_with(&domain, &ms, opts, &mut seq_ws).expect("fit");
-        synrd_pgm::estimate_with(&domain, &ms, mt_opts, &mut mt_ws).expect("fit");
         let seq_ns = median_ns(est_reps, || {
-            synrd_pgm::estimate_with(&domain, &ms, opts, &mut seq_ws).expect("fit");
+            estimate(&domain, &ms, opts).expect("fit");
         });
         let mt_ns = median_ns(est_reps, || {
-            synrd_pgm::estimate_with(&domain, &ms, mt_opts, &mut mt_ws).expect("fit");
+            estimate(&domain, &ms, mt_opts).expect("fit");
         });
         let speedup = seq_ns / mt_ns;
         speedups.push(speedup);
@@ -794,13 +805,13 @@ fn main() {
     let mut kernel_rows = Vec::new();
     let mut speedups = Vec::new();
     for p in &problems {
-        let mut ws = CalibrationWorkspace::new();
+        let mut ws = CalibrationWorkspace::new(&p.tree).expect("workspace");
         let mut out = CalibratedTree::default();
-        // Warm the workspace so the stride timing reflects steady state
-        // (the mirror-descent loop's regime).
-        calibrate_into(&p.tree, &p.pots, &mut ws, &mut out).expect("calibrate");
+        // Warm the output beliefs so the stride timing reflects steady
+        // state (the mirror-descent loop's regime).
+        calibrate_into(&p.pots, &mut ws, &mut out).expect("calibrate");
         let stride_ns = median_ns(reps, || {
-            calibrate_into(&p.tree, &p.pots, &mut ws, &mut out).expect("calibrate");
+            calibrate_into(&p.pots, &mut ws, &mut out).expect("calibrate");
         });
         let naive_ns = median_ns(reps, || {
             calibrate_naive(&p.tree, &p.pots).expect("calibrate");
@@ -835,14 +846,12 @@ fn main() {
         .collect();
     let opts = EstimationOptions {
         iterations: if quick { 30 } else { 120 },
-        initial_step: 1.0,
         cell_limit: 1 << 21,
         fit_threads: 1,
     };
     let est_reps = if quick { 3 } else { 9 };
-    let mut ws = CalibrationWorkspace::new();
     let stride_fit_ns = median_ns(est_reps, || {
-        synrd_pgm::estimate_with(&domain, &measurements, opts, &mut ws).expect("fit");
+        estimate(&domain, &measurements, opts).expect("fit");
     });
     let naive_fit_ns = median_ns(est_reps, || {
         estimate_naive(&domain, &measurements, opts).expect("fit");

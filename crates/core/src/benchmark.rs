@@ -76,9 +76,6 @@ pub struct BenchmarkConfig {
     /// Per-fit wall-clock budget (the paper's 6-hour rule); exceeding it on
     /// the first seed crosshatches the cell.
     pub fit_timeout: Option<Duration>,
-    /// Restrict PrivMRF to ε = e⁰ (the paper: "too slow to be viable; we
-    /// report results only for ε = e⁰").
-    pub restrict_privmrf: bool,
     /// Synthesizers to run.
     pub synthesizers: Vec<SynthKind>,
 }
@@ -97,7 +94,6 @@ impl BenchmarkConfig {
             data_seed: 20230531,
             threads: available_threads(),
             fit_timeout: Some(Duration::from_secs(300)),
-            restrict_privmrf: true,
             synthesizers: SynthKind::ALL.to_vec(),
         }
     }
@@ -178,7 +174,7 @@ pub enum CellStatus {
     Infeasible(String),
     /// The first fit exceeded the wall-clock budget.
     TimedOut,
-    /// Excluded by configuration (e.g. PrivMRF off-ε cells).
+    /// Not run, by the paper's rule: PrivMRF cells off ε = e⁰.
     Skipped,
 }
 
@@ -435,12 +431,13 @@ fn ground_truth(paper: &dyn Publication, config: &BenchmarkConfig) -> Result<Pap
     })
 }
 
-/// Execute `f` over `coords`, parallel when `config.threads > 1`, containing
-/// worker panics as a per-paper error so a multi-paper sweep can keep going
-/// (fig3/fig4 print-and-continue). Each cell's seeds come from its own
-/// ChaCha8 keystream, so the schedule cannot influence the numbers;
-/// `config.threads <= 1` forces the sequential path (used by tests to
-/// assert bitwise equality with the parallel one).
+/// Execute `f` over `coords` in a pool of `config.threads` workers,
+/// containing worker panics as a per-paper error so a multi-paper sweep can
+/// keep going (fig3/fig4 print-and-continue). Each cell's seeds come from
+/// its own ChaCha8 keystream, so the schedule cannot influence the numbers;
+/// with one worker every cell, and every parallel call it makes on this
+/// thread, runs sequentially (tests use it to assert bitwise equality with
+/// the parallel schedule).
 fn execute_cells<F>(
     coords: &[(usize, usize)],
     config: &BenchmarkConfig,
@@ -450,15 +447,11 @@ where
     F: Fn(&(usize, usize)) -> CellOutcome + Sync,
 {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if config.threads > 1 {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(config.threads)
-                .build()
-                .expect("thread pool construction cannot fail")
-                .install(|| coords.par_iter().map(&f).collect())
-        } else {
-            coords.iter().map(&f).collect()
-        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(config.threads.max(1))
+            .build()
+            .expect("thread pool construction cannot fail")
+            .install(|| coords.par_iter().map(&f).collect())
     }))
     .map_err(|payload| {
         let detail = payload
@@ -699,12 +692,11 @@ fn run_cell(
         paper_id,
         real,
         findings,
-        real_stats,
         ..
     } = ground;
     // The paper: "PrivMRF was too slow to be viable; we report results only
     // for ε = e⁰".
-    if config.restrict_privmrf && kind == SynthKind::PrivMrf && (epsilon - 1.0).abs() > 1e-9 {
+    if kind == SynthKind::PrivMrf && (epsilon - 1.0).abs() > 1e-9 {
         return CellOutcome::unavailable(CellStatus::Skipped, findings.len(), 0.0);
     }
     let privacy = kind.native_privacy(epsilon, real.n_rows());
@@ -791,15 +783,7 @@ fn run_cell(
             let Ok(sample) = synth.sample(real.n_rows(), draw_seed) else {
                 continue; // counts as not reproduced for every finding
             };
-            for (fi, finding) in findings.iter().enumerate() {
-                let reproduced = match finding.evaluate(&sample) {
-                    Ok(stats) => finding.reproduced(&real_stats[fi], &stats),
-                    Err(_) => false,
-                };
-                if reproduced {
-                    holds[fi] += 1.0;
-                }
-            }
+            score_trial(ground, &sample, &mut holds);
         }
         per_seed_parity.push(holds.iter().map(|h| h / config.bootstraps as f64).collect());
     }
@@ -825,28 +809,30 @@ fn run_cell(
     }
 }
 
+/// Score one trial: add one to `holds[fi]` for each finding that
+/// reproduces on `data`. A finding that fails to evaluate does not
+/// reproduce.
+fn score_trial(ground: &PaperGround, data: &synrd_data::Dataset, holds: &mut [f64]) {
+    for (fi, finding) in ground.findings.iter().enumerate() {
+        let real = &ground.real_stats[fi];
+        if finding
+            .evaluate(data)
+            .is_ok_and(|stats| finding.reproduced(real, &stats))
+        {
+            holds[fi] += 1.0;
+        }
+    }
+}
+
 /// The "real, bootstrap" control row.
 fn control_row(ground: &PaperGround, config: &BenchmarkConfig) -> Result<Vec<f64>> {
-    let PaperGround {
-        real,
-        findings,
-        real_stats,
-        ..
-    } = ground;
+    let real = &ground.real;
     let replicates = (config.bootstraps * config.seeds.max(1)).max(10);
     let mut rng = synrd_dp::rng_for(config.data_seed, "bootstrap-control");
-    let mut holds = vec![0.0f64; findings.len()];
+    let mut holds = vec![0.0f64; ground.findings.len()];
     for _ in 0..replicates {
         let resample = real.bootstrap_sample(real.n_rows(), &mut rng);
-        for (fi, finding) in findings.iter().enumerate() {
-            let reproduced = match finding.evaluate(&resample) {
-                Ok(stats) => finding.reproduced(&real_stats[fi], &stats),
-                Err(_) => false,
-            };
-            if reproduced {
-                holds[fi] += 1.0;
-            }
-        }
+        score_trial(ground, &resample, &mut holds);
     }
     Ok(holds.iter().map(|h| h / replicates as f64).collect())
 }
@@ -979,7 +965,6 @@ mod tests {
                 data_seed: 5,
                 threads,
                 fit_timeout: None,
-                restrict_privmrf: true,
                 synthesizers: vec![SynthKind::Mst],
             };
             let err =

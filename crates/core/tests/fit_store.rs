@@ -179,7 +179,6 @@ fn config() -> BenchmarkConfig {
         data_seed: 7,
         threads: 1,
         fit_timeout: None,
-        restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Gem],
     }
 }

@@ -12,7 +12,6 @@ use crate::attribute::AttrKind;
 use crate::domain::{validate_attr_set, Domain};
 use crate::error::{DataError, Result};
 use crate::packed::PackedColumn;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// A discrete tabular dataset over a [`Domain`].
@@ -308,18 +307,6 @@ impl Dataset {
         self.take_rows(&rows)
     }
 
-    /// Subsample `n` distinct rows without replacement (or all rows if
-    /// `n >= n_rows`).
-    pub fn subsample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Dataset {
-        if n >= self.rows {
-            return self.clone();
-        }
-        let mut idx: Vec<usize> = (0..self.rows).collect();
-        idx.shuffle(rng);
-        idx.truncate(n);
-        self.take_rows(&idx)
-    }
-
     /// Count of each code of one attribute: `counts[code]`. Counts in `u64`
     /// and converts once (the engine's integer-accumulation convention).
     pub fn value_counts(&self, attr: usize) -> Result<Vec<f64>> {
@@ -471,8 +458,6 @@ mod tests {
         let bs = ds.bootstrap_sample(100, &mut rng);
         assert_eq!(bs.n_rows(), 100);
         assert_eq!(bs.domain(), ds.domain());
-        let sub = ds.subsample(2, &mut rng);
-        assert_eq!(sub.n_rows(), 2);
     }
 
     #[test]

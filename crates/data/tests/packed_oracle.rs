@@ -1,7 +1,7 @@
 //! Differential proptests pinning the bit-packed `Dataset` storage against
 //! an unpacked `Vec<Vec<u32>>` shadow mirror under every constructing and
 //! row-rearranging operation: `new`, `push_row`, `select`, `take_rows`,
-//! `filter_rows`, `bootstrap_sample` and `subsample`.
+//! `filter_rows` and `bootstrap_sample`.
 //!
 //! The domains deliberately include the packing edge cases: cardinality-1
 //! attributes (width 0, no words stored), widths that divide 64 unevenly
@@ -12,7 +12,6 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use synrd_data::{Attribute, Dataset, Domain};
 
@@ -165,29 +164,6 @@ proptest! {
         prop_assert_eq!(bs.to_columns(), expect);
         // Both consumed identically many draws.
         prop_assert_eq!(rng.gen::<u64>(), shadow_rng.gen::<u64>());
-    }
-
-    /// `subsample` likewise: shuffle-truncate with a cloned generator gives
-    /// the same rows, and `n >= n_rows` degenerates to a clone.
-    #[test]
-    fn subsample_matches_mirror((shape, rows) in shape_and_mirror(), seed in 0u64..1000) {
-        let cols = columns_of(&shape, &rows);
-        let ds = Dataset::new(domain_of(&shape), cols.clone()).unwrap();
-        let n = rows.len() / 2;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sub = ds.subsample(n, &mut rng);
-        let mut shadow_rng = StdRng::seed_from_u64(seed);
-        let mut idx: Vec<usize> = (0..rows.len()).collect();
-        idx.shuffle(&mut shadow_rng);
-        idx.truncate(n);
-        let expect: Vec<Vec<u32>> = cols
-            .iter()
-            .map(|col| idx.iter().map(|&r| col[r]).collect())
-            .collect();
-        prop_assert_eq!(sub.to_columns(), expect);
-
-        let full = ds.subsample(rows.len(), &mut rng);
-        prop_assert_eq!(full, ds);
     }
 
     /// `value_counts` (u64 accumulation) == a mirror histogram, and the

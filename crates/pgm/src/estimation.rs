@@ -8,19 +8,26 @@
 //! update of McKenna et al.: the loss gradient in marginal space is lifted
 //! onto the containing clique's potential, with a backtracking step size.
 //!
-//! The descent loop is allocation-free after warm-up: potentials, the
-//! backtracking proposal, gradients, per-measurement marginal/probability
-//! buffers and both calibrated-tree buffers are set up once, stride plans
-//! map measurement scopes onto their cliques, and every iteration reuses
-//! them through [`calibrate_into`]. All arithmetic is performed in the same
-//! per-cell order as the original allocate-per-operation implementation, so
-//! fitted models are bit-identical to the pre-workspace code (pinned by the
-//! report-digest integration test).
+//! [`estimate`] is the one production estimator. Its descent loop is
+//! allocation-free after warm-up: potentials, the backtracking proposal,
+//! gradients, per-measurement marginal/probability buffers, one
+//! [`CalibrationWorkspace`] for the fit's junction tree and both
+//! calibrated-tree buffers are set up once, stride plans map measurement
+//! scopes onto their cliques, and every iteration reuses them through
+//! [`calibrate_into`]. Each backtracking trial runs a loss pass, which
+//! marginalizes every measurement target of the trial's calibration; each
+//! iteration starts with a gradient pass, which reads the marginals the
+//! accepted trial's loss pass left, so every calibration is marginalized
+//! once. All arithmetic is performed in the same per-cell order as
+//! [`estimate_naive`], the original allocate-per-operation implementation,
+//! so fitted models are bit-identical to it (pinned by
+//! `tests/calibration_determinism.rs` and the report-digest integration
+//! test).
 
 use crate::error::{PgmError, Result};
 use crate::factor::{
-    bcast_add, bcast_assign, marg_finish, marg_max, marg_sum, probabilities_into_slice, Factor,
-    StridePlan,
+    bcast_add, bcast_assign, marg_finish, marg_max, marg_sum, note_buffer_alloc,
+    probabilities_into_slice, Factor, StridePlan,
 };
 use crate::inference::{calibrate_into, CalibratedTree};
 use crate::junction_tree::JunctionTree;
@@ -40,19 +47,22 @@ pub struct NoisyMeasurement {
     pub sigma: f64,
 }
 
+/// Initial mirror-descent step size, before it is divided by the total
+/// target weight; backtracking tunes it from there.
+const INITIAL_STEP: f64 = 1.0;
+
 /// Options for [`estimate`].
 #[derive(Debug, Clone, Copy)]
 pub struct EstimationOptions {
     /// Mirror-descent iterations.
     pub iterations: usize,
-    /// Initial step size (auto-tuned by backtracking thereafter).
-    pub initial_step: f64,
     /// Maximum cells per junction-tree clique.
     pub cell_limit: usize,
-    /// Worker threads for the intra-fit parallel phases of the loss pass
-    /// (target marginalization and the per-clique gradient lift). Every
-    /// reduction order is pinned, so fitted models are **bit-identical at
-    /// any thread count**; `1` (the default) runs fully sequential.
+    /// Worker threads for the intra-fit parallel phases (target
+    /// marginalization in the loss pass, the per-clique lift in the
+    /// gradient pass). Every reduction order is pinned, so fitted models
+    /// are **bit-identical at any thread count**; `1` (the default) runs
+    /// every phase on the calling thread.
     pub fit_threads: usize,
 }
 
@@ -60,7 +70,6 @@ impl Default for EstimationOptions {
     fn default() -> Self {
         EstimationOptions {
             iterations: 120,
-            initial_step: 1.0,
             cell_limit: 1 << 21,
             fit_threads: 1,
         }
@@ -215,7 +224,8 @@ struct Target {
     plan: StridePlan,
     /// Model log-marginal over the measurement scope.
     marg: Vec<f64>,
-    /// Model probabilities over the measurement scope.
+    /// Model probabilities over the measurement scope, as the last loss
+    /// pass left them.
     probs: Vec<f64>,
     /// Marginal-space gradient `2·w·(μ − y/n̂)`.
     grad: Vec<f64>,
@@ -224,8 +234,8 @@ struct Target {
 /// Marginalize one target's belief onto its measurement scope and refresh
 /// its probabilities, using the target's own disjoint `(maxes, sums)`
 /// scratch pair. The per-cell operation sequence is exactly the historical
-/// shared-scratch loop — only the buffer identity differs — so sequential
-/// and parallel schedules produce bit-identical `marg`/`probs`.
+/// shared-scratch loop — only the buffer identity differs — so every
+/// chunking of the targets produces bit-identical `marg`/`probs`.
 fn marginalize_target(cal: &CalibratedTree, t: &mut Target, mx: &mut [f64], sm: &mut [f64]) {
     let belief = &cal.beliefs[t.clique];
     if t.plan.is_identity() {
@@ -256,130 +266,74 @@ fn lift_clique_grad(grad: &mut Factor, idxs: &[usize], targets: &[Target]) {
     }
 }
 
-/// Measurement loss, and optionally the per-clique potential-space
-/// gradients (written into `grads`, with `grad_set[c]` marking cliques that
-/// received any contribution).
+/// Loss pass: the measurement loss of calibration `cal`, leaving each
+/// target's model probabilities in its `probs` for the gradient pass.
 ///
-/// Three phases, so the middle one can pin the reduction order while the
-/// outer two parallelize over independent buffers:
-///
-/// 1. marginalize every target (parallel over targets — each owns `marg`,
-///    `probs` and a disjoint slice of `scratch`);
-/// 2. accumulate the scalar loss and the marginal-space gradients
-///    sequentially in target order (the single floating-point chain that
-///    fixes bit-identity at every thread count);
-/// 3. lift gradients per clique (parallel over cliques — each owns its
-///    potential buffer; within a clique, targets apply in ascending index).
-///
-/// The sequential schedule (`threads <= 1`) runs the same three phases in
-/// the same per-cell order, allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn loss_and_grad(
-    cal: &CalibratedTree,
-    targets: &mut [Target],
-    want_grad: bool,
-    grads: &mut [Factor],
-    grad_set: &mut [bool],
-    clique_targets: &[Vec<usize>],
-    scratch: &mut [f64],
-    threads: usize,
-) -> f64 {
-    let parallel = threads > 1 && targets.len() > 1;
-
-    // Phase 1: per-target marginalization into disjoint buffers.
-    if parallel {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("fit thread pool");
-        // Contiguous target chunks paired with their slice of the scratch
-        // arena (targets and arena share one ordering, so a chunk's scratch
-        // is one contiguous split).
-        let chunk = targets.len().div_ceil(threads);
-        let mut jobs: Vec<(&mut [Target], &mut [f64])> = Vec::with_capacity(threads);
-        let mut rest_t: &mut [Target] = targets;
-        let mut rest_s: &mut [f64] = scratch;
-        while !rest_t.is_empty() {
-            let take = chunk.min(rest_t.len());
-            let (tc, tr) = rest_t.split_at_mut(take);
-            let need: usize = tc.iter().map(|t| 2 * t.marg.len()).sum();
-            let (sc, sr) = rest_s.split_at_mut(need);
-            rest_t = tr;
-            rest_s = sr;
-            jobs.push((tc, sc));
-        }
-        pool.install(|| {
-            jobs.into_par_iter().for_each(|(tc, sc)| {
-                let mut rest = sc;
-                for t in tc.iter_mut() {
-                    let cells = t.marg.len();
-                    let (mx, r) = rest.split_at_mut(cells);
-                    let (sm, r) = r.split_at_mut(cells);
-                    rest = r;
-                    marginalize_target(cal, t, mx, sm);
-                }
-            });
-        });
-    } else {
-        let mut rest = &mut scratch[..];
-        for t in targets.iter_mut() {
+/// Targets marginalize in contiguous chunks, one per worker of the
+/// installed pool; each target owns `marg`, `probs` and its slice of
+/// `scratch` (two floats per measurement cell), so the chunking cannot
+/// change a bit. The loss is then one floating-point chain in target
+/// order, which fixes it at every thread count.
+fn loss_pass(cal: &CalibratedTree, targets: &mut [Target], scratch: &mut [f64]) -> f64 {
+    let chunk = targets.len().div_ceil(rayon::current_num_threads());
+    let mut jobs: Vec<(&mut [Target], &mut [f64])> = Vec::new();
+    let mut rest = scratch;
+    for tc in targets.chunks_mut(chunk) {
+        let need: usize = tc.iter().map(|t| 2 * t.marg.len()).sum();
+        let (sc, r) = std::mem::take(&mut rest).split_at_mut(need);
+        rest = r;
+        jobs.push((tc, sc));
+    }
+    jobs.into_par_iter().for_each(|(tc, sc)| {
+        let mut rest = sc;
+        for t in tc {
             let cells = t.marg.len();
             let (mx, r) = rest.split_at_mut(cells);
             let (sm, r) = r.split_at_mut(cells);
             rest = r;
             marginalize_target(cal, t, mx, sm);
         }
-    }
+    });
 
-    // Phase 2: one sequential loss chain in target order (and the cheap
-    // marginal-space gradient fill, which reuses the same `diff`).
     let mut loss = 0.0;
-    for t in targets.iter_mut() {
-        for (k, (p, y)) in t.probs.iter().zip(&t.proportions).enumerate() {
+    for t in targets.iter() {
+        for (p, y) in t.probs.iter().zip(&t.proportions) {
             let diff = p - y;
             loss += t.weight * diff * diff;
-            if want_grad {
-                t.grad[k] = 2.0 * t.weight * diff;
-            }
-        }
-    }
-
-    // Phase 3: per-clique gradient lift over disjoint potential buffers.
-    if want_grad {
-        for (set, idxs) in grad_set.iter_mut().zip(clique_targets) {
-            *set = !idxs.is_empty();
-        }
-        let targets_ref: &[Target] = targets;
-        let touched = clique_targets.iter().filter(|i| !i.is_empty()).count();
-        if parallel && touched > 1 {
-            let jobs: Vec<(&Vec<usize>, &mut Factor)> = clique_targets
-                .iter()
-                .zip(grads.iter_mut())
-                .filter(|(idxs, _)| !idxs.is_empty())
-                .collect();
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("fit thread pool");
-            pool.install(|| {
-                jobs.into_par_iter()
-                    .for_each(|(idxs, grad)| lift_clique_grad(grad, idxs, targets_ref));
-            });
-        } else {
-            for (idxs, grad) in clique_targets.iter().zip(grads.iter_mut()) {
-                if !idxs.is_empty() {
-                    lift_clique_grad(grad, idxs, targets_ref);
-                }
-            }
         }
     }
     loss
 }
 
+/// Gradient pass: each target's marginal-space gradient, from the
+/// probabilities the last loss pass left, lifted onto the potential of
+/// every clique that holds a target. Cliques lift in parallel, each into
+/// its own buffer; within a clique, targets apply in ascending index.
+fn gradient_pass(targets: &mut [Target], clique_targets: &[Vec<usize>], grads: &mut [Factor]) {
+    for t in targets.iter_mut() {
+        for ((g, p), y) in t.grad.iter_mut().zip(&t.probs).zip(&t.proportions) {
+            let diff = p - y;
+            *g = 2.0 * t.weight * diff;
+        }
+    }
+    let targets: &[Target] = targets;
+    let jobs: Vec<(&Vec<usize>, &mut Factor)> = clique_targets
+        .iter()
+        .zip(grads.iter_mut())
+        .filter(|(idxs, _)| !idxs.is_empty())
+        .collect();
+    jobs.into_par_iter()
+        .for_each(|(idxs, grad)| lift_clique_grad(grad, idxs, targets));
+}
+
 /// Estimate a model from noisy measurements over `domain_shape`.
 ///
-/// One-shot convenience over [`estimate_with`] (allocates a fresh
-/// workspace).
+/// Every allocation happens before the first iteration: potentials, the
+/// backtracking proposal, gradients, per-target buffers, one
+/// [`CalibrationWorkspace`] for the fit's junction tree and both calibrated
+/// buffers. Each calibration is marginalized once: the loss pass of the
+/// accepted trial leaves the target marginals that the next gradient pass
+/// reads. Both passes run inside one pool of `options.fit_threads` workers.
 ///
 /// # Errors
 /// [`PgmError::NoMeasurements`] without input; construction errors from the
@@ -388,24 +342,6 @@ pub fn estimate(
     domain_shape: &[usize],
     measurements: &[NoisyMeasurement],
     options: EstimationOptions,
-) -> Result<FittedModel> {
-    let mut ws = CalibrationWorkspace::new();
-    estimate_with(domain_shape, measurements, options, &mut ws)
-}
-
-/// [`estimate`] with a caller-provided scratch arena. The workspace is
-/// rebuilt automatically if the implied junction tree differs from the one
-/// it last served, so a synthesizer can hold one workspace across repeated
-/// fits (AIM's measure-estimate rounds) and every mirror-descent iteration
-/// runs without factor-buffer allocations.
-///
-/// # Errors
-/// Same contract as [`estimate`].
-pub fn estimate_with(
-    domain_shape: &[usize],
-    measurements: &[NoisyMeasurement],
-    options: EstimationOptions,
-    ws: &mut CalibrationWorkspace,
 ) -> Result<FittedModel> {
     if measurements.is_empty() {
         return Err(PgmError::NoMeasurements);
@@ -464,7 +400,8 @@ pub fn estimate_with(
     }
 
     // Clique → targets map for the gradient lift (ascending target index
-    // within each clique, the order the loss pass pins).
+    // within each clique, the order the loss pass pins). A clique without
+    // targets gets no gradient, so the descent never moves its potential.
     let mut clique_targets: Vec<Vec<usize>> = vec![Vec::new(); tree.cliques().len()];
     for (i, t) in targets.iter().enumerate() {
         clique_targets[t.clique].push(i);
@@ -480,82 +417,62 @@ pub fn estimate_with(
         .collect::<Result<_>>()?;
     let mut proposal = theta.clone();
     let mut grads: Vec<Factor> = theta.clone();
-    let mut grad_set = vec![false; theta.len()];
-    let scratch_len: usize = targets.iter().map(|t| 2 * t.marg.len()).sum();
-    ws.ensure_target_scratch(scratch_len);
-    let threads = options.fit_threads.max(1);
+    note_buffer_alloc(); // per-target (maxes, sums) marginalization scratch
+    let mut scratch = vec![0.0; targets.iter().map(|t| 2 * t.marg.len()).sum()];
+    let mut ws = CalibrationWorkspace::new(&tree)?;
     let mut cal = CalibratedTree::default();
     let mut trial = CalibratedTree::default();
 
     // Normalize gradient magnitude: weights scale like n̂²/σ², so scale the
     // step by the total weight to start in a sane region.
     let weight_scale: f64 = targets.iter().map(|t| t.weight).sum::<f64>().max(1.0);
-    let mut step = options.initial_step / weight_scale;
-    calibrate_into(&tree, &theta, ws, &mut cal)?;
-    let mut loss = loss_and_grad(
-        &cal,
-        &mut targets,
-        false,
-        &mut grads,
-        &mut grad_set,
-        &clique_targets,
-        &mut ws.target_scratch[..scratch_len],
-        threads,
-    );
-
-    for _ in 0..options.iterations {
-        loss_and_grad(
-            &cal,
-            &mut targets,
-            true,
-            &mut grads,
-            &mut grad_set,
-            &clique_targets,
-            &mut ws.target_scratch[..scratch_len],
-            threads,
-        );
-        // Backtracking: shrink the step until the loss decreases.
-        let mut accepted = false;
-        for _ in 0..24 {
-            for (c, (pr, th)) in proposal.iter_mut().zip(&theta).enumerate() {
-                pr.copy_values_from(th);
-                if grad_set[c] {
-                    for (tv, gv) in pr.log_values_mut().iter_mut().zip(grads[c].log_values()) {
-                        *tv -= step * gv;
+    let mut step = INITIAL_STEP / weight_scale;
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(options.fit_threads.max(1))
+        .build()
+        .expect("fit thread pool");
+    let final_loss = pool.install(|| -> Result<f64> {
+        calibrate_into(&theta, &mut ws, &mut cal)?;
+        let mut loss = loss_pass(&cal, &mut targets, &mut scratch);
+        for _ in 0..options.iterations {
+            // The targets hold the marginals of `cal`: the loss pass that
+            // priced it left them there.
+            gradient_pass(&mut targets, &clique_targets, &mut grads);
+            // Backtracking: shrink the step until the loss decreases.
+            let mut accepted = false;
+            for _ in 0..24 {
+                for (c, (pr, th)) in proposal.iter_mut().zip(&theta).enumerate() {
+                    pr.copy_values_from(th);
+                    if !clique_targets[c].is_empty() {
+                        for (tv, gv) in pr.log_values_mut().iter_mut().zip(grads[c].log_values()) {
+                            *tv -= step * gv;
+                        }
                     }
                 }
+                calibrate_into(&proposal, &mut ws, &mut trial)?;
+                let new_loss = loss_pass(&trial, &mut targets, &mut scratch);
+                if new_loss <= loss {
+                    std::mem::swap(&mut theta, &mut proposal);
+                    std::mem::swap(&mut cal, &mut trial);
+                    loss = new_loss;
+                    step *= 1.25; // expand after success
+                    accepted = true;
+                    break;
+                }
+                step *= 0.5;
             }
-            calibrate_into(&tree, &proposal, ws, &mut trial)?;
-            let new_loss = loss_and_grad(
-                &trial,
-                &mut targets,
-                false,
-                &mut grads,
-                &mut grad_set,
-                &clique_targets,
-                &mut ws.target_scratch[..scratch_len],
-                threads,
-            );
-            if new_loss <= loss {
-                std::mem::swap(&mut theta, &mut proposal);
-                std::mem::swap(&mut cal, &mut trial);
-                loss = new_loss;
-                step *= 1.25; // expand after success
-                accepted = true;
-                break;
+            if !accepted {
+                break; // converged to numerical precision
             }
-            step *= 0.5;
         }
-        if !accepted {
-            break; // converged to numerical precision
-        }
-    }
+        Ok(loss)
+    })?;
 
     Ok(FittedModel {
         tree,
         calibrated: cal,
         n_estimate,
-        final_loss: loss,
+        final_loss,
         sampler: OnceLock::new(),
     })
 }
@@ -657,7 +574,7 @@ pub fn estimate_naive(
     };
 
     let weight_scale: f64 = targets.iter().map(|t| t.weight).sum::<f64>().max(1.0);
-    let mut step = options.initial_step / weight_scale;
+    let mut step = INITIAL_STEP / weight_scale;
     let mut cal = calibrate_naive(&tree, &theta)?;
     let (mut loss, _) = loss_and_grad(&cal, false)?;
     let mut final_loss = loss;
@@ -810,34 +727,6 @@ mod tests {
                 values: 3
             })
         ));
-    }
-
-    #[test]
-    fn workspace_reuse_across_fits_is_identical() {
-        // The same workspace serving two different measurement sets (and
-        // therefore two different trees) must not leak state between fits.
-        let domain = vec![2usize, 2, 3];
-        let ms_a = vec![NoisyMeasurement {
-            attrs: vec![0, 1],
-            values: vec![400.0, 100.0, 100.0, 400.0],
-            sigma: 1.0,
-        }];
-        let ms_b = vec![NoisyMeasurement {
-            attrs: vec![1, 2],
-            values: vec![100.0, 200.0, 300.0, 150.0, 150.0, 100.0],
-            sigma: 2.0,
-        }];
-        let mut ws = CalibrationWorkspace::new();
-        for ms in [&ms_a, &ms_b, &ms_a] {
-            let shared = estimate_with(&domain, ms, EstimationOptions::default(), &mut ws).unwrap();
-            let fresh = estimate(&domain, ms, EstimationOptions::default()).unwrap();
-            assert_eq!(
-                shared.calibrated().beliefs,
-                fresh.calibrated().beliefs,
-                "workspace reuse changed a fit"
-            );
-            assert_eq!(shared.final_loss(), fresh.final_loss());
-        }
     }
 
     /// A full descent at every fit-thread count must be bit-identical to the

@@ -5,14 +5,14 @@
 //! `p(x) ∝ Π_c exp(θ_c(x_c))` with two sweeps of message passing per tree
 //! component.
 //!
-//! The production path is [`calibrate_into`]: it runs entirely inside a
-//! [`CalibrationWorkspace`] — message products accumulate in a clique-sized
-//! scratch slice via precomputed stride plans, marginalization streams into
-//! separator buffers, and beliefs are written into a caller-owned
-//! [`CalibratedTree`] — so repeated calibrations of the same tree perform
-//! no factor-buffer allocations. The original allocate-per-operation
-//! implementation is retained as [`calibrate_naive`] (the
-//! differential-testing oracle) and produces **bit-identical** beliefs:
+//! The production path is [`calibrate_into`]: it runs entirely inside the
+//! [`CalibrationWorkspace`] built for the tree — message products
+//! accumulate in a clique-sized scratch slice via precomputed stride plans,
+//! marginalization streams into separator buffers, and beliefs are written
+//! into a caller-owned [`CalibratedTree`] — so repeated calibrations of the
+//! tree perform no factor-buffer allocations. The original
+//! allocate-per-operation implementation is retained as [`calibrate_naive`]
+//! (the differential-testing oracle) and produces **bit-identical** beliefs:
 //! both paths execute the same floating-point operations in the same order
 //! per cell.
 
@@ -61,45 +61,45 @@ fn validate_potentials(tree: &JunctionTree, potentials: &[Factor]) -> Result<()>
 
 /// Run two-pass message passing and return the calibrated beliefs.
 ///
-/// One-shot convenience over [`calibrate_into`] (allocates a fresh
+/// One-shot convenience over [`calibrate_into`] (builds a fresh
 /// workspace; hot loops should hold a [`CalibrationWorkspace`] and call
 /// [`calibrate_into`] directly).
 ///
 /// `potentials[i]` must have exactly clique `i`'s scope.
 pub fn calibrate(tree: &JunctionTree, potentials: &[Factor]) -> Result<CalibratedTree> {
-    let mut ws = CalibrationWorkspace::new();
+    let mut ws = CalibrationWorkspace::new(tree)?;
     let mut out = CalibratedTree::default();
-    calibrate_into(tree, potentials, &mut ws, &mut out)?;
+    calibrate_into(potentials, &mut ws, &mut out)?;
     Ok(out)
 }
 
-/// Two-pass message passing into a reusable workspace and caller-owned
-/// output. After the first call for a given tree (which sizes every
-/// buffer), subsequent calls allocate nothing.
+/// Two-pass message passing over the workspace's tree, into the workspace
+/// and a caller-owned output. Only the first call into a fresh `out` sizes
+/// its beliefs; after that, calls allocate nothing.
 ///
 /// # Errors
 /// [`PgmError::ScopeMismatch`] when `potentials` don't match the cliques.
 pub fn calibrate_into(
-    tree: &JunctionTree,
     potentials: &[Factor],
     ws: &mut CalibrationWorkspace,
     out: &mut CalibratedTree,
 ) -> Result<()> {
+    let tree = ws.tree;
     validate_potentials(tree, potentials)?;
-    ws.ensure(tree)?;
+    ws.filled.fill(false);
 
     // Upward pass: leaves to root (reverse BFS order).
     for idx in (0..ws.order.len()).rev() {
         let c = ws.order[idx];
         if let Some((p, e)) = ws.parent[c] {
-            compute_message_into(tree, potentials, ws, c, p, e);
+            compute_message_into(potentials, ws, c, p, e);
         }
     }
     // Downward pass: root to leaves (BFS order).
     for idx in 0..ws.order.len() {
         let c = ws.order[idx];
         if let Some((p, e)) = ws.parent[c] {
-            compute_message_into(tree, potentials, ws, p, c, e);
+            compute_message_into(potentials, ws, p, c, e);
         }
     }
 
@@ -111,7 +111,7 @@ pub fn calibrate_into(
         for &(nbr, e) in tree.neighbors(c) {
             let slot = CalibrationWorkspace::slot(tree, e, nbr);
             debug_assert!(ws.filled[slot], "two-pass schedule fills all messages");
-            let plan = ws.plan_for(e, c, tree);
+            let plan = ws.plan_for(e, c);
             bcast_add(
                 belief.log_values_mut(),
                 ws.messages[slot].log_values(),
@@ -150,13 +150,13 @@ fn ensure_beliefs(out: &mut CalibratedTree, tree: &JunctionTree) -> Result<()> {
 /// separator, entirely in workspace scratch. Mirrors the naive
 /// `compute_message` operation-for-operation.
 fn compute_message_into(
-    tree: &JunctionTree,
     potentials: &[Factor],
     ws: &mut CalibrationWorkspace,
     from: usize,
     to: usize,
     e: usize,
 ) {
+    let tree = ws.tree;
     let cells = potentials[from].n_cells();
     let product = &mut ws.clique_scratch[..cells];
     product.copy_from_slice(potentials[from].log_values());
@@ -454,11 +454,11 @@ mod tests {
                 })
                 .collect()
         };
-        let mut ws = CalibrationWorkspace::new();
+        let mut ws = CalibrationWorkspace::new(&tree).unwrap();
         let mut out = CalibratedTree::default();
         for seed in [0.37, 0.59, 0.83] {
             let p = pots(seed);
-            calibrate_into(&tree, &p, &mut ws, &mut out).unwrap();
+            calibrate_into(&p, &mut ws, &mut out).unwrap();
             let fresh = calibrate(&tree, &p).unwrap();
             for (a, b) in out.beliefs.iter().zip(&fresh.beliefs) {
                 assert_eq!(a, b, "workspace reuse drifted at seed {seed}");

@@ -9,17 +9,19 @@
 //! * [`junction_tree`] — min-fill triangulation + maximal cliques + maximum
 //!   spanning tree with the running-intersection property;
 //! * [`inference`] — Shafer–Shenoy calibration, allocation-free after
-//!   warm-up via [`workspace::CalibrationWorkspace`];
+//!   warm-up via a [`workspace::CalibrationWorkspace`] built for the tree;
 //! * [`estimation`] — mirror-descent fitting of clique potentials to noisy
-//!   marginal measurements, with backtracking line search;
+//!   marginal measurements, with backtracking line search: [`estimate`],
+//!   the one estimator, builds one workspace per fit and marginalizes each
+//!   calibration once;
 //! * [`sampling`] — batched, clique-major ancestral sampling from the
 //!   calibrated tree (bit-identical to the retained per-row oracle), and
 //!   [`assemble_chunks`], the one chunk-and-stitch harness every
 //!   synthesizer's row generation runs through;
 //! * [`spanning_tree`] — Kruskal maximum spanning tree / union-find (also
 //!   used directly by the MST synthesizer);
-//! * [`workspace`] — the reusable scratch arena threaded through
-//!   `calibrate` → `estimate`.
+//! * [`workspace`] — the scratch arena bound to one junction tree, which
+//!   every calibration of that tree reuses.
 //!
 //! Each kernel keeps one naive oracle, compiled in every build: the
 //! original allocate-per-operation factor algebra
@@ -42,9 +44,7 @@ pub mod spanning_tree;
 pub mod workspace;
 
 pub use error::{PgmError, Result};
-pub use estimation::{
-    estimate, estimate_naive, estimate_with, EstimationOptions, FittedModel, NoisyMeasurement,
-};
+pub use estimation::{estimate, estimate_naive, EstimationOptions, FittedModel, NoisyMeasurement};
 pub use factor::{factor_buffer_allocs, log_sum_exp, Factor};
 pub use inference::{calibrate, calibrate_into, calibrate_naive, CalibratedTree};
 pub use junction_tree::JunctionTree;

@@ -83,12 +83,12 @@ proptest! {
         let naive = calibrate_naive(&tree, &pots).unwrap();
         let fresh = calibrate(&tree, &pots).unwrap();
 
-        let mut ws = CalibrationWorkspace::new();
+        let mut ws = CalibrationWorkspace::new(&tree).unwrap();
         let mut reused = CalibratedTree::default();
         // Calibrate twice through the same workspace: the second pass must
         // not be perturbed by leftover message/belief state.
-        calibrate_into(&tree, &pots, &mut ws, &mut reused).unwrap();
-        calibrate_into(&tree, &pots, &mut ws, &mut reused).unwrap();
+        calibrate_into(&pots, &mut ws, &mut reused).unwrap();
+        calibrate_into(&pots, &mut ws, &mut reused).unwrap();
 
         for (c, want) in naive.beliefs.iter().enumerate() {
             prop_assert!(
@@ -129,7 +129,6 @@ proptest! {
             .collect();
         let opts = EstimationOptions {
             iterations: iters,
-            initial_step: 1.0,
             cell_limit: 1 << 16,
             fit_threads: 1,
         };
@@ -180,7 +179,6 @@ proptest! {
             .collect();
         let opts = EstimationOptions {
             iterations: iters,
-            initial_step: 1.0,
             cell_limit: 1 << 16,
             fit_threads: 1,
         };
@@ -236,7 +234,6 @@ fn mirror_descent_iterations_allocate_nothing_after_warmup() {
     let run = |iterations: usize| -> u64 {
         let opts = EstimationOptions {
             iterations,
-            initial_step: 1.0,
             cell_limit: 1 << 21,
             fit_threads: 1,
         };
@@ -268,13 +265,11 @@ fn fit_allocations_are_independent_of_iteration_count() {
     let allocs_at = |iters: usize| -> u64 {
         let opts = EstimationOptions {
             iterations: iters,
-            initial_step: 1.0,
             cell_limit: 1 << 21,
             fit_threads: 1,
         };
-        let mut ws = CalibrationWorkspace::new();
         let before = factor_buffer_allocs();
-        let model = synrd_pgm::estimate_with(&domain, &ms, opts, &mut ws).unwrap();
+        let model = estimate(&domain, &ms, opts).unwrap();
         let sampler = synrd_pgm::TreeSampler::new(&model).unwrap();
         let _ = sampler;
         factor_buffer_allocs() - before

@@ -406,12 +406,8 @@ pub fn handle_request(service: &FitService, request: &JsonValue) -> JsonValue {
     result.unwrap_or_else(error_response)
 }
 
-/// Answer one raw request line (parse errors become protocol errors).
-pub fn handle_line(service: &FitService, line: &str) -> JsonValue {
-    answer_line(service, line).0
-}
-
-/// [`handle_line`], plus whether the line asked the server to shut down.
+/// Answer one raw request line (parse errors become protocol errors), and
+/// say whether the line asked the server to shut down.
 fn answer_line(service: &FitService, line: &str) -> (JsonValue, bool) {
     match parse(line) {
         Ok(request) => {

@@ -1,6 +1,6 @@
 //! End-to-end tests for serve mode: the network-free protocol layer
-//! (`handle_request` / `handle_line`) against a seeded fit cache, and a
-//! real TCP round trip on an ephemeral port.
+//! (`handle_request`) against a seeded fit cache, and a real TCP round trip
+//! on an ephemeral port.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,7 +10,7 @@ use std::time::Duration;
 use synrd::benchmark::{BenchmarkConfig, FitStore};
 use synrd_data::{Attribute, Dataset, Domain};
 use synrd_serve::{
-    handle_line, handle_request, serve, FitService, MAX_LINE, MAX_RESPONSE_CELLS, MAX_SAMPLE_ROWS,
+    handle_request, serve, FitService, MAX_LINE, MAX_RESPONSE_CELLS, MAX_SAMPLE_ROWS,
 };
 use synrd_store::{hex16, parse, JsonValue};
 use synrd_synth::SynthKind;
@@ -192,10 +192,6 @@ fn missing_fits_and_malformed_requests_are_errors_not_refits() {
     );
     assert!(refusal(&parse(&bad_synth).unwrap()).contains("unknown synthesizer"));
 
-    // Unparseable lines get a protocol error, not a dropped connection.
-    let garbled = handle_line(&service, "{not json");
-    assert_eq!(garbled.get("ok"), Some(&JsonValue::Bool(false)));
-
     // Nothing above fitted anything: the service holds only the seeded
     // restoration path and all failures were refusals.
     assert_eq!(service.served(), (0, 0));
@@ -218,6 +214,9 @@ fn tcp_round_trip_ping_sample_shutdown() {
     };
 
     assert_ok(&exchange(r#"{"op":"ping"}"#.to_string()));
+    // Unparseable lines get a protocol error, not a dropped connection.
+    let garbled = exchange("{not json".to_string());
+    assert_eq!(garbled.get("ok"), Some(&JsonValue::Bool(false)));
     let sampled = exchange(sample_request(digest, 200, 9).to_text());
     assert_ok(&sampled);
     assert_eq!(sampled.get("n"), Some(&JsonValue::Uint(200)));

@@ -27,11 +27,6 @@ impl LinearFit {
     pub fn t_stat(&self, j: usize) -> f64 {
         self.coefficients[j] / self.std_errors[j]
     }
-
-    /// Predicted values for a design matrix.
-    pub fn predict(&self, x: &Matrix) -> Result<Vec<f64>> {
-        x.matvec(&self.coefficients)
-    }
 }
 
 /// Fit y = Xβ by OLS.

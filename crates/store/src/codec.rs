@@ -330,7 +330,6 @@ impl JsonCodec for BenchmarkConfig {
             ("data_seed", JsonValue::Uint(self.data_seed)),
             ("threads", JsonValue::Uint(self.threads as u64)),
             ("fit_timeout", timeout),
-            ("restrict_privmrf", JsonValue::Bool(self.restrict_privmrf)),
             (
                 "synthesizers",
                 JsonValue::Arr(
@@ -373,9 +372,6 @@ impl JsonCodec for BenchmarkConfig {
             data_seed: u64_field(value, "data_seed")?,
             threads: usize_field(value, "threads")?,
             fit_timeout,
-            restrict_privmrf: field(value, "restrict_privmrf")?
-                .as_bool()
-                .ok_or_else(|| codec_err("'restrict_privmrf' is not a bool"))?,
             synthesizers,
         })
     }

@@ -86,7 +86,10 @@ pub fn config_fingerprint(config: &BenchmarkConfig) -> u64 {
         None => h.write_u64(0).write_u64(0),
         Some(d) => h.write_u64(1).write_u64(d.as_nanos() as u64),
     };
-    h.write_u64(u64::from(config.restrict_privmrf));
+    // The constant 1 fills the slot of the removed `restrict_privmrf` flag,
+    // which every config set (PrivMRF runs at ε = e⁰ only), so every cell
+    // digest and existing store stays valid.
+    h.write_u64(1);
     h.finish()
 }
 

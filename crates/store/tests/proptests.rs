@@ -127,7 +127,6 @@ fn arb_config(rng: &mut StdRng) -> BenchmarkConfig {
         } else {
             None
         },
-        restrict_privmrf: rng.gen::<bool>(),
         synthesizers: arb_synths(rng, 6),
     }
 }

@@ -21,9 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, Marginal, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
-use synrd_pgm::{
-    estimate_with, CalibrationWorkspace, EstimationOptions, FittedModel, JunctionTree,
-};
+use synrd_pgm::{estimate, EstimationOptions, FittedModel, JunctionTree};
 
 /// Configuration for [`Aim`].
 #[derive(Debug, Clone, Copy)]
@@ -103,14 +101,9 @@ impl Synthesizer for Aim {
         let fit_threads = ctx.threads.max(1);
         let est_opts = move |iters: usize, cell_limit: usize| EstimationOptions {
             iterations: iters,
-            initial_step: 1.0,
             cell_limit,
             fit_threads,
         };
-        // One scratch arena across every refit: AIM re-estimates once per
-        // round, and the workspace re-plans only when the tree topology
-        // actually changes.
-        let mut ws = CalibrationWorkspace::new();
 
         // Workload: all pairs that fit the cell limit.
         let workload: Vec<WorkloadQuery> = all_pairs_under(data.domain(), self.options.cell_limit);
@@ -181,11 +174,10 @@ impl Synthesizer for Aim {
             // refit follows the last measurement: the final fit below
             // starts again from uniform potentials. Estimation draws no
             // randomness, so where the refit runs does not change the fit.
-            let model = estimate_with(
+            let model = estimate(
                 &shape,
                 &measurements,
                 est_opts(self.options.refit_iterations, self.options.cell_limit),
-                &mut ws,
             )?;
             // Candidate scores: workload error of the current model minus
             // the expected noise cost of measuring (AIM's utility
@@ -229,11 +221,10 @@ impl Synthesizer for Aim {
         }
 
         // Final, longer fit.
-        let model = estimate_with(
+        let model = estimate(
             &shape,
             &measurements,
             est_opts(self.options.final_iterations, self.options.cell_limit),
-            &mut ws,
         )?;
         self.fitted = Some((data.domain().clone(), model));
         Ok(())

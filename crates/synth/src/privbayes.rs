@@ -126,13 +126,6 @@ impl PrivBayes {
             fitted: None,
         }
     }
-
-    /// The learned topological structure (attr, parents), post-fit.
-    pub fn structure(&self) -> Option<Vec<(usize, Vec<usize>)>> {
-        self.fitted
-            .as_ref()
-            .map(|(_, nodes)| nodes.iter().map(|n| (n.attr, n.parents.clone())).collect())
-    }
 }
 
 impl Synthesizer for PrivBayes {
@@ -543,12 +536,18 @@ mod tests {
         ds
     }
 
+    /// The learned topological structure (attr, parents) of a fitted synth.
+    fn structure(synth: &PrivBayes) -> Vec<(usize, Vec<usize>)> {
+        let (_, nodes) = synth.fitted.as_ref().expect("fitted");
+        nodes.iter().map(|n| (n.attr, n.parents.clone())).collect()
+    }
+
     #[test]
     fn structure_covers_every_attribute_once() {
         let data = parented_data(4_000);
         let mut synth = PrivBayes::default();
         synth.fit(&data, Privacy::pure(2.0).unwrap(), 3).unwrap();
-        let structure = synth.structure().unwrap();
+        let structure = structure(&synth);
         assert_eq!(structure.len(), 3);
         let mut attrs: Vec<usize> = structure.iter().map(|(a, _)| *a).collect();
         attrs.sort_unstable();
@@ -573,7 +572,7 @@ mod tests {
         // Root tables need cardinality 2 <= 2, parented tables need 4 > 2:
         // the fit survives with parent-free structure.
         result.unwrap();
-        let structure = synth.structure().unwrap();
+        let structure = structure(&synth);
         assert!(structure.iter().all(|(_, p)| p.is_empty()));
     }
 

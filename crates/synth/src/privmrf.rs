@@ -198,7 +198,6 @@ impl Synthesizer for PrivMrf {
             &measurements,
             EstimationOptions {
                 iterations: self.options.estimation_iterations,
-                initial_step: 1.0,
                 cell_limit: self.options.cell_limit,
                 fit_threads: ctx.threads.max(1),
             },

@@ -19,7 +19,6 @@ fn mini_config() -> BenchmarkConfig {
         data_seed: 99,
         threads: 4,
         fit_timeout: Some(Duration::from_secs(300)),
-        restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Gem],
     }
 }

@@ -42,7 +42,6 @@ fn digest_config() -> BenchmarkConfig {
         data_seed: 99,
         threads: 4,
         fit_timeout: None,
-        restrict_privmrf: true,
         synthesizers: vec![SynthKind::Mst, SynthKind::Aim],
     }
 }
