@@ -50,7 +50,6 @@ fn estimation_iterations(c: &mut Criterion) {
                     &ms,
                     EstimationOptions {
                         iterations: iters,
-                        cell_limit: 1 << 21,
                         fit_threads: 1,
                     },
                 )

@@ -255,7 +255,6 @@ fn fit(domain: &[usize], ms: Vec<NoisyMeasurement>) -> FittedModel {
         &ms,
         EstimationOptions {
             iterations: 40,
-            cell_limit: 1 << 21,
             fit_threads: 1,
         },
     )
@@ -693,7 +692,6 @@ fn fit_section(quick: bool, out_path: &str) -> f64 {
         let (domain, ms) = rich_problem(d, card);
         let opts = EstimationOptions {
             iterations: if quick { 25 } else { 80 },
-            cell_limit: 1 << 21,
             fit_threads: 1,
         };
         let mt_opts = EstimationOptions {
@@ -708,11 +706,6 @@ fn fit_section(quick: bool, out_path: &str) -> f64 {
             seq_model.calibrated().beliefs,
             mt_model.calibrated().beliefs,
             "{name}: {mt}-thread descent changed the fitted beliefs"
-        );
-        assert_eq!(
-            seq_model.final_loss().to_bits(),
-            mt_model.final_loss().to_bits(),
-            "{name}: {mt}-thread descent changed the final loss"
         );
         let seq_ns = median_ns(est_reps, || {
             estimate(&domain, &ms, opts).expect("fit");
@@ -846,7 +839,6 @@ fn main() {
         .collect();
     let opts = EstimationOptions {
         iterations: if quick { 30 } else { 120 },
-        cell_limit: 1 << 21,
         fit_threads: 1,
     };
     let est_reps = if quick { 3 } else { 9 };

@@ -426,8 +426,8 @@ pub fn pgm_problem(
     shape: Vec<usize>,
     sets: Vec<Vec<usize>>,
 ) -> (synrd_pgm::JunctionTree, Vec<synrd_pgm::Factor>) {
-    let tree =
-        synrd_pgm::JunctionTree::build(&shape, &sets, 1 << 21).expect("tree fits cell limit");
+    let tree = synrd_pgm::JunctionTree::build(&shape, &sets, synrd_pgm::CLIQUE_CELL_LIMIT)
+        .expect("tree fits cell limit");
     let pots = tree
         .cliques()
         .iter()

@@ -536,7 +536,7 @@ pub fn run_paper_with_stores(
     // Control row: nonparametric bootstrap of the real data through the
     // same pipeline (in place of the paper's Bayesian-bootstrap control; see
     // the README's "Departures from the paper").
-    let control = control_row(&ground, config)?;
+    let control = control_row(&ground, config);
 
     let grid = full_grid(config);
     let fit_threads = CoreBudget::from_config(config).fit_threads(grid.len());
@@ -617,7 +617,7 @@ pub fn assemble_report(
     store: &dyn CellStore,
 ) -> Result<PaperReport> {
     let ground = ground_truth(paper, config)?;
-    let control = control_row(&ground, config)?;
+    let control = control_row(&ground, config);
     let paper_id = paper.dataset().id();
     let mut cells: Vec<Vec<CellOutcome>> = Vec::with_capacity(config.synthesizers.len());
     for &kind in &config.synthesizers {
@@ -825,7 +825,7 @@ fn score_trial(ground: &PaperGround, data: &synrd_data::Dataset, holds: &mut [f6
 }
 
 /// The "real, bootstrap" control row.
-fn control_row(ground: &PaperGround, config: &BenchmarkConfig) -> Result<Vec<f64>> {
+fn control_row(ground: &PaperGround, config: &BenchmarkConfig) -> Vec<f64> {
     let real = &ground.real;
     let replicates = (config.bootstraps * config.seeds.max(1)).max(10);
     let mut rng = synrd_dp::rng_for(config.data_seed, "bootstrap-control");
@@ -834,7 +834,7 @@ fn control_row(ground: &PaperGround, config: &BenchmarkConfig) -> Result<Vec<f64
         let resample = real.bootstrap_sample(real.n_rows(), &mut rng);
         score_trial(ground, &resample, &mut holds);
     }
-    Ok(holds.iter().map(|h| h / replicates as f64).collect())
+    holds.iter().map(|h| h / replicates as f64).collect()
 }
 
 #[cfg(test)]

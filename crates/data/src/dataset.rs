@@ -9,6 +9,7 @@
 //! slice.
 
 use crate::attribute::AttrKind;
+use crate::digest::Fnv1a;
 use crate::domain::{validate_attr_set, Domain};
 use crate::error::{DataError, Result};
 use crate::packed::PackedColumn;
@@ -343,52 +344,38 @@ impl Dataset {
     /// under every fit — this is the dataset component of the fit-cache key,
     /// which is how papers sharing a generator share fitted models.
     pub fn content_digest(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn bytes(&mut self, bs: &[u8]) {
-                for &b in bs {
-                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-                }
-            }
-            // Separator bytes keep adjacent fields from aliasing (the same
-            // convention as synrd-store's digest module).
-            fn word(&mut self, v: u64) {
-                self.bytes(&v.to_le_bytes());
-                self.bytes(&[0xff]);
-            }
-            fn text(&mut self, s: &str) {
-                self.bytes(s.as_bytes());
-                self.bytes(&[0xfe]);
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        h.word(self.domain.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.domain.len() as u64);
         for attr in self.domain.attributes() {
-            h.text(attr.name());
-            h.word(match attr.kind() {
+            h.write_str(attr.name());
+            h.write_u64(match attr.kind() {
                 AttrKind::Categorical => 0,
                 AttrKind::Ordinal => 1,
                 AttrKind::Binary => 2,
             });
-            h.word(attr.cardinality() as u64);
+            h.write_u64(attr.cardinality() as u64);
             for label in attr.categories() {
-                h.text(label);
+                h.write_str(label);
             }
             match attr.numeric_values() {
-                None => h.word(0),
+                None => {
+                    h.write_u64(0);
+                }
                 Some(values) => {
-                    h.word(1);
+                    h.write_u64(1);
                     for v in values {
-                        h.word(v.to_bits());
+                        h.write_u64(v.to_bits());
                     }
                 }
             }
         }
-        h.word(self.rows as u64);
+        h.write_u64(self.rows as u64);
         for col in &self.columns {
-            col.for_each_code(|c| h.word(u64::from(c)));
+            col.for_each_code(|c| {
+                h.write_u64(u64::from(c));
+            });
         }
-        h.0
+        h.finish()
     }
 }
 

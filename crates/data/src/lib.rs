@@ -19,6 +19,7 @@
 
 pub mod attribute;
 pub mod dataset;
+pub mod digest;
 pub mod domain;
 pub mod engine;
 pub mod error;
@@ -29,6 +30,7 @@ pub mod packed;
 
 pub use attribute::{AttrKind, Attribute};
 pub use dataset::{Dataset, RowRef};
+pub use digest::{fnv1a64, Fnv1a};
 pub use domain::Domain;
 pub use engine::{marginal_counts_performed, MarginalCache, MarginalEngine};
 pub use error::{DataError, Result};

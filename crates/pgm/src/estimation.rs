@@ -51,13 +51,16 @@ pub struct NoisyMeasurement {
 /// target weight; backtracking tunes it from there.
 const INITIAL_STEP: f64 = 1.0;
 
+/// Largest clique, in cells, that [`estimate`] builds a junction tree with.
+/// AIM's workload and the AIM and PrivMRF selection probes test candidates
+/// against the same limit, so every selected set stays estimable.
+pub const CLIQUE_CELL_LIMIT: usize = 1 << 21;
+
 /// Options for [`estimate`].
 #[derive(Debug, Clone, Copy)]
 pub struct EstimationOptions {
     /// Mirror-descent iterations.
     pub iterations: usize,
-    /// Maximum cells per junction-tree clique.
-    pub cell_limit: usize,
     /// Worker threads for the intra-fit parallel phases (target
     /// marginalization in the loss pass, the per-clique lift in the
     /// gradient pass). Every reduction order is pinned, so fitted models
@@ -70,21 +73,17 @@ impl Default for EstimationOptions {
     fn default() -> Self {
         EstimationOptions {
             iterations: 120,
-            cell_limit: 1 << 21,
             fit_threads: 1,
         }
     }
 }
 
-/// A fitted graphical model: junction tree + calibrated beliefs + the
-/// estimated record count, plus the lazily built (and then cached) row
-/// sampler.
+/// A fitted graphical model: junction tree + calibrated beliefs, plus the
+/// lazily built (and then cached) row sampler.
 #[derive(Debug)]
 pub struct FittedModel {
     tree: JunctionTree,
     calibrated: CalibratedTree,
-    n_estimate: f64,
-    final_loss: f64,
     /// Flattened cumulative/guide/emit sampling tables, built on the first
     /// `sampler()` call and reused across every bootstrap draw thereafter.
     /// A pure function of `(tree, calibrated)`, so it is never serialized
@@ -97,8 +96,6 @@ impl Clone for FittedModel {
         FittedModel {
             tree: self.tree.clone(),
             calibrated: self.calibrated.clone(),
-            n_estimate: self.n_estimate,
-            final_loss: self.final_loss,
             // Carry an already built sampler over (cheap relative to
             // rebuilding); an unbuilt one stays unbuilt.
             sampler: match self.sampler.get() {
@@ -118,12 +115,7 @@ impl FittedModel {
     /// # Errors
     /// [`PgmError::ShapeMismatch`] when the belief list does not match the
     /// tree's cliques (count, scope, or shape).
-    pub fn from_parts(
-        tree: JunctionTree,
-        calibrated: CalibratedTree,
-        n_estimate: f64,
-        final_loss: f64,
-    ) -> Result<FittedModel> {
+    pub fn from_parts(tree: JunctionTree, calibrated: CalibratedTree) -> Result<FittedModel> {
         if calibrated.beliefs.len() != tree.cliques().len() {
             return Err(PgmError::ShapeMismatch {
                 cells: tree.cliques().len(),
@@ -143,8 +135,6 @@ impl FittedModel {
         Ok(FittedModel {
             tree,
             calibrated,
-            n_estimate,
-            final_loss,
             sampler: OnceLock::new(),
         })
     }
@@ -173,16 +163,6 @@ impl FittedModel {
     /// Calibrated beliefs.
     pub fn calibrated(&self) -> &CalibratedTree {
         &self.calibrated
-    }
-
-    /// Estimated number of records.
-    pub fn n_estimate(&self) -> f64 {
-        self.n_estimate
-    }
-
-    /// Final measurement loss (diagnostic).
-    pub fn final_loss(&self) -> f64 {
-        self.final_loss
     }
 
     /// Model marginal probabilities over `attrs` if covered by a clique;
@@ -358,7 +338,7 @@ pub fn estimate(
     let n_estimate = (num / den).max(1.0);
 
     let sets: Vec<Vec<usize>> = measurements.iter().map(|m| m.attrs.clone()).collect();
-    let tree = JunctionTree::build(domain_shape, &sets, options.cell_limit)?;
+    let tree = JunctionTree::build(domain_shape, &sets, CLIQUE_CELL_LIMIT)?;
 
     // Assign measurements to containing cliques; precompute targets as
     // noisy *proportions* with proportion-space noise std, plus the stride
@@ -431,7 +411,7 @@ pub fn estimate(
         .num_threads(options.fit_threads.max(1))
         .build()
         .expect("fit thread pool");
-    let final_loss = pool.install(|| -> Result<f64> {
+    pool.install(|| -> Result<()> {
         calibrate_into(&theta, &mut ws, &mut cal)?;
         let mut loss = loss_pass(&cal, &mut targets, &mut scratch);
         for _ in 0..options.iterations {
@@ -465,14 +445,12 @@ pub fn estimate(
                 break; // converged to numerical precision
             }
         }
-        Ok(loss)
+        Ok(())
     })?;
 
     Ok(FittedModel {
         tree,
         calibrated: cal,
-        n_estimate,
-        final_loss,
         sampler: OnceLock::new(),
     })
 }
@@ -507,7 +485,7 @@ pub fn estimate_naive(
     let n_estimate = (num / den).max(1.0);
 
     let sets: Vec<Vec<usize>> = measurements.iter().map(|m| m.attrs.clone()).collect();
-    let tree = JunctionTree::build(domain_shape, &sets, options.cell_limit)?;
+    let tree = JunctionTree::build(domain_shape, &sets, CLIQUE_CELL_LIMIT)?;
 
     struct NaiveTarget {
         clique: usize,
@@ -577,7 +555,6 @@ pub fn estimate_naive(
     let mut step = INITIAL_STEP / weight_scale;
     let mut cal = calibrate_naive(&tree, &theta)?;
     let (mut loss, _) = loss_and_grad(&cal, false)?;
-    let mut final_loss = loss;
 
     for _ in 0..options.iterations {
         let (_, grads) = loss_and_grad(&cal, true)?;
@@ -597,7 +574,6 @@ pub fn estimate_naive(
                 theta = proposal;
                 cal = new_cal;
                 loss = new_loss;
-                final_loss = new_loss;
                 step *= 1.25;
                 accepted = true;
                 break;
@@ -612,8 +588,6 @@ pub fn estimate_naive(
     Ok(FittedModel {
         tree,
         calibrated: cal,
-        n_estimate,
-        final_loss,
         sampler: OnceLock::new(),
     })
 }
@@ -639,7 +613,6 @@ mod tests {
             sigma: 1.0,
         };
         let model = estimate(&domain, &[m01, m2], EstimationOptions::default()).unwrap();
-        assert!((model.n_estimate() - 1000.0).abs() < 1.0);
 
         let got01 = model.marginal_or_independent(&[0, 1]).unwrap();
         for (g, e) in got01.iter().zip(&[0.4, 0.1, 0.1, 0.4]) {
@@ -771,14 +744,6 @@ mod tests {
                 model.calibrated().beliefs,
                 baseline.calibrated().beliefs,
                 "fit_threads={threads} changed the fitted beliefs"
-            );
-            assert_eq!(
-                model.final_loss().to_bits(),
-                baseline.final_loss().to_bits()
-            );
-            assert_eq!(
-                model.n_estimate().to_bits(),
-                baseline.n_estimate().to_bits()
             );
         }
     }

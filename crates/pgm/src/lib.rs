@@ -44,7 +44,9 @@ pub mod spanning_tree;
 pub mod workspace;
 
 pub use error::{PgmError, Result};
-pub use estimation::{estimate, estimate_naive, EstimationOptions, FittedModel, NoisyMeasurement};
+pub use estimation::{
+    estimate, estimate_naive, EstimationOptions, FittedModel, NoisyMeasurement, CLIQUE_CELL_LIMIT,
+};
 pub use factor::{factor_buffer_allocs, log_sum_exp, Factor};
 pub use inference::{calibrate, calibrate_into, calibrate_naive, CalibratedTree};
 pub use junction_tree::JunctionTree;

@@ -107,7 +107,7 @@ proptest! {
 
 proptest! {
     /// Full mirror descent ≡ the naive oracle estimation, bit for bit:
-    /// same beliefs, same final loss, on random noisy measurement sets.
+    /// same beliefs on random noisy measurement sets.
     #[test]
     fn estimate_matches_naive_bitwise(
         (shape, sets, vals) in random_problem(),
@@ -129,13 +129,10 @@ proptest! {
             .collect();
         let opts = EstimationOptions {
             iterations: iters,
-            cell_limit: 1 << 16,
             fit_threads: 1,
         };
         let fast = estimate(&shape, &measurements, opts).unwrap();
         let naive = estimate_naive(&shape, &measurements, opts).unwrap();
-        prop_assert_eq!(fast.final_loss().to_bits(), naive.final_loss().to_bits());
-        prop_assert_eq!(fast.n_estimate().to_bits(), naive.n_estimate().to_bits());
         for (c, (a, b)) in fast
             .calibrated()
             .beliefs
@@ -179,7 +176,6 @@ proptest! {
             .collect();
         let opts = EstimationOptions {
             iterations: iters,
-            cell_limit: 1 << 16,
             fit_threads: 1,
         };
         let sequential = estimate(&shape, &measurements, opts).unwrap();
@@ -189,10 +185,6 @@ proptest! {
             EstimationOptions { fit_threads: threads, ..opts },
         )
         .unwrap();
-        prop_assert_eq!(
-            parallel.final_loss().to_bits(),
-            sequential.final_loss().to_bits()
-        );
         for (c, (a, b)) in parallel
             .calibrated()
             .beliefs
@@ -234,7 +226,6 @@ fn mirror_descent_iterations_allocate_nothing_after_warmup() {
     let run = |iterations: usize| -> u64 {
         let opts = EstimationOptions {
             iterations,
-            cell_limit: 1 << 21,
             fit_threads: 1,
         };
         let before = factor_buffer_allocs();
@@ -242,7 +233,7 @@ fn mirror_descent_iterations_allocate_nothing_after_warmup() {
         let after = factor_buffer_allocs();
         // Keep the model alive through the measurement so drops can't hide
         // allocator traffic (the counter only tracks allocations anyway).
-        assert!(model.final_loss().is_finite());
+        assert!(!model.calibrated().beliefs.is_empty());
         after - before
     };
     // Warm up thread-local state, then compare 30 vs 120 iterations.
@@ -265,7 +256,6 @@ fn fit_allocations_are_independent_of_iteration_count() {
     let allocs_at = |iters: usize| -> u64 {
         let opts = EstimationOptions {
             iterations: iters,
-            cell_limit: 1 << 21,
             fit_threads: 1,
         };
         let before = factor_buffer_allocs();

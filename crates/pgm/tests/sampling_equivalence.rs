@@ -124,7 +124,6 @@ fn fitted_model_sampling_matches_naive() {
         &ms,
         EstimationOptions {
             iterations: 30,
-            cell_limit: 1 << 21,
             fit_threads: 1,
         },
     )

@@ -17,7 +17,7 @@
 //! ([`FittedModel::from_parts`]), so a corrupted or hand-edited file
 //! surfaces as a decode error, never as a silently wrong model.
 
-use crate::codec::{codec_err, f64_field, f64_vec, field, str_field, usize_field, JsonCodec};
+use crate::codec::{codec_err, f64_vec, field, str_field, usize_field, JsonCodec};
 use crate::json::JsonValue;
 use crate::StoreError;
 use synrd_data::{AttrKind, Attribute, Domain, Marginal};
@@ -241,8 +241,6 @@ impl JsonCodec for FittedModel {
             ("domain_shape", usize_arr(tree.domain_shape())),
             ("cliques", cliques),
             ("beliefs", beliefs),
-            ("n_estimate", JsonValue::Num(self.n_estimate())),
-            ("final_loss", JsonValue::Num(self.final_loss())),
         ])
     }
 
@@ -270,13 +268,8 @@ impl JsonCodec for FittedModel {
             .iter()
             .map(Factor::from_json)
             .collect::<Result<Vec<_>, StoreError>>()?;
-        FittedModel::from_parts(
-            tree,
-            CalibratedTree { beliefs },
-            f64_field(value, "n_estimate")?,
-            f64_field(value, "final_loss")?,
-        )
-        .map_err(|e| codec_err(format!("beliefs do not match tree: {e}")))
+        FittedModel::from_parts(tree, CalibratedTree { beliefs })
+            .map_err(|e| codec_err(format!("beliefs do not match tree: {e}")))
     }
 }
 

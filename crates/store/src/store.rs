@@ -67,7 +67,15 @@ const FINGERPRINT_VERSION: u64 = 3;
 /// v3: GEM and PATECTGAN states stopped storing their Adam state (moments,
 /// step counter and learning rate), so v2 fit files carry keys the codecs
 /// no longer read; they refit once. Cells are unchanged and stay valid.
-const FIT_FINGERPRINT_VERSION: u64 = 3;
+///
+/// v4: PGM states (AIM, MST, PrivMRF) stopped storing the estimated record
+/// count and the final measurement loss, which no sampler reads; v3 fit
+/// files refit once. Cells are unchanged and stay valid.
+///
+/// Neither fingerprint covers a synthesizer's settings, which are constants
+/// of its module in `synrd-synth`: changing one must bump this version and
+/// `FINGERPRINT_VERSION`.
+const FIT_FINGERPRINT_VERSION: u64 = 4;
 
 /// Digest of every config knob that can change a cell's outcome; `threads`
 /// and the ε/synthesizer lists only schedule or shape the grid and stay out.

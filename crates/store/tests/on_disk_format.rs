@@ -1,6 +1,6 @@
 //! The on-disk entry format is pinned byte for byte: file name (the
-//! content address) and file text of one cell entry and of one GEM and one
-//! PATECTGAN fit entry. Existing stores — and `synrd serve` over them —
+//! content address) and file text of one cell entry and of one MST (PGM),
+//! one GEM and one PATECTGAN fit entry. Existing stores — and `synrd serve` over them —
 //! keep hitting only while these stay identical, so a change here needs a
 //! fingerprint version bump.
 
@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 use synrd::benchmark::{BenchmarkConfig, CellOutcome, CellStatus, CellStore, FitStore};
 use synrd_data::{Attribute, Domain};
 use synrd_ml::{Activation, DenseState, MlpState};
+use synrd_pgm::{CalibratedTree, Factor, FittedModel, JunctionTree, CLIQUE_CELL_LIMIT};
 use synrd_store::{DiskCellCache, DiskFitCache};
 use synrd_synth::{FittedState, GemState, SynthKind};
 
@@ -20,18 +21,31 @@ const CELL_TEXT: &str = concat!(
     r#""status":"ok","fit_seconds":0.5}}"#,
 );
 
-const FIT_NAME: &str = "95e682b387b5b837.json";
+const PGM_FIT_NAME: &str = "8bf6420aa4e24ade.json";
+const PGM_FIT_TEXT: &str = concat!(
+    r#"{"key":{"fingerprint":"4f30c4a1e4f0dfc6","dataset":"123456789abcdef0","#,
+    r#""synth":"MST","epsilon_bits":"3ff0000000000000","epsilon":1.0,"seed_index":1},"#,
+    r#""state":{"kind":"pgm","domain":[{"name":"x","kind":"binary","#,
+    r#""categories":["no","yes"],"numeric_values":null},{"name":"y","kind":"binary","#,
+    r#""categories":["no","yes"],"numeric_values":null},{"name":"z","kind":"binary","#,
+    r#""categories":["no","yes"],"numeric_values":null}],"#,
+    r#""model":{"domain_shape":[2,2,2],"cliques":[[0,1],[1,2]],"#,
+    r#""beliefs":[{"attrs":[0,1],"shape":[2,2],"log_values":[-0.5,-2.0,-1.5,-0.75]},"#,
+    r#"{"attrs":[1,2],"shape":[2,2],"log_values":[-1.0,-1.25,-0.25,-3.0]}]}}}"#,
+);
+
+const FIT_NAME: &str = "1f6d89250acc6ae6.json";
 const FIT_TEXT: &str = concat!(
-    r#"{"key":{"fingerprint":"6c85f8b8f8dfb731","dataset":"123456789abcdef0","#,
+    r#"{"key":{"fingerprint":"4f30c4a1e4f0dfc6","dataset":"123456789abcdef0","#,
     r#""synth":"GEM","epsilon_bits":"3ff0000000000000","epsilon":1.0,"seed_index":2},"#,
     r#""state":{"kind":"gem","domain":[{"name":"x","kind":"binary","#,
     r#""categories":["no","yes"],"numeric_values":null}],"#,
     r#""model":{"logits":[[[0.5,-1.25]]]}}}"#,
 );
 
-const PATECTGAN_FIT_NAME: &str = "ac56cd3094226da5.json";
+const PATECTGAN_FIT_NAME: &str = "7a6ac4f82d3e3e30.json";
 const PATECTGAN_FIT_TEXT: &str = concat!(
-    r#"{"key":{"fingerprint":"6c85f8b8f8dfb731","dataset":"123456789abcdef0","#,
+    r#"{"key":{"fingerprint":"4f30c4a1e4f0dfc6","dataset":"123456789abcdef0","#,
     r#""synth":"PATECTGAN","epsilon_bits":"3ff0000000000000","epsilon":1.0,"seed_index":0},"#,
     r#""state":{"kind":"patectgan","domain":[{"name":"x","kind":"binary","#,
     r#""categories":["no","yes"],"numeric_values":null}],"#,
@@ -73,6 +87,34 @@ fn cell_entry_bytes_are_pinned() {
     assert_eq!(
         only_entry(&dir.join("cells")),
         (CELL_NAME.into(), CELL_TEXT.into())
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn pgm_fit_entry_bytes_are_pinned() {
+    let dir = scratch("pgm-fit");
+    let fits = DiskFitCache::open(&dir, &BenchmarkConfig::quick()).unwrap();
+    // The shape of an MST fit over a chain of three binary attributes: one
+    // clique per measured tree edge.
+    let cliques = vec![vec![0, 1], vec![1, 2]];
+    let tree = JunctionTree::build(&[2, 2, 2], &cliques, CLIQUE_CELL_LIMIT).unwrap();
+    let beliefs = vec![
+        Factor::from_log_values(vec![0, 1], vec![2, 2], vec![-0.5, -2.0, -1.5, -0.75]).unwrap(),
+        Factor::from_log_values(vec![1, 2], vec![2, 2], vec![-1.0, -1.25, -0.25, -3.0]).unwrap(),
+    ];
+    let state = FittedState::Pgm {
+        domain: Domain::new(vec![
+            Attribute::binary("x"),
+            Attribute::binary("y"),
+            Attribute::binary("z"),
+        ]),
+        model: FittedModel::from_parts(tree, CalibratedTree { beliefs }).unwrap(),
+    };
+    fits.save(0x1234_5678_9abc_def0, SynthKind::Mst, 1.0, 1, &state);
+    assert_eq!(
+        only_entry(&dir.join("fits")),
+        (PGM_FIT_NAME.into(), PGM_FIT_TEXT.into())
     );
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -10,8 +10,7 @@
 //! data.
 
 use crate::common::{
-    check_domain_limit, dataset_from_columns, measure_gaussian, pgm_state, planned_sigma,
-    restore_pgm,
+    check_domain_limit, measure_gaussian, pgm_sample, pgm_state, planned_sigma, restore_pgm,
 };
 use crate::error::{Result, SynthError};
 use crate::scoring::{aim_candidate_score, map_scores, parallel_scoring};
@@ -21,57 +20,22 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, Marginal, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
-use synrd_pgm::{estimate, EstimationOptions, FittedModel, JunctionTree};
+use synrd_pgm::{estimate, EstimationOptions, FittedModel, JunctionTree, CLIQUE_CELL_LIMIT};
 
-/// Configuration for [`Aim`].
-#[derive(Debug, Clone, Copy)]
-pub struct AimOptions {
-    /// Number of select-measure rounds.
-    pub rounds: usize,
-    /// Mirror-descent iterations per intermediate refit.
-    pub refit_iterations: usize,
-    /// Mirror-descent iterations for the final fit.
-    pub final_iterations: usize,
-    /// Maximum clique cells in the junction tree.
-    pub cell_limit: usize,
-    /// Largest domain size the fit will attempt.
-    pub domain_limit: f64,
-}
-
-impl Default for AimOptions {
-    fn default() -> Self {
-        AimOptions {
-            rounds: 12,
-            refit_iterations: 40,
-            final_iterations: 150,
-            cell_limit: 1 << 21,
-            domain_limit: 1e25,
-        }
-    }
-}
+/// Select-measure rounds.
+const ROUNDS: usize = 12;
+/// Mirror-descent iterations per intermediate refit.
+const REFIT_ITERATIONS: usize = 40;
+/// Mirror-descent iterations for the final fit.
+const FINAL_ITERATIONS: usize = 150;
 
 /// The AIM synthesizer.
 #[derive(Debug, Clone, Default)]
 pub struct Aim {
-    options: AimOptions,
     fitted: Option<(Domain, FittedModel)>,
 }
 
-impl Aim {
-    /// AIM with custom options.
-    pub fn with_options(options: AimOptions) -> Aim {
-        Aim {
-            options,
-            fitted: None,
-        }
-    }
-}
-
 impl Synthesizer for Aim {
-    fn name(&self) -> &'static str {
-        "AIM"
-    }
-
     fn fit_with(
         &mut self,
         data: &Dataset,
@@ -79,7 +43,7 @@ impl Synthesizer for Aim {
         seed: u64,
         ctx: FitContext,
     ) -> Result<()> {
-        check_domain_limit(data.domain(), self.options.domain_limit, "AIM")?;
+        check_domain_limit(data.domain(), "AIM")?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "aim-fit"));
         let mut accountant = Accountant::new(privacy);
         let total = accountant.total();
@@ -93,20 +57,19 @@ impl Synthesizer for Aim {
 
         // Initialization: all 1-way marginals with 10% of the budget.
         let rho_init = 0.10 * total / d as f64;
-        let mut measurements = Vec::with_capacity(d + self.options.rounds);
+        let mut measurements = Vec::with_capacity(d + ROUNDS);
         for a in 0..d {
             accountant.spend(rho_init)?;
             measurements.push(measure_gaussian(&mut engine, &[a], rho_init, &mut rng)?);
         }
         let fit_threads = ctx.threads.max(1);
-        let est_opts = move |iters: usize, cell_limit: usize| EstimationOptions {
-            iterations: iters,
-            cell_limit,
+        let est_opts = move |iterations: usize| EstimationOptions {
+            iterations,
             fit_threads,
         };
 
         // Workload: all pairs that fit the cell limit.
-        let workload: Vec<WorkloadQuery> = all_pairs_under(data.domain(), self.options.cell_limit);
+        let workload: Vec<WorkloadQuery> = all_pairs_under(data.domain(), CLIQUE_CELL_LIMIT);
         if workload.is_empty() {
             return Err(SynthError::Infeasible {
                 reason: "AIM: no workload query fits the clique cell limit".to_string(),
@@ -114,7 +77,7 @@ impl Synthesizer for Aim {
         }
 
         // Rounds: half of each round's slice selects, half measures.
-        let rounds = self.options.rounds.min(workload.len());
+        let rounds = ROUNDS.min(workload.len());
         // Round 0 scores every workload query, so warm the cache for the
         // whole pool in one fused sweep over the data; later rounds are pure
         // cache hits.
@@ -157,8 +120,7 @@ impl Synthesizer for Aim {
                 // probe, pop — instead of cloning the whole set list per
                 // candidate per round.
                 chosen_sets.push(q.attrs.clone());
-                let feasible =
-                    JunctionTree::build(&shape, &chosen_sets, self.options.cell_limit).is_ok();
+                let feasible = JunctionTree::build(&shape, &chosen_sets, CLIQUE_CELL_LIMIT).is_ok();
                 chosen_sets.pop();
                 if !feasible {
                     infeasible[qi] = true;
@@ -174,11 +136,7 @@ impl Synthesizer for Aim {
             // refit follows the last measurement: the final fit below
             // starts again from uniform potentials. Estimation draws no
             // randomness, so where the refit runs does not change the fit.
-            let model = estimate(
-                &shape,
-                &measurements,
-                est_opts(self.options.refit_iterations, self.options.cell_limit),
-            )?;
+            let model = estimate(&shape, &measurements, est_opts(REFIT_ITERATIONS))?;
             // Candidate scores: workload error of the current model minus
             // the expected noise cost of measuring (AIM's utility
             // function). Pure reads of the cached marginals and the fitted
@@ -221,23 +179,13 @@ impl Synthesizer for Aim {
         }
 
         // Final, longer fit.
-        let model = estimate(
-            &shape,
-            &measurements,
-            est_opts(self.options.final_iterations, self.options.cell_limit),
-        )?;
+        let model = estimate(&shape, &measurements, est_opts(FINAL_ITERATIONS))?;
         self.fitted = Some((data.domain().clone(), model));
         Ok(())
     }
 
     fn sample(&self, n: usize, seed: u64) -> Result<Dataset> {
-        let (domain, model) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
-        // The flattened sampling tables are built once per fitted model and
-        // cached; every bootstrap draw after the first reuses them.
-        let sampler = model.sampler()?;
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, "aim-sample"));
-        let columns = sampler.sample_columns(n, &mut rng);
-        dataset_from_columns(domain, columns)
+        pgm_sample(&self.fitted, n, seed, "aim-sample")
     }
 
     fn fitted_state(&self) -> Option<FittedState> {

@@ -3,8 +3,9 @@
 use crate::error::{Result, SynthError};
 use crate::FittedState;
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, MarginalEngine};
-use synrd_dp::{gaussian_mechanism, gaussian_sigma};
+use synrd_dp::{derive_seed, gaussian_mechanism, gaussian_sigma};
 use synrd_pgm::{FittedModel, NoisyMeasurement};
 
 /// Count the marginal of `attrs` through the fit's [`MarginalEngine`] (a
@@ -45,6 +46,23 @@ pub(crate) fn pgm_state(fitted: &Option<(Domain, FittedModel)>) -> Option<Fitted
     })
 }
 
+/// Sampling shared by the three PGM-backed synthesizers: `n` rows from the
+/// fitted model's cached sampler, whose flattened tables are built on the
+/// first draw and reused by every later one. `tag` names the synthesizer's
+/// sampling stream for [`derive_seed`].
+pub(crate) fn pgm_sample(
+    fitted: &Option<(Domain, FittedModel)>,
+    n: usize,
+    seed: u64,
+    tag: &str,
+) -> Result<Dataset> {
+    let (domain, model) = fitted.as_ref().ok_or(SynthError::NotFitted)?;
+    let sampler = model.sampler()?;
+    let mut rng = StdRng::seed_from_u64(derive_seed(seed, tag));
+    let columns = sampler.sample_columns(n, &mut rng);
+    dataset_from_columns(domain, columns)
+}
+
 /// Restore helper shared by the three PGM-backed synthesizers: accept only
 /// the [`FittedState::Pgm`] variant and require the model's junction tree
 /// to live over exactly the declared domain.
@@ -69,13 +87,15 @@ pub(crate) fn restore_pgm(name: &'static str, state: FittedState) -> Result<(Dom
 }
 
 /// Guard on the total domain size, modeling the scalability ceiling of the
-/// reference implementations (the paper's 6-hour crosshatch cells).
-pub(crate) fn check_domain_limit(domain: &Domain, limit: f64, name: &str) -> Result<()> {
+/// reference implementations (the paper's 6-hour crosshatch cells). AIM,
+/// MST, PrivMRF and PrivBayes refuse a domain of more than 1e25 cells.
+pub(crate) fn check_domain_limit(domain: &Domain, name: &str) -> Result<()> {
+    const DOMAIN_LIMIT: f64 = 1e25;
     let size = domain.size();
-    if size > limit {
-        return Err(crate::error::SynthError::Infeasible {
+    if size > DOMAIN_LIMIT {
+        return Err(SynthError::Infeasible {
             reason: format!(
-                "{name}: domain size {size:.2e} exceeds the tractable limit {limit:.0e}"
+                "{name}: domain size {size:.2e} exceeds the tractable limit {DOMAIN_LIMIT:.0e}"
             ),
         });
     }

@@ -10,7 +10,7 @@
 //! materializes anything larger than a pair marginal, GEM runs on domains
 //! that defeat every PGM-based method (e.g. Jeong et al.'s 1e43).
 //!
-//! A default fit takes up to 2,040 Adam steps, and the trainer computes each
+//! A fit takes up to 2,040 Adam steps, and the trainer computes each
 //! step's shared values once: one softmax table, shaped like the logits,
 //! holds the softmax of every (component, attribute), and each measurement's
 //! residual `2·w·(μ − y)` is computed once, not once per component. Round
@@ -33,29 +33,14 @@ use synrd_data::{Dataset, Domain, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
 use synrd_pgm::{assemble_chunks, search_cumulative, NoisyMeasurement};
 
-/// Configuration for [`Gem`].
-#[derive(Debug, Clone, Copy)]
-pub struct GemOptions {
-    /// Mixture components.
-    pub mixture: usize,
-    /// Select-measure rounds.
-    pub rounds: usize,
-    /// Gradient steps after each new measurement.
-    pub grad_steps: usize,
-    /// Adam learning rate on the logits.
-    pub learning_rate: f64,
-}
-
-impl Default for GemOptions {
-    fn default() -> Self {
-        GemOptions {
-            mixture: 24,
-            rounds: 16,
-            grad_steps: 120,
-            learning_rate: 0.08,
-        }
-    }
-}
+/// Mixture components.
+const MIXTURE: usize = 24;
+/// Select-measure rounds.
+const ROUNDS: usize = 16;
+/// Gradient steps after each new measurement.
+const GRAD_STEPS: usize = 120;
+/// Adam learning rate on the logits.
+const LEARNING_RATE: f64 = 0.08;
 
 /// Serializable GEM generator state: the mixture logits, which are all
 /// `sample` reads. Shape `[component][attribute][code]`.
@@ -178,25 +163,10 @@ fn table_marginal(probs: &[Vec<Vec<f64>>], attrs: &[usize], out: &mut Vec<f64>) 
 /// The GEM synthesizer.
 #[derive(Debug, Clone, Default)]
 pub struct Gem {
-    options: GemOptions,
     fitted: Option<(Domain, GemState)>,
 }
 
-impl Gem {
-    /// GEM with custom options.
-    pub fn with_options(options: GemOptions) -> Gem {
-        Gem {
-            options,
-            fitted: None,
-        }
-    }
-}
-
 impl Synthesizer for Gem {
-    fn name(&self) -> &'static str {
-        "GEM"
-    }
-
     fn fit_with(
         &mut self,
         data: &Dataset,
@@ -232,18 +202,12 @@ impl Synthesizer for Gem {
                 reason: "GEM: empty workload (single-attribute domain)".to_string(),
             });
         }
-        let mut model = GemModel::new(self.options.mixture, &shape, &mut rng);
-        train(
-            &mut model,
-            &measured,
-            n,
-            self.options.grad_steps,
-            self.options.learning_rate,
-        );
+        let mut model = GemModel::new(MIXTURE, &shape, &mut rng);
+        train(&mut model, &measured, n, GRAD_STEPS, LEARNING_RATE);
 
         // Adaptive rounds on the remaining 80%. Round 0 scores every pair,
         // so count the whole workload in one fused sweep up front.
-        let rounds = self.options.rounds.min(workload.len());
+        let rounds = ROUNDS.min(workload.len());
         if rounds > 0 {
             let sets: Vec<Vec<usize>> = workload.iter().map(|q| q.attrs.clone()).collect();
             engine.prefetch(&sets)?;
@@ -293,13 +257,7 @@ impl Synthesizer for Gem {
             let w = 1.0 / m.sigma.powi(2);
             measured.push((m, w));
             chosen.push(attrs);
-            train(
-                &mut model,
-                &measured,
-                n,
-                self.options.grad_steps,
-                self.options.learning_rate,
-            );
+            train(&mut model, &measured, n, GRAD_STEPS, LEARNING_RATE);
         }
 
         let logits = model.logits;
@@ -761,12 +719,7 @@ mod tests {
     #[test]
     fn batched_sample_matches_naive() {
         let data = correlated(2_000);
-        let mut synth = Gem::with_options(GemOptions {
-            mixture: 8,
-            rounds: 3,
-            grad_steps: 30,
-            learning_rate: 0.1,
-        });
+        let mut synth = Gem::default();
         synth.fit(&data, Privacy::zcdp(1.0).unwrap(), 5).unwrap();
         // In a 4-thread pool, 20,000 rows take the harness's parallel
         // chunk path on any host.
@@ -785,12 +738,7 @@ mod tests {
     fn runs_on_single_pair_workload() {
         // Smallest possible multi-attribute domain.
         let data = correlated(800);
-        let mut synth = Gem::with_options(GemOptions {
-            mixture: 8,
-            rounds: 2,
-            grad_steps: 40,
-            learning_rate: 0.1,
-        });
+        let mut synth = Gem::default();
         synth.fit(&data, Privacy::zcdp(0.5).unwrap(), 1).unwrap();
         assert_eq!(synth.sample(100, 1).unwrap().n_rows(), 100);
     }

@@ -28,13 +28,13 @@ pub mod privmrf;
 pub mod scoring;
 pub mod workload;
 
-pub use aim::{Aim, AimOptions};
+pub use aim::Aim;
 pub use error::{Result, SynthError};
-pub use gem::{Gem, GemOptions, GemState};
-pub use mst::{Mst, MstOptions};
-pub use patectgan::{PateCtgan, PateCtganOptions};
-pub use privbayes::{BayesNode, PrivBayes, PrivBayesOptions};
-pub use privmrf::{PrivMrf, PrivMrfOptions};
+pub use gem::{Gem, GemState};
+pub use mst::Mst;
+pub use patectgan::PateCtgan;
+pub use privbayes::{BayesNode, PrivBayes};
+pub use privmrf::PrivMrf;
 pub use scoring::{aim_candidate_score, map_scores, mst_edge_score};
 pub use workload::{all_pairs, all_pairs_under, WorkloadQuery};
 // The sampling-side process counter (mirror of the grid fit counter and the
@@ -71,16 +71,11 @@ pub struct FitContext {
 impl Default for FitContext {
     /// Sequential, on the `auto` backend.
     fn default() -> FitContext {
-        FitContext::sequential()
+        FitContext::with_threads(1)
     }
 }
 
 impl FitContext {
-    /// A fully sequential context.
-    pub fn sequential() -> FitContext {
-        FitContext::with_threads(1)
-    }
-
     /// A context with an explicit thread allowance (clamped to at least 1)
     /// on the `auto` backend.
     pub fn with_threads(threads: usize) -> FitContext {
@@ -159,9 +154,6 @@ impl FittedState {
 
 /// A DP data synthesizer: fit a private model, then sample synthetic rows.
 pub trait Synthesizer: Send + Sync {
-    /// Display name (as used in the paper's figures).
-    fn name(&self) -> &'static str;
-
     /// Fit the model on `data` under `privacy`, deterministically in `seed`,
     /// with an explicit execution context. The context is a throughput knob
     /// only — the fitted model is bit-identical at any `ctx.threads` and on
@@ -249,8 +241,9 @@ impl SynthKind {
         SynthKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// Build a fresh synthesizer with recommended settings (the paper runs
-    /// every method at its author-recommended defaults).
+    /// Build a fresh, unfitted synthesizer. The paper runs every method at
+    /// its authors' recommended defaults, so each method's settings are
+    /// constants of its module.
     pub fn build(self) -> Box<dyn Synthesizer> {
         match self {
             SynthKind::Aim => Box::new(Aim::default()),
@@ -376,32 +369,29 @@ mod tests {
 
     #[test]
     fn pgm_methods_refuse_huge_domains() {
-        // 57 attributes of cardinality 6 => domain ~ 6^57 >> 1e25.
-        let attrs: Vec<Attribute> = (0..57)
-            .map(|i| Attribute::ordinal(format!("a{i}"), 6))
+        // 26 attributes of cardinality 10 => a 1e26-cell domain, one order
+        // of magnitude past the 1e25 limit.
+        let attrs: Vec<Attribute> = (0..26)
+            .map(|i| Attribute::ordinal(format!("a{i}"), 10))
             .collect();
         let domain = Domain::new(attrs);
         let mut ds = Dataset::with_capacity(domain, 64);
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(4);
-        let mut row = vec![0u32; 57];
+        let mut row = vec![0u32; 26];
         for _ in 0..64 {
             for c in row.iter_mut() {
-                *c = rng.gen_range(0..6);
+                *c = rng.gen_range(0..10);
             }
             ds.push_row(&row).unwrap();
         }
-        for kind in [
-            SynthKind::Mst,
-            SynthKind::Aim,
-            SynthKind::PrivMrf,
-            SynthKind::PrivBayes,
-        ] {
+        // MST's own case is `mst::tests::domain_limit_respected`.
+        for kind in [SynthKind::Aim, SynthKind::PrivMrf, SynthKind::PrivBayes] {
             let mut synth = kind.build();
             let err = synth.fit(&ds, kind.native_privacy(1.0, 64), 1).unwrap_err();
             assert!(
-                matches!(err, SynthError::Infeasible { .. }),
+                matches!(&err, SynthError::Infeasible { reason } if reason.contains("1e25")),
                 "{}: {err}",
                 kind.name()
             );

@@ -11,10 +11,8 @@
 //! 3. measure the 2-way marginals on the selected tree edges, then fit a
 //!    Private-PGM model and sample.
 
-use crate::common::{
-    check_domain_limit, dataset_from_columns, measure_gaussian, pgm_state, restore_pgm,
-};
-use crate::error::{Result, SynthError};
+use crate::common::{check_domain_limit, measure_gaussian, pgm_sample, pgm_state, restore_pgm};
+use crate::error::Result;
 use crate::scoring::{map_scores, mst_edge_score, parallel_scoring};
 use crate::workload::all_pairs;
 use crate::{FitContext, FittedState, Synthesizer};
@@ -24,54 +22,16 @@ use synrd_data::{Dataset, Domain, Marginal, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
 use synrd_pgm::{estimate, EstimationOptions, FittedModel, UnionFind};
 
-/// Configuration for [`Mst`].
-#[derive(Debug, Clone, Copy)]
-pub struct MstOptions {
-    /// Mirror-descent iterations for the final PGM fit.
-    pub estimation_iterations: usize,
-    /// Maximum clique cells in the junction tree.
-    pub cell_limit: usize,
-    /// Largest domain size the fit will attempt (Figure 3 feasibility model).
-    pub domain_limit: f64,
-}
-
-impl Default for MstOptions {
-    fn default() -> Self {
-        MstOptions {
-            estimation_iterations: 150,
-            cell_limit: 1 << 21,
-            domain_limit: 1e25,
-        }
-    }
-}
+/// Mirror-descent iterations for the final PGM fit.
+const ESTIMATION_ITERATIONS: usize = 150;
 
 /// The MST synthesizer.
 #[derive(Debug, Clone, Default)]
 pub struct Mst {
-    options: MstOptions,
     fitted: Option<(Domain, FittedModel)>,
 }
 
-impl Mst {
-    /// MST with custom options.
-    pub fn with_options(options: MstOptions) -> Mst {
-        Mst {
-            options,
-            fitted: None,
-        }
-    }
-
-    /// The selected tree edges (available after fit, for diagnostics).
-    pub fn model(&self) -> Option<&FittedModel> {
-        self.fitted.as_ref().map(|(_, m)| m)
-    }
-}
-
 impl Synthesizer for Mst {
-    fn name(&self) -> &'static str {
-        "MST"
-    }
-
     fn fit_with(
         &mut self,
         data: &Dataset,
@@ -79,7 +39,7 @@ impl Synthesizer for Mst {
         seed: u64,
         ctx: FitContext,
     ) -> Result<()> {
-        check_domain_limit(data.domain(), self.options.domain_limit, "MST")?;
+        check_domain_limit(data.domain(), "MST")?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "mst-fit"));
         let mut accountant = Accountant::new(privacy);
         let total = accountant.total();
@@ -176,8 +136,7 @@ impl Synthesizer for Mst {
             &data.domain().shape(),
             &measurements,
             EstimationOptions {
-                iterations: self.options.estimation_iterations,
-                cell_limit: self.options.cell_limit,
+                iterations: ESTIMATION_ITERATIONS,
                 fit_threads: ctx.threads.max(1),
             },
         )?;
@@ -186,12 +145,7 @@ impl Synthesizer for Mst {
     }
 
     fn sample(&self, n: usize, seed: u64) -> Result<Dataset> {
-        let (domain, model) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
-        // Built once per fitted model, reused across bootstrap draws.
-        let sampler = model.sampler()?;
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, "mst-sample"));
-        let columns = sampler.sample_columns(n, &mut rng);
-        dataset_from_columns(domain, columns)
+        pgm_sample(&self.fitted, n, seed, "mst-sample")
     }
 
     fn fitted_state(&self) -> Option<FittedState> {
@@ -207,6 +161,7 @@ impl Synthesizer for Mst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SynthError;
     use rand::Rng;
     use synrd_data::Attribute;
 
@@ -255,19 +210,35 @@ mod tests {
         synth
             .fit(&data, Privacy::approx(0.01, 1e-9).unwrap(), 5)
             .unwrap();
-        assert!(synth.model().is_some());
+        assert!(synth.fitted.is_some());
     }
 
     #[test]
     fn domain_limit_respected() {
-        let data = chain_data(100);
-        let mut synth = Mst::with_options(MstOptions {
-            domain_limit: 4.0, // below the 8-cell domain
-            ..MstOptions::default()
-        });
-        assert!(matches!(
-            synth.fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 5),
-            Err(SynthError::Infeasible { .. })
-        ));
+        // 26 attributes of cardinality 10 => a 1e26-cell domain, one order
+        // of magnitude past the 1e25 limit.
+        let domain = Domain::new(
+            (0..26)
+                .map(|i| Attribute::ordinal(format!("a{i}"), 10))
+                .collect(),
+        );
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut data = Dataset::with_capacity(domain, 64);
+        let mut row = vec![0u32; 26];
+        for _ in 0..64 {
+            for c in row.iter_mut() {
+                *c = rng.gen_range(0..10);
+            }
+            data.push_row(&row).unwrap();
+        }
+        let mut synth = Mst::default();
+        let err = synth
+            .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 5)
+            .unwrap_err();
+        assert!(
+            matches!(&err, SynthError::Infeasible { reason } if reason.contains("1e25")),
+            "{err}"
+        );
+        assert!(synth.fitted.is_none());
     }
 }

@@ -14,10 +14,10 @@
 //! ε-insensitive, weaker than PGM methods on low-dimensional data, able to
 //! fit arbitrarily large domains.
 //!
-//! **Training is minibatch-batched**: each round draws all `batch` latents
+//! **Training is minibatch-batched**: each round draws all `BATCH` latents
 //! up front, runs one batched generator forward, one batched student
 //! BCE step, and one batched generator update — one matrix-matrix pass per
-//! layer via `synrd-ml`'s [`BatchWorkspace`] kernels instead of `batch`
+//! layer via `synrd-ml`'s [`BatchWorkspace`] kernels instead of `BATCH`
 //! per-example passes (gradients are summed over the round's samples and
 //! applied as a single Adam step per network per round). Both training
 //! workspaces run on the fit's `FitContext::backend` (the SIMD kernels
@@ -44,34 +44,22 @@ use synrd_dp::{derive_seed, standard_laplace, standard_normal, Accountant, Priva
 use synrd_ml::{Activation, BatchWorkspace, Mlp};
 use synrd_pgm::assemble_chunks;
 
-/// Configuration for [`PateCtgan`].
-#[derive(Debug, Clone, Copy)]
-pub struct PateCtganOptions {
-    /// Number of PATE teachers (clamped to the row count at fit time so
-    /// every teacher owns at least one row).
-    pub teachers: usize,
-    /// Adversarial training rounds; each round is one minibatch Adam step
-    /// for the generator and the student.
-    pub rounds: usize,
-    /// Fake samples per round (the minibatch size).
-    pub batch: usize,
-    /// Latent dimension.
-    pub z_dim: usize,
-    /// Hidden width for generator and student.
-    pub hidden: usize,
-}
-
-impl Default for PateCtganOptions {
-    fn default() -> Self {
-        PateCtganOptions {
-            teachers: 8,
-            rounds: 120,
-            batch: 48,
-            z_dim: 16,
-            hidden: 64,
-        }
-    }
-}
+/// Number of PATE teachers (clamped to the row count at fit time so every
+/// teacher owns at least one row).
+const TEACHERS: usize = 8;
+/// Adversarial training rounds; each round is one minibatch Adam step for
+/// the generator and the student.
+const ROUNDS: usize = 120;
+/// Fake samples per round (the minibatch size).
+const BATCH: usize = 48;
+/// Latent dimension.
+const Z_DIM: usize = 16;
+/// Hidden width for generator and student.
+const HIDDEN: usize = 64;
+/// Adam learning rate for generator and student. The round loop takes one
+/// minibatch step per round, so this is tuned for `ROUNDS` total steps (not
+/// `ROUNDS × BATCH` as the per-example loop once was).
+const LEARNING_RATE: f64 = 1e-2;
 
 /// Rows per generator pass in [`PateCtgan::sample`]. A pass sizes its
 /// workspace arenas to the rows it covers: 10,000 rows of lee2021's
@@ -84,7 +72,6 @@ const SAMPLE_TILE_ROWS: usize = 256;
 /// The PATECTGAN synthesizer.
 #[derive(Default)]
 pub struct PateCtgan {
-    options: PateCtganOptions,
     fitted: Option<Fitted>,
 }
 
@@ -93,16 +80,6 @@ struct Fitted {
     generator: Mlp,
     blocks: Vec<(usize, usize)>, // (offset, cardinality) per attribute
     z_dim: usize,
-}
-
-impl PateCtgan {
-    /// PATECTGAN with custom options.
-    pub fn with_options(options: PateCtganOptions) -> PateCtgan {
-        PateCtgan {
-            options,
-            fitted: None,
-        }
-    }
 }
 
 /// One-hot encode a row of codes into `out` given attribute blocks.
@@ -218,15 +195,8 @@ impl FitState {
             1.0
         }
     }
-}
 
-impl PateCtgan {
-    /// Adam learning rate for generator and student. The round loop takes
-    /// one minibatch step per round, so this is tuned for `rounds` total
-    /// steps (not `rounds × batch` as the per-example loop once was).
-    const LEARNING_RATE: f64 = 1e-2;
-
-    fn fit_setup(&self, data: &Dataset, privacy: Privacy, rng: &mut StdRng) -> Result<FitState> {
+    fn new(data: &Dataset, privacy: Privacy, rng: &mut StdRng) -> Result<FitState> {
         let mut accountant = Accountant::new(privacy);
         let total = accountant.total();
         let d = data.n_attrs();
@@ -263,13 +233,13 @@ impl PateCtgan {
         // scale 2/ε_round per aggregated round query (basic composition).
         let rho_pate = accountant.spend_all();
         let eps_pate = (2.0 * rho_pate).sqrt(); // zCDP -> pure-DP lower bound scale
-        let eps_round = eps_pate / self.options.rounds as f64;
+        let eps_round = eps_pate / ROUNDS as f64;
         let vote_scale = 2.0 / eps_round.max(1e-6);
 
         // Disjoint teacher partitions. Clamp the ensemble to the row count
         // so every teacher owns at least one row — a 3-row dataset must fit
         // cleanly rather than panic on an empty partition.
-        let teachers = self.options.teachers.min(n).max(1);
+        let teachers = TEACHERS.min(n).max(1);
         let mut perm: Vec<usize> = (0..n).collect();
         use rand::seq::SliceRandom;
         perm.shuffle(rng);
@@ -277,18 +247,10 @@ impl PateCtgan {
 
         let teacher_w = vec![vec![0.0f64; onehot_dim + 1]; teachers];
 
-        let mut generator = Mlp::new(
-            &[self.options.z_dim, self.options.hidden, onehot_dim],
-            Activation::Linear,
-            rng,
-        );
-        generator.learning_rate = Self::LEARNING_RATE;
-        let mut student = Mlp::new(
-            &[onehot_dim, self.options.hidden, 1],
-            Activation::Sigmoid,
-            rng,
-        );
-        student.learning_rate = Self::LEARNING_RATE;
+        let mut generator = Mlp::new(&[Z_DIM, HIDDEN, onehot_dim], Activation::Linear, rng);
+        generator.learning_rate = LEARNING_RATE;
+        let mut student = Mlp::new(&[onehot_dim, HIDDEN, 1], Activation::Sigmoid, rng);
+        student.learning_rate = LEARNING_RATE;
 
         Ok(FitState {
             blocks,
@@ -308,10 +270,6 @@ impl PateCtgan {
 }
 
 impl Synthesizer for PateCtgan {
-    fn name(&self) -> &'static str {
-        "PATECTGAN"
-    }
-
     fn fit_with(
         &mut self,
         data: &Dataset,
@@ -320,23 +278,22 @@ impl Synthesizer for PateCtgan {
         ctx: FitContext,
     ) -> Result<()> {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "patectgan-fit"));
-        let mut state = self.fit_setup(data, privacy, &mut rng)?;
-        let batch = self.options.batch;
+        let mut state = FitState::new(data, privacy, &mut rng)?;
         let od = state.onehot_dim;
         let mut gen_ws = BatchWorkspace::with_backend(ctx.backend);
         let mut student_ws = BatchWorkspace::with_backend(ctx.backend);
-        let mut zs = vec![0.0f64; batch * self.options.z_dim];
-        let mut softs = vec![0.0f64; batch * od];
-        let mut labels = vec![0.0f64; batch];
-        let mut dl_dy = vec![0.0f64; batch];
+        let mut zs = vec![0.0f64; BATCH * Z_DIM];
+        let mut softs = vec![0.0f64; BATCH * od];
+        let mut labels = vec![0.0f64; BATCH];
+        let mut dl_dy = vec![0.0f64; BATCH];
         let mut dl_dsoft = Vec::new();
-        let mut dl_dlogits = vec![0.0f64; batch * od];
-        for _ in 0..self.options.rounds {
+        let mut dl_dlogits = vec![0.0f64; BATCH * od];
+        for _ in 0..ROUNDS {
             // --- Generator minibatch (soft probabilities per sample). ---
             for z in zs.iter_mut() {
                 *z = standard_normal(&mut rng);
             }
-            state.generator.forward_batch(&zs, batch, &mut gen_ws);
+            state.generator.forward_batch(&zs, BATCH, &mut gen_ws);
             for (soft, logits) in softs.chunks_mut(od).zip(gen_ws.output().chunks(od)) {
                 block_softmax_into(logits, &state.blocks, soft);
             }
@@ -347,7 +304,7 @@ impl Synthesizer for PateCtgan {
             }
 
             // --- Student: one minibatch BCE step on the noisy labels. ---
-            state.student.forward_batch(&softs, batch, &mut student_ws);
+            state.student.forward_batch(&softs, BATCH, &mut student_ws);
             for ((dy, &y), &label) in dl_dy.iter_mut().zip(student_ws.output()).zip(labels.iter()) {
                 let y = y.clamp(1e-9, 1.0 - 1e-9);
                 // d(BCE)/dy; the sigmoid chain multiplies by y(1-y).
@@ -356,7 +313,7 @@ impl Synthesizer for PateCtgan {
             state.student.backward_apply_batch(&mut student_ws, &dl_dy);
 
             // --- Generator: fool the updated student + match noisy moments. ---
-            state.student.forward_batch(&softs, batch, &mut student_ws);
+            state.student.forward_batch(&softs, BATCH, &mut student_ws);
             for (dy, &y) in dl_dy.iter_mut().zip(student_ws.output()) {
                 let y = y.clamp(1e-6, 1.0 - 1e-6);
                 *dy = -1.0 / y; // d(-ln y)/dy
@@ -364,7 +321,7 @@ impl Synthesizer for PateCtgan {
             state
                 .student
                 .input_gradient_batch(&mut student_ws, &dl_dy, &mut dl_dsoft);
-            for r in 0..batch {
+            for r in 0..BATCH {
                 let soft = &softs[r * od..(r + 1) * od];
                 let dls = &mut dl_dsoft[r * od..(r + 1) * od];
                 // Moment-matching loss: ||soft_block - target||² per attr.
@@ -389,7 +346,7 @@ impl Synthesizer for PateCtgan {
             domain: data.domain().clone(),
             generator: state.generator,
             blocks: state.blocks,
-            z_dim: self.options.z_dim,
+            z_dim: Z_DIM,
         });
         Ok(())
     }
@@ -527,28 +484,26 @@ impl PateCtgan {
     /// state bit-for-bit.
     fn fit_naive(&mut self, data: &Dataset, privacy: Privacy, seed: u64) -> Result<()> {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "patectgan-fit"));
-        let mut state = self.fit_setup(data, privacy, &mut rng)?;
-        let batch = self.options.batch;
-        let zd = self.options.z_dim;
+        let mut state = FitState::new(data, privacy, &mut rng)?;
         let od = state.onehot_dim;
-        for _ in 0..self.options.rounds {
-            let mut zs = vec![0.0f64; batch * zd];
+        for _ in 0..ROUNDS {
+            let mut zs = vec![0.0f64; BATCH * Z_DIM];
             for z in zs.iter_mut() {
                 *z = standard_normal(&mut rng);
             }
-            let gen_caches = state.generator.forward_batch_naive(&zs, batch);
-            let mut softs = vec![0.0f64; batch * od];
+            let gen_caches = state.generator.forward_batch_naive(&zs, BATCH);
+            let mut softs = vec![0.0f64; BATCH * od];
             for (soft, cache) in softs.chunks_mut(od).zip(&gen_caches) {
                 block_softmax_into(cache.output(), &state.blocks, soft);
             }
 
-            let mut labels = vec![0.0f64; batch];
+            let mut labels = vec![0.0f64; BATCH];
             for (r, label) in labels.iter_mut().enumerate() {
                 *label = state.teacher_step_and_vote(data, &softs[r * od..(r + 1) * od], &mut rng);
             }
 
-            let student_caches = state.student.forward_batch_naive(&softs, batch);
-            let mut dl_dy = vec![0.0f64; batch];
+            let student_caches = state.student.forward_batch_naive(&softs, BATCH);
+            let mut dl_dy = vec![0.0f64; BATCH];
             for ((dy, cache), &label) in dl_dy.iter_mut().zip(&student_caches).zip(labels.iter()) {
                 let y = cache.output()[0].clamp(1e-9, 1.0 - 1e-9);
                 *dy = (y - label) / (y * (1.0 - y));
@@ -557,7 +512,7 @@ impl PateCtgan {
                 .student
                 .backward_apply_batch_naive(&student_caches, &dl_dy);
 
-            let student_caches = state.student.forward_batch_naive(&softs, batch);
+            let student_caches = state.student.forward_batch_naive(&softs, BATCH);
             for (dy, cache) in dl_dy.iter_mut().zip(&student_caches) {
                 let y = cache.output()[0].clamp(1e-6, 1.0 - 1e-6);
                 *dy = -1.0 / y;
@@ -565,8 +520,8 @@ impl PateCtgan {
             let mut dl_dsoft = state
                 .student
                 .input_gradient_batch_naive(&student_caches, &dl_dy);
-            let mut dl_dlogits = vec![0.0f64; batch * od];
-            for r in 0..batch {
+            let mut dl_dlogits = vec![0.0f64; BATCH * od];
+            for r in 0..BATCH {
                 let soft = &softs[r * od..(r + 1) * od];
                 let dls = &mut dl_dsoft[r * od..(r + 1) * od];
                 for (a, &(off, card)) in state.blocks.iter().enumerate() {
@@ -590,7 +545,7 @@ impl PateCtgan {
             domain: data.domain().clone(),
             generator: state.generator,
             blocks: state.blocks,
-            z_dim: zd,
+            z_dim: Z_DIM,
         });
         Ok(())
     }
@@ -660,20 +615,10 @@ mod tests {
         ds
     }
 
-    fn small_options() -> PateCtganOptions {
-        PateCtganOptions {
-            teachers: 4,
-            rounds: 4,
-            batch: 16,
-            z_dim: 8,
-            hidden: 16,
-        }
-    }
-
     #[test]
     fn batched_sample_matches_naive() {
         let data = toy_data(1_200);
-        let mut synth = PateCtgan::with_options(small_options());
+        let mut synth = PateCtgan::default();
         synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 3)
             .unwrap();
@@ -703,7 +648,7 @@ mod tests {
             let b = (a / 2 + rng.gen_range(0..3u32)).min(59);
             wide.push_row(&[a, b, a % 7]).unwrap();
         }
-        let mut synth = PateCtgan::with_options(small_options());
+        let mut synth = PateCtgan::default();
         synth
             .fit(&wide, Privacy::approx(1.0, 1e-9).unwrap(), 9)
             .unwrap();
@@ -719,9 +664,9 @@ mod tests {
     fn batched_fit_matches_per_example_oracle() {
         let data = toy_data(300);
         let privacy = Privacy::approx(1.0, 1e-9).unwrap();
-        let mut batched = PateCtgan::with_options(small_options());
+        let mut batched = PateCtgan::default();
         batched.fit(&data, privacy, 7).unwrap();
-        let mut naive = PateCtgan::with_options(small_options());
+        let mut naive = PateCtgan::default();
         naive.fit_naive(&data, privacy, 7).unwrap();
         let (b, n) = (batched.fitted.unwrap(), naive.fitted.unwrap());
         // The whole generator: weights, Adam moments, step counter and
@@ -738,13 +683,8 @@ mod tests {
         // Regression: used to panic with gen_range(0..0) whenever
         // n < teachers (per_teacher = 0). Teachers are clamped to n now.
         let data = toy_data(3);
-        let mut synth = PateCtgan::with_options(PateCtganOptions {
-            teachers: 8, // > n on purpose
-            rounds: 3,
-            batch: 8,
-            z_dim: 4,
-            hidden: 8,
-        });
+        assert!(TEACHERS > data.n_rows());
+        let mut synth = PateCtgan::default();
         synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 11)
             .unwrap();
@@ -754,10 +694,12 @@ mod tests {
 
     #[test]
     fn leftover_rows_fold_into_last_partition() {
-        // 10 rows across 4 teachers: partitions of 2,2,2,4 — all rows
-        // reachable, nothing dropped. Fit must succeed and stay in bounds.
+        // 10 rows across 8 teachers: partitions of 1,1,1,1,1,1,1,3 — all
+        // rows reachable, nothing dropped. Fit must succeed and stay in
+        // bounds.
         let data = toy_data(10);
-        let mut synth = PateCtgan::with_options(small_options());
+        assert_eq!(data.n_rows() % TEACHERS, 2);
+        let mut synth = PateCtgan::default();
         synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 13)
             .unwrap();
@@ -767,7 +709,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_infeasible() {
         let data = toy_data(0);
-        let mut synth = PateCtgan::with_options(small_options());
+        let mut synth = PateCtgan::default();
         let err = synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 1)
             .unwrap_err();

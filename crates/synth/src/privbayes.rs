@@ -22,26 +22,10 @@ use synrd_data::{Dataset, Domain, Marginal, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_mechanism, laplace_mechanism, Privacy};
 use synrd_pgm::assemble_chunks;
 
-/// Configuration for [`PrivBayes`].
-#[derive(Debug, Clone, Copy)]
-pub struct PrivBayesOptions {
-    /// Maximum number of parents per node.
-    pub max_degree: usize,
-    /// Maximum cells in one conditional table.
-    pub cpt_cell_limit: usize,
-    /// Largest domain size the fit will attempt.
-    pub domain_limit: f64,
-}
-
-impl Default for PrivBayesOptions {
-    fn default() -> Self {
-        PrivBayesOptions {
-            max_degree: 2,
-            cpt_cell_limit: 1 << 18,
-            domain_limit: 1e25,
-        }
-    }
-}
+/// Maximum number of parents per node.
+const MAX_DEGREE: usize = 2;
+/// Maximum cells in one conditional table.
+const CPT_CELL_LIMIT: u128 = 1 << 18;
 
 /// One node of the learned network: attribute, parents, and its noisy CPT
 /// stored as a flat joint table over (parents..., attr). Public and plain
@@ -114,25 +98,10 @@ fn validate_network(domain: &Domain, nodes: &[BayesNode]) -> std::result::Result
 /// The PrivBayes synthesizer.
 #[derive(Debug, Clone, Default)]
 pub struct PrivBayes {
-    options: PrivBayesOptions,
     fitted: Option<(Domain, Vec<BayesNode>)>,
 }
 
-impl PrivBayes {
-    /// PrivBayes with custom options.
-    pub fn with_options(options: PrivBayesOptions) -> PrivBayes {
-        PrivBayes {
-            options,
-            fitted: None,
-        }
-    }
-}
-
 impl Synthesizer for PrivBayes {
-    fn name(&self) -> &'static str {
-        "PrivBayes"
-    }
-
     fn fit_with(
         &mut self,
         data: &Dataset,
@@ -140,7 +109,7 @@ impl Synthesizer for PrivBayes {
         seed: u64,
         _ctx: FitContext,
     ) -> Result<()> {
-        check_domain_limit(data.domain(), self.options.domain_limit, "PrivBayes")?;
+        check_domain_limit(data.domain(), "PrivBayes")?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "privbayes-fit"));
         // Pure-DP budget: convert whatever we were given onto the ε axis at
         // δ=0 semantics (ρ-zCDP has no exact pure-ε form; we use the paper's
@@ -158,7 +127,7 @@ impl Synthesizer for PrivBayes {
         // Effective degree: shrink when tables would outgrow the signal
         // (PrivBayes' theta-usefulness heuristic, simplified).
         let avg_card = data.domain().shape().iter().sum::<usize>() as f64 / d as f64;
-        let mut degree = self.options.max_degree;
+        let mut degree = MAX_DEGREE;
         while degree > 1
             && avg_card.powi(degree as i32 + 1) > (n * epsilon / (4.0 * d as f64)).max(2.0)
         {
@@ -213,7 +182,7 @@ impl Synthesizer for PrivBayes {
                     for &p in &parents {
                         cells = cells.saturating_mul(data.domain().cardinality(p)? as u128);
                     }
-                    if cells > self.options.cpt_cell_limit as u128 {
+                    if cells > CPT_CELL_LIMIT {
                         continue;
                     }
                     // Score: n × (sum of pairwise MI to parents) — a standard
@@ -563,15 +532,25 @@ mod tests {
 
     #[test]
     fn cpt_cell_limit_constrains_parents() {
-        let data = parented_data(1_000);
-        let mut synth = PrivBayes::with_options(PrivBayesOptions {
-            cpt_cell_limit: 2, // only single-attribute tables fit
-            ..PrivBayesOptions::default()
-        });
-        let result = synth.fit(&data, Privacy::pure(1.0).unwrap(), 3);
-        // Root tables need cardinality 2 <= 2, parented tables need 4 > 2:
-        // the fit survives with parent-free structure.
-        result.unwrap();
+        // Three strongly linked 600-value attributes: a root table fits the
+        // CPT limit, but every parented table has 600 × 600 cells, which
+        // exceed it, so the fit survives with a parent-free structure.
+        let card = 600u32;
+        assert!(u128::from(card) <= CPT_CELL_LIMIT);
+        assert!(u128::from(card * card) > CPT_CELL_LIMIT);
+        let domain = Domain::new(
+            (0..3)
+                .map(|i| Attribute::ordinal(format!("a{i}"), card as usize))
+                .collect(),
+        );
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut data = Dataset::with_capacity(domain, 1_000);
+        for _ in 0..1_000 {
+            let a = rng.gen_range(0..card);
+            data.push_row(&[a, a, (a + 1) % card]).unwrap();
+        }
+        let mut synth = PrivBayes::default();
+        synth.fit(&data, Privacy::pure(1.0).unwrap(), 3).unwrap();
         let structure = structure(&synth);
         assert!(structure.iter().all(|(_, p)| p.is_empty()));
     }

@@ -9,66 +9,29 @@
 //! under the cell limit — then measure everything with the Gaussian
 //! mechanism and fit Private-PGM.
 
-use crate::common::{
-    check_domain_limit, dataset_from_columns, measure_gaussian, pgm_state, restore_pgm,
-};
+use crate::common::{check_domain_limit, measure_gaussian, pgm_sample, pgm_state, restore_pgm};
 use crate::error::{Result, SynthError};
 use crate::{FitContext, FittedState, Synthesizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synrd_data::{Dataset, Domain, MarginalEngine};
 use synrd_dp::{derive_seed, exponential_epsilon, exponential_mechanism, Accountant, Privacy};
-use synrd_pgm::{estimate, EstimationOptions, FittedModel, JunctionTree};
+use synrd_pgm::{estimate, EstimationOptions, FittedModel, JunctionTree, CLIQUE_CELL_LIMIT};
 
-/// Configuration for [`PrivMrf`].
-#[derive(Debug, Clone, Copy)]
-pub struct PrivMrfOptions {
-    /// Maximum number of selected marginals (beyond the 1-ways).
-    pub max_marginals: usize,
-    /// Maximum cells per candidate marginal ("low-dimensional" criterion).
-    pub marginal_cell_limit: usize,
-    /// Maximum clique cells in the junction tree ("no domain blowup").
-    pub cell_limit: usize,
-    /// Mirror-descent iterations for the final fit.
-    pub estimation_iterations: usize,
-    /// Largest domain size the fit will attempt.
-    pub domain_limit: f64,
-}
-
-impl Default for PrivMrfOptions {
-    fn default() -> Self {
-        PrivMrfOptions {
-            max_marginals: 24,
-            marginal_cell_limit: 1 << 16,
-            cell_limit: 1 << 21,
-            estimation_iterations: 150,
-            domain_limit: 1e25,
-        }
-    }
-}
+/// Maximum number of selected marginals (beyond the 1-ways).
+const MAX_MARGINALS: usize = 24;
+/// Maximum cells per candidate marginal ("low-dimensional" criterion).
+const MARGINAL_CELL_LIMIT: u128 = 1 << 16;
+/// Mirror-descent iterations for the final fit.
+const ESTIMATION_ITERATIONS: usize = 150;
 
 /// The PrivMRF synthesizer.
 #[derive(Debug, Clone, Default)]
 pub struct PrivMrf {
-    options: PrivMrfOptions,
     fitted: Option<(Domain, FittedModel)>,
 }
 
-impl PrivMrf {
-    /// PrivMRF with custom options.
-    pub fn with_options(options: PrivMrfOptions) -> PrivMrf {
-        PrivMrf {
-            options,
-            fitted: None,
-        }
-    }
-}
-
 impl Synthesizer for PrivMrf {
-    fn name(&self) -> &'static str {
-        "PrivMRF"
-    }
-
     fn fit_with(
         &mut self,
         data: &Dataset,
@@ -76,7 +39,7 @@ impl Synthesizer for PrivMrf {
         seed: u64,
         ctx: FitContext,
     ) -> Result<()> {
-        check_domain_limit(data.domain(), self.options.domain_limit, "PrivMRF")?;
+        check_domain_limit(data.domain(), "PrivMRF")?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "privmrf-fit"));
         let mut accountant = Accountant::new(privacy);
         let total = accountant.total();
@@ -91,7 +54,7 @@ impl Synthesizer for PrivMrf {
 
         // 1-way marginals with 15% of the budget.
         let rho_one = 0.15 * total / d as f64;
-        let mut measurements = Vec::with_capacity(d + self.options.max_marginals);
+        let mut measurements = Vec::with_capacity(d + MAX_MARGINALS);
         for a in 0..d {
             accountant.spend(rho_one)?;
             measurements.push(measure_gaussian(&mut engine, &[a], rho_one, &mut rng)?);
@@ -103,7 +66,7 @@ impl Synthesizer for PrivMrf {
         let mut eligible_pairs: Vec<Vec<usize>> = Vec::new();
         for a in 0..d {
             for b in (a + 1)..d {
-                if data.domain().cells(&[a, b])? > self.options.marginal_cell_limit as u128 {
+                if data.domain().cells(&[a, b])? > MARGINAL_CELL_LIMIT {
                     continue;
                 }
                 eligible_pairs.push(vec![a, b]);
@@ -133,7 +96,7 @@ impl Synthesizer for PrivMrf {
                 }
                 let mut attrs = vec![a, b, c];
                 attrs.sort_unstable();
-                if data.domain().cells(&attrs)? > self.options.marginal_cell_limit as u128 {
+                if data.domain().cells(&attrs)? > MARGINAL_CELL_LIMIT {
                     continue;
                 }
                 thirds.push(c);
@@ -157,7 +120,7 @@ impl Synthesizer for PrivMrf {
 
         // Greedy private selection: 15% of the budget over the picks,
         // 70% over the measurements.
-        let picks = self.options.max_marginals.min(candidates.len());
+        let picks = MAX_MARGINALS.min(candidates.len());
         let rho_pick = 0.15 * total / picks as f64;
         let rho_measure = 0.70 * total / picks as f64;
         let eps_pick = exponential_epsilon(rho_pick)?;
@@ -173,7 +136,7 @@ impl Synthesizer for PrivMrf {
                     }
                     let mut sets = chosen.clone();
                     sets.push(attrs.clone());
-                    JunctionTree::build(&shape, &sets, self.options.cell_limit).is_ok()
+                    JunctionTree::build(&shape, &sets, CLIQUE_CELL_LIMIT).is_ok()
                 })
                 .collect();
             if viable.is_empty() {
@@ -197,8 +160,7 @@ impl Synthesizer for PrivMrf {
             &shape,
             &measurements,
             EstimationOptions {
-                iterations: self.options.estimation_iterations,
-                cell_limit: self.options.cell_limit,
+                iterations: ESTIMATION_ITERATIONS,
                 fit_threads: ctx.threads.max(1),
             },
         )?;
@@ -207,12 +169,7 @@ impl Synthesizer for PrivMrf {
     }
 
     fn sample(&self, n: usize, seed: u64) -> Result<Dataset> {
-        let (domain, model) = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
-        // Built once per fitted model, reused across bootstrap draws.
-        let sampler = model.sampler()?;
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, "privmrf-sample"));
-        let columns = sampler.sample_columns(n, &mut rng);
-        dataset_from_columns(domain, columns)
+        pgm_sample(&self.fitted, n, seed, "privmrf-sample")
     }
 
     fn fitted_state(&self) -> Option<FittedState> {

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 use synrd_data::{marginal_counts_performed, Attribute, Dataset, Domain};
 use synrd_dp::Privacy;
-use synrd_synth::{Aim, AimOptions, Gem, GemOptions, Mst, Synthesizer};
+use synrd_synth::{Aim, Gem, Mst, Synthesizer};
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -39,14 +39,13 @@ fn aim_counts_each_candidate_at_most_once_per_fit() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let ds = data(2_000);
     let d = ds.n_attrs();
-    let pairs = d * (d - 1) / 2; // the AIM workload: all attribute pairs
-    let rounds = 8; // > pairs, so every round re-scores the whole workload
+    // The AIM workload: all attribute pairs. AIM's 12 rounds exceed the 6
+    // pairs, so it runs one round per pair and every round re-scores the
+    // workload.
+    let pairs = d * (d - 1) / 2;
 
     let before = marginal_counts_performed();
-    let mut aim = Aim::with_options(AimOptions {
-        rounds,
-        ..AimOptions::default()
-    });
+    let mut aim = Aim::default();
     aim.fit(&ds, Privacy::approx(1.0, 1e-9).unwrap(), 7)
         .unwrap();
     let passes = marginal_counts_performed() - before;
@@ -61,7 +60,7 @@ fn aim_counts_each_candidate_at_most_once_per_fit() {
     );
     // Sanity: the naive loop would have re-counted candidates every round.
     assert!(
-        passes < (d + rounds.min(pairs) * pairs) as u64,
+        passes < (d + pairs * pairs) as u64,
         "counter no better than the naive recount bound"
     );
 }
@@ -74,12 +73,7 @@ fn gem_counts_each_candidate_at_most_once_per_fit() {
     let pairs = d * (d - 1) / 2;
 
     let before = marginal_counts_performed();
-    let mut gem = Gem::with_options(GemOptions {
-        mixture: 8,
-        rounds: 6,
-        grad_steps: 30,
-        learning_rate: 0.1,
-    });
+    let mut gem = Gem::default();
     gem.fit(&ds, Privacy::zcdp(1.0).unwrap(), 3).unwrap();
     let passes = marginal_counts_performed() - before;
 

@@ -103,7 +103,6 @@ fn aim_candidate_scores_parallel_bitwise_equal_sequential() {
         &measurements,
         synrd_pgm::EstimationOptions {
             iterations: 25,
-            cell_limit: 1 << 21,
             fit_threads: 1,
         },
     )

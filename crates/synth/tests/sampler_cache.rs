@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use synrd_data::{Attribute, Dataset, Domain};
 use synrd_dp::{derive_seed, Privacy};
 use synrd_pgm::{samplers_built, TreeSampler};
-use synrd_synth::{Aim, Mst, PrivMrf, Synthesizer};
+use synrd_synth::{FittedState, Mst, SynthKind, Synthesizer};
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -51,10 +51,12 @@ fn cached_sampler_is_bit_identical_to_rebuild_per_draw() {
     synth
         .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 11)
         .unwrap();
-    let model = synth.model().unwrap();
+    let Some(FittedState::Pgm { model, .. }) = synth.fitted_state() else {
+        panic!("MST exports a PGM state");
+    };
     for draw_seed in [0u64, 1, 2, 7, 123] {
         // The old per-draw path: a fresh sampler for every bootstrap draw.
-        let oracle = TreeSampler::new(model).unwrap();
+        let oracle = TreeSampler::new(&model).unwrap();
         let mut rng = StdRng::seed_from_u64(derive_seed(draw_seed, "mst-sample"));
         let expected = oracle.sample_columns(data.n_rows(), &mut rng);
         let got = synth.sample(data.n_rows(), draw_seed).unwrap();
@@ -67,13 +69,9 @@ fn cached_sampler_is_bit_identical_to_rebuild_per_draw() {
 fn repeated_draws_construct_the_sampler_at_most_once() {
     let _guard = COUNTER_LOCK.lock().unwrap();
     let data = chain_data(2_000);
-    let synths: Vec<Box<dyn Synthesizer>> = vec![
-        Box::new(Aim::default()),
-        Box::new(Mst::default()),
-        Box::new(PrivMrf::default()),
-    ];
-    for mut synth in synths {
-        let name = synth.name();
+    for kind in [SynthKind::Aim, SynthKind::Mst, SynthKind::PrivMrf] {
+        let name = kind.name();
+        let mut synth = kind.build();
         synth
             .fit(&data, Privacy::approx(1.0, 1e-9).unwrap(), 5)
             .unwrap();
