@@ -14,6 +14,11 @@ use synrd_pgm::{
     EstimationOptions, NaiveSampler, NoisyMeasurement, TreeSampler,
 };
 
+const OPTIONS: EstimationOptions = EstimationOptions {
+    iterations: 120,
+    fit_threads: 1,
+};
+
 /// Chain measurements over the Saw dataset (one per adjacent pair).
 fn chain_measurements() -> (Vec<usize>, Vec<NoisyMeasurement>) {
     let data = BenchmarkDataset::Saw2018.generate(5_000, 3);
@@ -62,7 +67,7 @@ fn estimation_iterations(c: &mut Criterion) {
 
 fn sampling_throughput(c: &mut Criterion) {
     let (shape, ms) = chain_measurements();
-    let model = estimate(&shape, &ms, EstimationOptions::default()).expect("estimate");
+    let model = estimate(&shape, &ms, OPTIONS).expect("estimate");
     let sampler = TreeSampler::new(&model).expect("sampler");
     let mut group = c.benchmark_group("pgm_sampling");
     group.sample_size(10);
@@ -80,7 +85,7 @@ fn sampling_throughput(c: &mut Criterion) {
 /// records the same comparison to `BENCH_sampling.json`).
 fn sampling_kernels(c: &mut Criterion) {
     let (shape, ms) = chain_measurements();
-    let model = estimate(&shape, &ms, EstimationOptions::default()).expect("estimate");
+    let model = estimate(&shape, &ms, OPTIONS).expect("estimate");
     let sampler = TreeSampler::new(&model).expect("sampler");
     let oracle = NaiveSampler::new(&model).expect("sampler");
     let mut group = c.benchmark_group("pgm_sampling_kernel");

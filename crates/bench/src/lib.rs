@@ -131,8 +131,9 @@ pub fn cli_from_args() -> CliOptions {
 ///
 /// # Errors
 /// A message naming the flag for an unknown flag or paper id, a value that
-/// does not parse or is out of range, a missing value, or
-/// `--shard`/`--merge-shards` without `--out-dir`.
+/// does not parse or is out of range, a missing value, an empty
+/// `--papers` or `--merge-shards` list, `--shard`/`--merge-shards` without
+/// `--out-dir`, or `--shard` together with `--merge-shards`.
 pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
     let args: Vec<String> = args.into_iter().collect();
     let mut config = if args.iter().any(|a| a == "--paper-scale") {
@@ -184,12 +185,18 @@ pub fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<CliOptions, S
                     .into_iter()
                     .map(PathBuf::from)
                     .collect();
+                if store.merge_shards.is_empty() {
+                    return Err("--merge-shards requires at least one shard directory".to_string());
+                }
             }
             _ => return Err(format!("unknown flag '{arg}'")),
         }
     }
     if (store.shard.is_some() || !store.merge_shards.is_empty()) && store.out_dir.is_none() {
         return Err("--shard and --merge-shards require --out-dir".to_string());
+    }
+    if store.shard.is_some() && !store.merge_shards.is_empty() {
+        return Err("--shard cannot be combined with --merge-shards".to_string());
     }
     Ok(CliOptions {
         config,
@@ -636,6 +643,19 @@ mod tests {
         assert_eq!(
             cli.store.merge_shards,
             [PathBuf::from("a"), PathBuf::from("b")]
+        );
+    }
+
+    #[test]
+    fn empty_or_conflicting_shard_modes_are_rejected() {
+        for list in [",", " , ", ""] {
+            let err = parse(&["--out-dir", "m", "--merge-shards", list]).unwrap_err();
+            assert!(err.contains("--merge-shards"), "{err}");
+        }
+        let err = parse(&["--out-dir", "m", "--shard", "0/2", "--merge-shards", "a"]).unwrap_err();
+        assert!(
+            err.contains("--shard") && err.contains("--merge-shards"),
+            "{err}"
         );
     }
 }

@@ -64,18 +64,9 @@ pub struct EstimationOptions {
     /// Worker threads for the intra-fit parallel phases (target
     /// marginalization in the loss pass, the per-clique lift in the
     /// gradient pass). Every reduction order is pinned, so fitted models
-    /// are **bit-identical at any thread count**; `1` (the default) runs
-    /// every phase on the calling thread.
+    /// are **bit-identical at any thread count**; `1` runs every phase on
+    /// the calling thread.
     pub fit_threads: usize,
-}
-
-impl Default for EstimationOptions {
-    fn default() -> Self {
-        EstimationOptions {
-            iterations: 120,
-            fit_threads: 1,
-        }
-    }
 }
 
 /// A fitted graphical model: junction tree + calibrated beliefs, plus the
@@ -107,34 +98,34 @@ impl Clone for FittedModel {
 }
 
 impl FittedModel {
-    /// Assemble a model from restored parts (the fit-cache deserialization
-    /// path). The calibrated beliefs must line up with the tree's cliques
-    /// one-to-one — a truncated or reordered belief list would otherwise
-    /// sample from the wrong tables.
+    /// Assemble a model from restored parts (the fit-cache decoding path):
+    /// one log-value vector per clique of `tree`, in clique order, each
+    /// becoming the belief over its clique.
     ///
     /// # Errors
-    /// [`PgmError::ShapeMismatch`] when the belief list does not match the
-    /// tree's cliques (count, scope, or shape).
-    pub fn from_parts(tree: JunctionTree, calibrated: CalibratedTree) -> Result<FittedModel> {
-        if calibrated.beliefs.len() != tree.cliques().len() {
+    /// [`PgmError::ShapeMismatch`] when the vectors do not match the tree's
+    /// cliques (count, or a vector's length against its clique's cells).
+    pub fn from_parts(tree: JunctionTree, log_values: Vec<Vec<f64>>) -> Result<FittedModel> {
+        if log_values.len() != tree.cliques().len() {
             return Err(PgmError::ShapeMismatch {
                 cells: tree.cliques().len(),
-                values: calibrated.beliefs.len(),
+                values: log_values.len(),
             });
         }
-        for (c, belief) in calibrated.beliefs.iter().enumerate() {
-            if belief.attrs() != tree.cliques()[c].as_slice()
-                || belief.shape() != tree.clique_shape(c)
-            {
-                return Err(PgmError::ShapeMismatch {
-                    cells: tree.clique_shape(c).iter().product(),
-                    values: belief.log_values().len(),
-                });
-            }
-        }
+        let beliefs = log_values
+            .into_iter()
+            .enumerate()
+            .map(|(c, values)| {
+                Factor::from_log_values(
+                    tree.cliques()[c].clone(),
+                    tree.clique_shape(c).to_vec(),
+                    values,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(FittedModel {
             tree,
-            calibrated,
+            calibrated: CalibratedTree { beliefs },
             sampler: OnceLock::new(),
         })
     }
@@ -596,6 +587,11 @@ pub fn estimate_naive(
 mod tests {
     use super::*;
 
+    const OPTIONS: EstimationOptions = EstimationOptions {
+        iterations: 120,
+        fit_threads: 1,
+    };
+
     /// Noiseless measurements must be recovered almost exactly.
     #[test]
     fn recovers_exact_marginals_without_noise() {
@@ -612,7 +608,7 @@ mod tests {
             values: vec![500.0, 300.0, 200.0],
             sigma: 1.0,
         };
-        let model = estimate(&domain, &[m01, m2], EstimationOptions::default()).unwrap();
+        let model = estimate(&domain, &[m01, m2], OPTIONS).unwrap();
 
         let got01 = model.marginal_or_independent(&[0, 1]).unwrap();
         for (g, e) in got01.iter().zip(&[0.4, 0.1, 0.1, 0.4]) {
@@ -642,7 +638,7 @@ mod tests {
                 sigma: 1.0,
             },
         ];
-        let model = estimate(&domain, &ms, EstimationOptions::default()).unwrap();
+        let model = estimate(&domain, &ms, OPTIONS).unwrap();
         // p(0=0,2=0) should exceed independence (0.25): chain correlation.
         let m02 = model.marginal_or_independent(&[0, 2]).unwrap();
         // attrs (0,2) are not in one clique -> independence fallback would
@@ -671,7 +667,7 @@ mod tests {
                 sigma: 10.0,
             },
         ];
-        let model = estimate(&domain, &ms, EstimationOptions::default()).unwrap();
+        let model = estimate(&domain, &ms, OPTIONS).unwrap();
         let m = model.marginal_or_independent(&[0]).unwrap();
         assert!(m[0] > 0.58 && m[0] < 0.66, "{m:?}");
     }
@@ -679,7 +675,7 @@ mod tests {
     #[test]
     fn no_measurements_is_an_error() {
         assert!(matches!(
-            estimate(&[2, 2], &[], EstimationOptions::default()),
+            estimate(&[2, 2], &[], OPTIONS),
             Err(PgmError::NoMeasurements)
         ));
     }
@@ -694,7 +690,7 @@ mod tests {
             sigma: 1.0,
         };
         assert!(matches!(
-            estimate(&[2, 2], &[bad], EstimationOptions::default()),
+            estimate(&[2, 2], &[bad], OPTIONS),
             Err(PgmError::ShapeMismatch {
                 cells: 4,
                 values: 3
@@ -727,7 +723,7 @@ mod tests {
         }
         let opts = EstimationOptions {
             iterations: 40,
-            ..EstimationOptions::default()
+            fit_threads: 1,
         };
         let baseline = estimate(&domain, &ms, opts).unwrap();
         for threads in [2usize, 3, 7] {

@@ -740,7 +740,11 @@ mod tests {
                 sigma: 1.0,
             },
         ];
-        estimate(&domain, &ms, EstimationOptions::default()).unwrap()
+        let opts = EstimationOptions {
+            iterations: 120,
+            fit_threads: 1,
+        };
+        estimate(&domain, &ms, opts).unwrap()
     }
 
     #[test]

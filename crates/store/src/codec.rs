@@ -1,37 +1,45 @@
-//! `to_json` / `from_json` codecs for the benchmark's report types.
+//! The canonical JSON encoders of the benchmark's report types, and the
+//! decoder of the one the store reads back.
 //!
-//! Every codec emits a fixed field order and one canonical scalar rendering
-//! (see [`crate::json`]), so `encode ∘ decode ∘ encode` is the identity on
-//! bytes — the property the round-trip proptests pin down. Floats survive
-//! bit-for-bit (finite values via shortest round-trip text, NaN normalized
-//! to the quiet NaN every grid path produces), which is what makes a
-//! cache-served [`CellOutcome`] `bitwise_eq` to a freshly computed one.
+//! Every encoder emits a fixed field order and one canonical scalar
+//! rendering (see [`crate::json`]), so equal values serialize to equal
+//! bytes. Reports, `config.json` and `fig4_series.json` are written for
+//! people and tools and never read back, so [`PaperReport`],
+//! [`AggregateSeries`] and [`BenchmarkConfig`] only encode. Decoding
+//! ([`JsonDecode`]) exists for what [`crate::DiskStore`] loads: a
+//! [`CellOutcome`] here, a fitted state and its parts in [`crate::fitted`].
+//! For those `encode ∘ decode ∘ encode` is the identity on bytes, the
+//! property the round-trip proptests pin down. Floats survive bit-for-bit
+//! (finite values via shortest round-trip text, NaN normalized to the quiet
+//! NaN every grid path produces), which is what makes a cache-served
+//! [`CellOutcome`] `bitwise_eq` to a freshly computed one.
 
-use crate::intern::intern;
 use crate::json::JsonValue;
 use crate::parse::parse;
 use crate::StoreError;
-use std::time::Duration;
 use synrd::benchmark::{BenchmarkConfig, CellOutcome, CellStatus, PaperReport};
 use synrd::finding::FindingType;
 use synrd::parity::AggregateSeries;
 use synrd_synth::SynthKind;
 
 /// A type with a canonical JSON representation.
-pub trait JsonCodec: Sized {
+pub trait JsonCodec {
     /// Encode into the canonical document model.
     fn to_json(&self) -> JsonValue;
-
-    /// Decode from a document.
-    ///
-    /// # Errors
-    /// [`StoreError::Codec`] when the document's shape does not match.
-    fn from_json(value: &JsonValue) -> Result<Self, StoreError>;
 
     /// Encode to canonical text.
     fn to_json_text(&self) -> String {
         self.to_json().to_text()
     }
+}
+
+/// A type the store reads back: decodes what [`JsonCodec`] wrote.
+pub trait JsonDecode: JsonCodec + Sized {
+    /// Decode from a document.
+    ///
+    /// # Errors
+    /// [`StoreError::Codec`] when the document's shape does not match.
+    fn from_json(value: &JsonValue) -> Result<Self, StoreError>;
 
     /// Decode from text.
     ///
@@ -58,15 +66,11 @@ pub(crate) fn f64_field(value: &JsonValue, key: &str) -> Result<f64, StoreError>
         .ok_or_else(|| codec_err(format!("field '{key}' is not a number")))
 }
 
-pub(crate) fn u64_field(value: &JsonValue, key: &str) -> Result<u64, StoreError> {
+pub(crate) fn usize_field(value: &JsonValue, key: &str) -> Result<usize, StoreError> {
     field(value, key)?
         .as_u64()
-        .ok_or_else(|| codec_err(format!("field '{key}' is not an unsigned integer")))
-}
-
-pub(crate) fn usize_field(value: &JsonValue, key: &str) -> Result<usize, StoreError> {
-    usize::try_from(u64_field(value, key)?)
-        .map_err(|_| codec_err(format!("field '{key}' does not fit usize")))
+        .and_then(|u| usize::try_from(u).ok())
+        .ok_or_else(|| codec_err(format!("field '{key}' is not an index")))
 }
 
 pub(crate) fn str_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, StoreError> {
@@ -76,9 +80,13 @@ pub(crate) fn str_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, 
 }
 
 pub(crate) fn f64_vec(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {
-    field(value, key)?
+    f64_items(field(value, key)?, key)
+}
+
+pub(crate) fn f64_items(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {
+    value
         .as_arr()
-        .ok_or_else(|| codec_err(format!("field '{key}' is not an array")))?
+        .ok_or_else(|| codec_err(format!("'{key}' is not an array")))?
         .iter()
         .map(|v| {
             v.as_f64()
@@ -108,17 +116,6 @@ fn finding_type_code(t: FindingType) -> &'static str {
     }
 }
 
-fn finding_type_from_code(code: &str) -> Result<FindingType, StoreError> {
-    FindingType::ALL
-        .into_iter()
-        .find(|&t| finding_type_code(t) == code)
-        .ok_or_else(|| codec_err(format!("unknown finding type code '{code}'")))
-}
-
-fn synth_from_name(name: &str) -> Result<SynthKind, StoreError> {
-    SynthKind::from_name(name).ok_or_else(|| codec_err(format!("unknown synthesizer '{name}'")))
-}
-
 impl JsonCodec for CellOutcome {
     fn to_json(&self) -> JsonValue {
         let status = match &self.status {
@@ -136,7 +133,9 @@ impl JsonCodec for CellOutcome {
             ("fit_seconds", JsonValue::Num(self.fit_seconds)),
         ])
     }
+}
 
+impl JsonDecode for CellOutcome {
     fn from_json(value: &JsonValue) -> Result<CellOutcome, StoreError> {
         let status_value = field(value, "status")?;
         let status = match status_value.as_str() {
@@ -192,66 +191,6 @@ impl JsonCodec for PaperReport {
             ("n_rows", JsonValue::Uint(self.n_rows as u64)),
         ])
     }
-
-    fn from_json(value: &JsonValue) -> Result<PaperReport, StoreError> {
-        let findings = field(value, "findings")?
-            .as_arr()
-            .ok_or_else(|| codec_err("'findings' is not an array"))?
-            .iter()
-            .map(|entry| {
-                let triple = entry
-                    .as_arr()
-                    .filter(|a| a.len() == 3)
-                    .ok_or_else(|| codec_err("finding entry is not an [id, name, type] triple"))?;
-                let id = triple[0]
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| codec_err("finding id is not a u32"))?;
-                let name = triple[1]
-                    .as_str()
-                    .ok_or_else(|| codec_err("finding name is not a string"))?;
-                let kind = finding_type_from_code(
-                    triple[2]
-                        .as_str()
-                        .ok_or_else(|| codec_err("finding type is not a string"))?,
-                )?;
-                Ok((id, intern(name), kind))
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        let synthesizers = field(value, "synthesizers")?
-            .as_arr()
-            .ok_or_else(|| codec_err("'synthesizers' is not an array"))?
-            .iter()
-            .map(|v| {
-                synth_from_name(
-                    v.as_str()
-                        .ok_or_else(|| codec_err("synthesizer entry is not a string"))?,
-                )
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        let cells = field(value, "cells")?
-            .as_arr()
-            .ok_or_else(|| codec_err("'cells' is not an array"))?
-            .iter()
-            .map(|row| {
-                row.as_arr()
-                    .ok_or_else(|| codec_err("cell row is not an array"))?
-                    .iter()
-                    .map(CellOutcome::from_json)
-                    .collect::<Result<Vec<_>, StoreError>>()
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        Ok(PaperReport {
-            paper_id: intern(str_field(value, "paper_id")?),
-            paper_name: intern(str_field(value, "paper_name")?),
-            findings,
-            epsilons: f64_vec(value, "epsilons")?,
-            synthesizers,
-            cells,
-            control: f64_vec(value, "control")?,
-            n_rows: usize_field(value, "n_rows")?,
-        })
-    }
 }
 
 impl JsonCodec for AggregateSeries {
@@ -274,45 +213,12 @@ impl JsonCodec for AggregateSeries {
             ("variance", series(&self.variance)),
         ])
     }
-
-    fn from_json(value: &JsonValue) -> Result<AggregateSeries, StoreError> {
-        let series = |key: &str| -> Result<Vec<(SynthKind, Vec<f64>)>, StoreError> {
-            field(value, key)?
-                .as_arr()
-                .ok_or_else(|| codec_err(format!("'{key}' is not an array")))?
-                .iter()
-                .map(|entry| {
-                    let pair = entry
-                        .as_arr()
-                        .filter(|a| a.len() == 2)
-                        .ok_or_else(|| codec_err("series entry is not a [synth, values] pair"))?;
-                    let kind = synth_from_name(
-                        pair[0]
-                            .as_str()
-                            .ok_or_else(|| codec_err("series synth is not a string"))?,
-                    )?;
-                    let values = pair[1]
-                        .as_arr()
-                        .ok_or_else(|| codec_err("series values are not an array"))?
-                        .iter()
-                        .map(|v| v.as_f64().ok_or_else(|| codec_err("non-number in series")))
-                        .collect::<Result<Vec<_>, StoreError>>()?;
-                    Ok((kind, values))
-                })
-                .collect()
-        };
-        Ok(AggregateSeries {
-            epsilons: f64_vec(value, "epsilons")?,
-            parity: series("parity")?,
-            variance: series("variance")?,
-        })
-    }
 }
 
 impl JsonCodec for BenchmarkConfig {
     fn to_json(&self) -> JsonValue {
         // Durations serialize as exact (secs, nanos) rather than float
-        // seconds so the round trip is lossless for every representable
+        // seconds so the written value is exact for every representable
         // Duration.
         let timeout = match self.fit_timeout {
             None => JsonValue::Null,
@@ -341,45 +247,12 @@ impl JsonCodec for BenchmarkConfig {
             ),
         ])
     }
-
-    fn from_json(value: &JsonValue) -> Result<BenchmarkConfig, StoreError> {
-        let timeout_value = field(value, "fit_timeout")?;
-        let fit_timeout = if timeout_value.is_null() {
-            None
-        } else {
-            let secs = u64_field(timeout_value, "secs")?;
-            let nanos = u32::try_from(u64_field(timeout_value, "nanos")?)
-                .map_err(|_| codec_err("'nanos' does not fit u32"))?;
-            Some(Duration::new(secs, nanos))
-        };
-        let synthesizers = field(value, "synthesizers")?
-            .as_arr()
-            .ok_or_else(|| codec_err("'synthesizers' is not an array"))?
-            .iter()
-            .map(|v| {
-                synth_from_name(
-                    v.as_str()
-                        .ok_or_else(|| codec_err("synthesizer entry is not a string"))?,
-                )
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        Ok(BenchmarkConfig {
-            epsilons: f64_vec(value, "epsilons")?,
-            seeds: usize_field(value, "seeds")?,
-            bootstraps: usize_field(value, "bootstraps")?,
-            data_scale: f64_field(value, "data_scale")?,
-            min_rows: usize_field(value, "min_rows")?,
-            data_seed: u64_field(value, "data_seed")?,
-            threads: usize_field(value, "threads")?,
-            fit_timeout,
-            synthesizers,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn sample_cell() -> CellOutcome {
         CellOutcome {
@@ -421,10 +294,16 @@ mod tests {
 
     #[test]
     fn every_finding_type_code_roundtrips() {
+        // A report names each finding's type by its code, so each code must
+        // map back to exactly one type.
         for t in FindingType::ALL {
-            assert_eq!(finding_type_from_code(finding_type_code(t)).unwrap(), t);
+            let code = finding_type_code(t);
+            let named: Vec<FindingType> = FindingType::ALL
+                .into_iter()
+                .filter(|&u| finding_type_code(u) == code)
+                .collect();
+            assert_eq!(named, [t], "{code}");
         }
-        assert!(finding_type_from_code("no_such_type").is_err());
     }
 
     #[test]
@@ -433,14 +312,22 @@ mod tests {
         config.fit_timeout = Some(Duration::new(3, 141_592_653));
         config.data_seed = u64::MAX;
         let text = config.to_json_text();
-        let back = BenchmarkConfig::from_json_text(&text).unwrap();
-        assert_eq!(back.to_json_text(), text);
-        assert_eq!(back.fit_timeout, config.fit_timeout);
-        assert_eq!(back.data_seed, u64::MAX);
+        let doc = parse(&text).unwrap();
+        assert_eq!(doc.to_text(), text);
+        let timeout = doc.get("fit_timeout").unwrap();
+        assert_eq!(timeout.get("secs").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(
+            timeout.get("nanos").and_then(JsonValue::as_u64),
+            Some(141_592_653)
+        );
+        assert_eq!(
+            doc.get("data_seed").and_then(JsonValue::as_u64),
+            Some(u64::MAX)
+        );
 
         config.fit_timeout = None;
-        let back = BenchmarkConfig::from_json_text(&config.to_json_text()).unwrap();
-        assert_eq!(back.fit_timeout, None);
+        let doc = parse(&config.to_json_text()).unwrap();
+        assert!(doc.get("fit_timeout").is_some_and(JsonValue::is_null));
     }
 
     #[test]

@@ -1,28 +1,39 @@
-//! Codecs for fitted synthesizer state — the payloads of the fit cache.
+//! The codec of fitted synthesizer state — the payloads of the fit cache.
 //!
-//! A [`FittedState`] is whatever a synthesizer
-//! needs to sample without refitting: junction-tree beliefs for the PGM
-//! family, conditional probability tables for PrivBayes, the mixture logits
-//! for GEM, and the generator MLP's weights and biases for PATECTGAN. No
-//! optimizer state is stored, since no restored synthesizer trains.
+//! A [`FittedState`] is whatever a synthesizer needs to sample without
+//! refitting, and its document states each fact once. The state's domain
+//! fixes every attribute's cardinality, so no part below it repeats one:
+//!
+//! * PGM (AIM, MST, PrivMRF): `{cliques, beliefs}`, one bare log-value
+//!   array per clique. The junction tree is a deterministic function of
+//!   the domain shape and its maximal cliques ([`JunctionTree::build`] on a
+//!   chordal graph reproduces itself), so the decoder rebuilds the tree,
+//!   and with it each belief's scope and shape
+//!   ([`FittedModel::from_parts`]).
+//! * PrivBayes: one `{attr, parents, counts}` per node, in sampling order;
+//!   each table spans sorted `parents ∪ {attr}` with the domain's
+//!   cardinalities.
+//! * GEM: the mixture logits.
+//! * PATECTGAN: the generator MLP. The synthesizer derives the one-hot
+//!   output layout from the domain and the latent width from the
+//!   generator's input.
+//!
+//! No optimizer state is stored, since no restored synthesizer trains.
 //! Everything routes through the canonical JSON model, so the same
 //! guarantees hold as for cell outcomes: floats round-trip bit-for-bit (NaN
-//! and ±∞ included) and equal states serialize to equal bytes.
-//!
-//! The junction tree itself is **not** serialized edge-by-edge: the tree
-//! is a deterministic function of its maximal cliques
-//! ([`JunctionTree::build`] on a chordal graph reproduces itself), so the
-//! codec stores `(domain_shape, cliques, beliefs)` and rebuilds. Decoding
-//! re-runs the same structural validation as a fresh fit
-//! ([`FittedModel::from_parts`]), so a corrupted or hand-edited file
-//! surfaces as a decode error, never as a silently wrong model.
+//! and ±∞ included) and equal states serialize to equal bytes. Decoding
+//! re-runs the structural checks of a fresh fit, so a corrupted or
+//! hand-edited file surfaces as a decode error, never as a silently wrong
+//! model; `restore_state` then checks the parts against each other.
 
-use crate::codec::{codec_err, f64_vec, field, str_field, usize_field, JsonCodec};
+use crate::codec::{
+    codec_err, f64_items, f64_vec, field, str_field, usize_field, JsonCodec, JsonDecode,
+};
 use crate::json::JsonValue;
 use crate::StoreError;
 use synrd_data::{AttrKind, Attribute, Domain, Marginal};
 use synrd_ml::{Activation, DenseState, MlpState};
-use synrd_pgm::{CalibratedTree, Factor, FittedModel, JunctionTree};
+use synrd_pgm::{FittedModel, JunctionTree};
 use synrd_synth::{BayesNode, FittedState, GemState};
 
 fn arr_field<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], StoreError> {
@@ -35,25 +46,15 @@ fn usize_arr(values: &[usize]) -> JsonValue {
     JsonValue::Arr(values.iter().map(|&v| JsonValue::Uint(v as u64)).collect())
 }
 
-fn usize_vec(value: &JsonValue, key: &str) -> Result<Vec<usize>, StoreError> {
-    arr_field(value, key)?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|u| usize::try_from(u).ok())
-                .ok_or_else(|| codec_err(format!("non-index value in '{key}'")))
-        })
-        .collect()
-}
-
-fn f64_items(value: &JsonValue, key: &str) -> Result<Vec<f64>, StoreError> {
+fn usize_items(value: &JsonValue, key: &str) -> Result<Vec<usize>, StoreError> {
     value
         .as_arr()
         .ok_or_else(|| codec_err(format!("'{key}' is not an array")))?
         .iter()
         .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| codec_err(format!("non-number in '{key}'")))
+            v.as_u64()
+                .and_then(|u| usize::try_from(u).ok())
+                .ok_or_else(|| codec_err(format!("non-index value in '{key}'")))
         })
         .collect()
 }
@@ -128,7 +129,9 @@ impl JsonCodec for Attribute {
             ("numeric_values", numeric),
         ])
     }
+}
 
+impl JsonDecode for Attribute {
     fn from_json(value: &JsonValue) -> Result<Attribute, StoreError> {
         let categories = arr_field(value, "categories")?
             .iter()
@@ -158,7 +161,9 @@ impl JsonCodec for Domain {
     fn to_json(&self) -> JsonValue {
         JsonValue::Arr(self.attributes().iter().map(JsonCodec::to_json).collect())
     }
+}
 
+impl JsonDecode for Domain {
     fn from_json(value: &JsonValue) -> Result<Domain, StoreError> {
         let attrs = value
             .as_arr()
@@ -170,114 +175,75 @@ impl JsonCodec for Domain {
     }
 }
 
-impl JsonCodec for Marginal {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("attrs", usize_arr(self.attrs())),
-            ("shape", usize_arr(self.shape())),
-            ("counts", JsonValue::num_arr(self.counts())),
-        ])
-    }
-
-    fn from_json(value: &JsonValue) -> Result<Marginal, StoreError> {
-        Marginal::from_counts(
-            usize_vec(value, "attrs")?,
-            usize_vec(value, "shape")?,
-            f64_vec(value, "counts")?,
-        )
-        .map_err(|e| codec_err(format!("invalid marginal: {e}")))
-    }
+/// A PGM model: its cliques and one bare log-value array per clique.
+fn model_to_json(model: &FittedModel) -> JsonValue {
+    let cliques = model.tree().cliques().iter().map(|c| usize_arr(c));
+    let beliefs = model.calibrated().beliefs.iter();
+    let beliefs = beliefs.map(|b| JsonValue::num_arr(b.log_values()));
+    JsonValue::obj(vec![
+        ("cliques", JsonValue::Arr(cliques.collect())),
+        ("beliefs", JsonValue::Arr(beliefs.collect())),
+    ])
 }
 
-impl JsonCodec for BayesNode {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("attr", JsonValue::Uint(self.attr as u64)),
-            ("parents", usize_arr(&self.parents)),
-            ("table", self.table.to_json()),
-        ])
+fn model_from_json(value: &JsonValue, domain: &Domain) -> Result<FittedModel, StoreError> {
+    let cliques = arr_field(value, "cliques")?
+        .iter()
+        .map(|c| usize_items(c, "cliques"))
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    // The stored cliques already passed the fit-time cell limit; rebuild
+    // unconditionally. The beliefs are listed in the tree's clique order, so
+    // the rebuild must reproduce the stored cliques exactly.
+    let tree = JunctionTree::build(&domain.shape(), &cliques, usize::MAX)
+        .map_err(|e| codec_err(format!("invalid junction tree: {e}")))?;
+    if tree.cliques() != cliques.as_slice() {
+        return Err(codec_err("stored cliques are not the rebuilt tree's"));
     }
-
-    fn from_json(value: &JsonValue) -> Result<BayesNode, StoreError> {
-        Ok(BayesNode {
-            attr: usize_field(value, "attr")?,
-            parents: usize_vec(value, "parents")?,
-            table: Marginal::from_json(field(value, "table")?)?,
-        })
-    }
+    let beliefs = arr_field(value, "beliefs")?
+        .iter()
+        .map(|b| f64_items(b, "beliefs"))
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    FittedModel::from_parts(tree, beliefs)
+        .map_err(|e| codec_err(format!("beliefs do not match tree: {e}")))
 }
 
-impl JsonCodec for Factor {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("attrs", usize_arr(self.attrs())),
-            ("shape", usize_arr(self.shape())),
-            ("log_values", JsonValue::num_arr(self.log_values())),
-        ])
-    }
-
-    fn from_json(value: &JsonValue) -> Result<Factor, StoreError> {
-        Factor::from_log_values(
-            usize_vec(value, "attrs")?,
-            usize_vec(value, "shape")?,
-            f64_vec(value, "log_values")?,
-        )
-        .map_err(|e| codec_err(format!("invalid factor: {e}")))
-    }
+/// A PrivBayes node: the table's scope and shape follow from `attr`,
+/// `parents` and the domain, so only its counts are stored.
+fn node_to_json(node: &BayesNode) -> JsonValue {
+    JsonValue::obj(vec![
+        ("attr", JsonValue::Uint(node.attr as u64)),
+        ("parents", usize_arr(&node.parents)),
+        ("counts", JsonValue::num_arr(node.table.counts())),
+    ])
 }
 
-impl JsonCodec for FittedModel {
-    fn to_json(&self) -> JsonValue {
-        let tree = self.tree();
-        let cliques = JsonValue::Arr(tree.cliques().iter().map(|c| usize_arr(c)).collect());
-        let beliefs = JsonValue::Arr(
-            self.calibrated()
-                .beliefs
-                .iter()
-                .map(JsonCodec::to_json)
-                .collect(),
-        );
-        JsonValue::obj(vec![
-            ("domain_shape", usize_arr(tree.domain_shape())),
-            ("cliques", cliques),
-            ("beliefs", beliefs),
-        ])
-    }
-
-    fn from_json(value: &JsonValue) -> Result<FittedModel, StoreError> {
-        let domain_shape = usize_vec(value, "domain_shape")?;
-        let cliques = arr_field(value, "cliques")?
-            .iter()
-            .map(|c| {
-                c.as_arr()
-                    .ok_or_else(|| codec_err("clique is not an array"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .and_then(|u| usize::try_from(u).ok())
-                            .ok_or_else(|| codec_err("non-index value in clique"))
-                    })
-                    .collect::<Result<Vec<usize>, StoreError>>()
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        // The stored cliques already passed the fit-time cell limit; rebuild
-        // unconditionally and let `from_parts` arbitrate consistency.
-        let tree = JunctionTree::build(&domain_shape, &cliques, usize::MAX)
-            .map_err(|e| codec_err(format!("invalid junction tree: {e}")))?;
-        let beliefs = arr_field(value, "beliefs")?
-            .iter()
-            .map(Factor::from_json)
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        FittedModel::from_parts(tree, CalibratedTree { beliefs })
-            .map_err(|e| codec_err(format!("beliefs do not match tree: {e}")))
-    }
+fn node_from_json(value: &JsonValue, domain: &Domain) -> Result<BayesNode, StoreError> {
+    let attr = usize_field(value, "attr")?;
+    let parents = usize_items(field(value, "parents")?, "parents")?;
+    let mut attrs = parents.clone();
+    attrs.push(attr);
+    attrs.sort_unstable();
+    let shape = attrs
+        .iter()
+        .map(|&a| domain.cardinality(a))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| codec_err(format!("invalid node: {e}")))?;
+    let table = Marginal::from_counts(attrs, shape, f64_vec(value, "counts")?)
+        .map_err(|e| codec_err(format!("invalid node table: {e}")))?;
+    Ok(BayesNode {
+        attr,
+        parents,
+        table,
+    })
 }
 
 impl JsonCodec for GemState {
     fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![("logits", tensor3(&self.logits))])
     }
+}
 
+impl JsonDecode for GemState {
     fn from_json(value: &JsonValue) -> Result<GemState, StoreError> {
         Ok(GemState {
             logits: tensor3_field(value, "logits")?,
@@ -311,7 +277,9 @@ impl JsonCodec for DenseState {
             ("b", JsonValue::num_arr(&self.b)),
         ])
     }
+}
 
+impl JsonDecode for DenseState {
     fn from_json(value: &JsonValue) -> Result<DenseState, StoreError> {
         Ok(DenseState {
             input: usize_field(value, "input")?,
@@ -335,7 +303,9 @@ impl JsonCodec for MlpState {
             ),
         ])
     }
+}
 
+impl JsonDecode for MlpState {
     fn from_json(value: &JsonValue) -> Result<MlpState, StoreError> {
         Ok(MlpState {
             layers: arr_field(value, "layers")?
@@ -349,61 +319,37 @@ impl JsonCodec for MlpState {
 
 impl JsonCodec for FittedState {
     fn to_json(&self) -> JsonValue {
-        match self {
-            FittedState::Pgm { domain, model } => JsonValue::obj(vec![
-                ("kind", JsonValue::Str("pgm".to_string())),
-                ("domain", domain.to_json()),
-                ("model", model.to_json()),
-            ]),
-            FittedState::PrivBayes { domain, nodes } => JsonValue::obj(vec![
-                ("kind", JsonValue::Str("privbayes".to_string())),
-                ("domain", domain.to_json()),
-                (
-                    "nodes",
-                    JsonValue::Arr(nodes.iter().map(JsonCodec::to_json).collect()),
-                ),
-            ]),
-            FittedState::Gem { domain, model } => JsonValue::obj(vec![
-                ("kind", JsonValue::Str("gem".to_string())),
-                ("domain", domain.to_json()),
-                ("model", model.to_json()),
-            ]),
-            FittedState::PateCtgan {
-                domain,
-                generator,
-                blocks,
-                z_dim,
-            } => JsonValue::obj(vec![
-                ("kind", JsonValue::Str("patectgan".to_string())),
-                ("domain", domain.to_json()),
-                ("generator", generator.to_json()),
-                (
-                    "blocks",
-                    JsonValue::Arr(
-                        blocks
-                            .iter()
-                            .map(|&(offset, card)| usize_arr(&[offset, card]))
-                            .collect(),
-                    ),
-                ),
-                ("z_dim", JsonValue::Uint(*z_dim as u64)),
-            ]),
-        }
+        let part = match self {
+            FittedState::Pgm { model, .. } => ("model", model_to_json(model)),
+            FittedState::PrivBayes { nodes, .. } => (
+                "nodes",
+                JsonValue::Arr(nodes.iter().map(node_to_json).collect()),
+            ),
+            FittedState::Gem { model, .. } => ("model", model.to_json()),
+            FittedState::PateCtgan { generator, .. } => ("generator", generator.to_json()),
+        };
+        JsonValue::obj(vec![
+            ("kind", JsonValue::Str(self.variant().to_string())),
+            ("domain", self.domain().to_json()),
+            part,
+        ])
     }
+}
 
+impl JsonDecode for FittedState {
     fn from_json(value: &JsonValue) -> Result<FittedState, StoreError> {
         let domain = Domain::from_json(field(value, "domain")?)?;
         match str_field(value, "kind")? {
             "pgm" => Ok(FittedState::Pgm {
+                model: model_from_json(field(value, "model")?, &domain)?,
                 domain,
-                model: FittedModel::from_json(field(value, "model")?)?,
             }),
             "privbayes" => Ok(FittedState::PrivBayes {
-                domain,
                 nodes: arr_field(value, "nodes")?
                     .iter()
-                    .map(BayesNode::from_json)
+                    .map(|node| node_from_json(node, &domain))
                     .collect::<Result<Vec<_>, StoreError>>()?,
+                domain,
             }),
             "gem" => Ok(FittedState::Gem {
                 domain,
@@ -412,22 +358,6 @@ impl JsonCodec for FittedState {
             "patectgan" => Ok(FittedState::PateCtgan {
                 domain,
                 generator: MlpState::from_json(field(value, "generator")?)?,
-                blocks: arr_field(value, "blocks")?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .as_arr()
-                            .filter(|a| a.len() == 2)
-                            .ok_or_else(|| codec_err("block is not an [offset, card] pair"))?;
-                        let idx = |v: &JsonValue| {
-                            v.as_u64()
-                                .and_then(|u| usize::try_from(u).ok())
-                                .ok_or_else(|| codec_err("non-index value in block"))
-                        };
-                        Ok((idx(&pair[0])?, idx(&pair[1])?))
-                    })
-                    .collect::<Result<Vec<_>, StoreError>>()?,
-                z_dim: usize_field(value, "z_dim")?,
             }),
             other => Err(codec_err(format!("unknown fitted-state kind '{other}'"))),
         }
@@ -461,15 +391,34 @@ mod tests {
         }
     }
 
+    fn binary_domain(names: &[&str]) -> Domain {
+        Domain::new(names.iter().map(|&n| Attribute::binary(n)).collect())
+    }
+
     #[test]
     fn marginal_roundtrips_with_nonfinite_counts() {
-        let m = Marginal::from_counts(
-            vec![0, 2],
-            vec![2, 3],
-            vec![1.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0],
-        )
-        .unwrap();
-        let back = Marginal::from_json_text(&m.to_json_text()).unwrap();
+        // A PrivBayes table over sorted {parent 2, attr 0}: scope and shape
+        // are rebuilt from the node and the domain, counts bit for bit.
+        let domain = Domain::new(vec![
+            Attribute::binary("a"),
+            Attribute::binary("b"),
+            Attribute::ordinal("c", 3),
+        ]);
+        let counts = vec![1.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
+        let node = BayesNode {
+            attr: 0,
+            parents: vec![2],
+            table: Marginal::from_counts(vec![0, 2], vec![2, 3], counts).unwrap(),
+        };
+        let state = FittedState::PrivBayes {
+            domain,
+            nodes: vec![node.clone()],
+        };
+        let text = state.to_json_text();
+        let Ok(FittedState::PrivBayes { nodes, .. }) = FittedState::from_json_text(&text) else {
+            panic!("privbayes state");
+        };
+        let (back, m) = (&nodes[0].table, &node.table);
         assert_eq!(back.attrs(), m.attrs());
         assert_eq!(back.shape(), m.shape());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -478,14 +427,45 @@ mod tests {
 
     #[test]
     fn inconsistent_documents_fail_to_decode() {
-        // Marginal with a counts length that contradicts its shape.
-        let bad = r#"{"attrs":[0],"shape":[3],"counts":[1.0]}"#;
-        assert!(Marginal::from_json_text(bad).is_err());
-        // Factor with unsorted attrs.
-        let bad = r#"{"attrs":[1,0],"shape":[2,2],"log_values":[0.0,0.0,0.0,0.0]}"#;
-        assert!(Factor::from_json_text(bad).is_err());
-        // FittedState with an unknown tag.
-        let bad = r#"{"kind":"mystery","domain":[]}"#;
-        assert!(FittedState::from_json_text(bad).is_err());
+        let state = |kind: &str, names: &[&str], part: &str| {
+            let domain = binary_domain(names).to_json_text();
+            format!(r#"{{"kind":"{kind}","domain":{domain},{part}}}"#)
+        };
+        for bad in [
+            // A table whose counts contradict the domain's cardinalities.
+            state(
+                "privbayes",
+                &["x"],
+                r#""nodes":[{"attr":0,"parents":[],"counts":[1.0]}]"#,
+            ),
+            // A node sampling an attribute outside the domain.
+            state(
+                "privbayes",
+                &["x"],
+                r#""nodes":[{"attr":1,"parents":[],"counts":[1.0,1.0]}]"#,
+            ),
+            // A belief shorter than its clique.
+            state(
+                "pgm",
+                &["x", "y"],
+                r#""model":{"cliques":[[0,1]],"beliefs":[[0.0,0.0,0.0]]}"#,
+            ),
+            // One belief for two cliques.
+            state(
+                "pgm",
+                &["x", "y", "z"],
+                r#""model":{"cliques":[[0,1],[1,2]],"beliefs":[[0.0,0.0,0.0,0.0]]}"#,
+            ),
+            // Cliques the rebuilt tree does not list in this order.
+            state(
+                "pgm",
+                &["x", "y", "z"],
+                r#""model":{"cliques":[[1,2],[0,1]],"beliefs":[[0.0,0.0,0.0,0.0],[0.0,0.0,0.0,0.0]]}"#,
+            ),
+            // An unknown tag.
+            state("mystery", &[], r#""model":{}"#),
+        ] {
+            assert!(FittedState::from_json_text(&bad).is_err(), "{bad}");
+        }
     }
 }

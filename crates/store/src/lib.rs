@@ -9,12 +9,15 @@
 //!   no crates.io, so no serde). Floats round-trip bit-for-bit, including
 //!   the NaN/∞ values of crosshatched cells; equal values always serialize
 //!   to equal bytes.
-//! * [`codec`] — [`codec::JsonCodec`] implementations for
-//!   [`synrd::CellOutcome`], [`synrd::PaperReport`],
-//!   [`synrd::AggregateSeries`] and [`synrd::BenchmarkConfig`].
-//! * [`fitted`] — [`codec::JsonCodec`] implementations for
-//!   [`synrd_synth::FittedState`] and its parts (junction-tree models,
-//!   PrivBayes networks, GEM logits, the PATECTGAN generator MLP).
+//! * [`codec`] — the [`JsonCodec`] encoders of [`synrd::CellOutcome`],
+//!   [`synrd::PaperReport`], [`synrd::AggregateSeries`] and
+//!   [`synrd::BenchmarkConfig`]. Only what the store reads back also
+//!   decodes ([`JsonDecode`]): the cell outcome and the fitted state.
+//!   Reports, `config.json` and `fig4_series.json` are written and never
+//!   read back.
+//! * [`fitted`] — the codec of [`synrd_synth::FittedState`]: one document
+//!   per fit that states each fact once. The state's domain fixes every
+//!   cardinality, so no belief, table or output layout repeats it.
 //! * [`store`] — [`store::DiskStore`], one content-addressed on-disk store
 //!   with two keyspaces under the same `--out-dir`: finished cells
 //!   ([`DiskCellCache`], a [`synrd::CellStore`]) and fitted states keyed by
@@ -37,14 +40,12 @@
 pub mod codec;
 pub mod digest;
 pub mod fitted;
-pub mod intern;
 pub mod json;
 pub mod parse;
 pub mod store;
 
-pub use codec::JsonCodec;
+pub use codec::{JsonCodec, JsonDecode};
 pub use digest::{fnv1a64, hex16, Fnv1a};
-pub use intern::intern;
 pub use json::JsonValue;
 pub use parse::parse;
 /// The [`Session`] view under its cell-store name: write-only in effect.

@@ -1,7 +1,11 @@
 //! Property tests for the fitted-state codecs: arbitrary junction-tree
 //! models, PrivBayes networks, GEM tensors, and generator MLPs survive
 //! `to_json → parse → to_json` **byte-identically**, including NaN/±∞
-//! weights and log-probabilities.
+//! weights and log-probabilities. A fit document states each cardinality
+//! once, in its domain, so the PGM and PrivBayes parts are generated over
+//! their state's domain: a file cannot express a part that disagrees with
+//! it. Those parts have no codec of their own, so their round trips go
+//! through the state's.
 //!
 //! Same generation idiom as `proptests.rs`: the vendored proptest drives a
 //! single `u64` seed per case, and a seeded `StdRng` builds the structured
@@ -12,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use synrd_data::{AttrKind, Attribute, Domain, Marginal};
 use synrd_ml::{Activation, DenseState, MlpState};
-use synrd_pgm::{CalibratedTree, Factor, FittedModel, JunctionTree};
-use synrd_store::JsonCodec;
+use synrd_pgm::{FittedModel, JunctionTree};
+use synrd_store::{JsonCodec, JsonDecode};
 use synrd_synth::{BayesNode, FittedState, GemState};
 
 fn arb_f64(rng: &mut StdRng) -> f64 {
@@ -65,21 +69,11 @@ fn arb_domain(rng: &mut StdRng) -> Domain {
     Domain::new((0..n).map(|_| arb_attribute(rng)).collect())
 }
 
-fn arb_marginal(rng: &mut StdRng) -> Marginal {
-    let d = rng.gen_range(1..4usize);
-    let attrs: Vec<usize> = (0..d).map(|_| rng.gen_range(0..8)).collect();
-    let shape: Vec<usize> = (0..d).map(|_| rng.gen_range(1..4)).collect();
-    let cells = shape.iter().product();
-    Marginal::from_counts(attrs, shape, arb_f64_vec(rng, cells))
-        .expect("generated marginal is structurally valid")
-}
-
 /// A random model the way the synthesizers make one: random measurement
-/// sets over a random domain shape, a tree built from them, and one belief
-/// per clique with arbitrary (possibly non-finite) log-probabilities.
-fn arb_fitted_model(rng: &mut StdRng) -> FittedModel {
-    let n = rng.gen_range(2..5usize);
-    let domain_shape: Vec<usize> = (0..n).map(|_| rng.gen_range(2..4)).collect();
+/// sets over `domain`, a tree built from them, and one belief per clique
+/// with arbitrary (possibly non-finite) log-probabilities.
+fn arb_fitted_model(rng: &mut StdRng, domain: &Domain) -> FittedModel {
+    let n = domain.len();
     let sets = rng.gen_range(1..4usize);
     let attr_sets: Vec<Vec<usize>> = (0..sets)
         .map(|_| {
@@ -91,18 +85,12 @@ fn arb_fitted_model(rng: &mut StdRng) -> FittedModel {
             set
         })
         .collect();
-    let tree = JunctionTree::build(&domain_shape, &attr_sets, usize::MAX)
+    let tree = JunctionTree::build(&domain.shape(), &attr_sets, usize::MAX)
         .expect("generated measurement sets fit a tree");
     let beliefs = (0..tree.cliques().len())
-        .map(|c| {
-            let shape = tree.clique_shape(c).to_vec();
-            let cells = shape.iter().product();
-            Factor::from_log_values(tree.cliques()[c].clone(), shape, arb_f64_vec(rng, cells))
-                .expect("belief matches its clique shape")
-        })
+        .map(|c| arb_f64_vec(rng, tree.clique_shape(c).iter().product()))
         .collect();
-    FittedModel::from_parts(tree, CalibratedTree { beliefs })
-        .expect("beliefs were built from the tree")
+    FittedModel::from_parts(tree, beliefs).expect("beliefs were built from the tree")
 }
 
 fn arb_gem_state(rng: &mut StdRng) -> GemState {
@@ -142,50 +130,95 @@ fn arb_mlp_state(rng: &mut StdRng) -> MlpState {
     }
 }
 
-fn arb_bayes_nodes(rng: &mut StdRng) -> Vec<BayesNode> {
-    // Codec-level round trip only: network-consistency is `restore_state`'s
-    // job, so tables and parent sets are free-form here.
-    let n = rng.gen_range(1..4usize);
-    (0..n)
-        .map(|i| BayesNode {
-            attr: i,
-            parents: (0..i).filter(|_| rng.gen::<bool>()).collect(),
-            table: arb_marginal(rng),
+/// Nodes in domain order, each with a random subset of the earlier
+/// attributes as parents and a table over sorted `parents ∪ {attr}` with the
+/// domain's cardinalities and arbitrary counts.
+fn arb_bayes_nodes(rng: &mut StdRng, domain: &Domain) -> Vec<BayesNode> {
+    let cards = domain.shape();
+    (0..cards.len())
+        .map(|attr| {
+            let parents: Vec<usize> = (0..attr).filter(|_| rng.gen::<bool>()).collect();
+            let mut attrs = parents.clone();
+            attrs.push(attr);
+            let shape: Vec<usize> = attrs.iter().map(|&a| cards[a]).collect();
+            let counts = arb_f64_vec(rng, shape.iter().product());
+            BayesNode {
+                attr,
+                parents,
+                table: Marginal::from_counts(attrs, shape, counts)
+                    .expect("generated table matches its shape"),
+            }
         })
         .collect()
 }
 
-fn arb_fitted_state(rng: &mut StdRng) -> FittedState {
+/// One state of every variant over one random domain.
+fn arb_fitted_states(rng: &mut StdRng) -> [FittedState; 4] {
     let domain = arb_domain(rng);
-    match rng.gen_range(0..4u32) {
-        0 => FittedState::Pgm {
-            domain,
-            model: arb_fitted_model(rng),
+    [
+        FittedState::Pgm {
+            model: arb_fitted_model(rng, &domain),
+            domain: domain.clone(),
         },
-        1 => FittedState::PrivBayes {
-            domain,
-            nodes: arb_bayes_nodes(rng),
+        FittedState::PrivBayes {
+            nodes: arb_bayes_nodes(rng, &domain),
+            domain: domain.clone(),
         },
-        2 => FittedState::Gem {
-            domain,
+        FittedState::Gem {
+            domain: domain.clone(),
             model: arb_gem_state(rng),
         },
-        _ => {
-            let z_dim = rng.gen_range(1..5usize);
-            FittedState::PateCtgan {
-                domain,
-                generator: arb_mlp_state(rng),
-                blocks: (0..rng.gen_range(1..4usize))
-                    .map(|_| (rng.gen_range(0..10), rng.gen_range(1..4)))
-                    .collect(),
-                z_dim,
-            }
-        }
+        FittedState::PateCtgan {
+            domain,
+            generator: arb_mlp_state(rng),
+        },
+    ]
+}
+
+/// Checks that `state`'s encoding is a text fixed point and returns the
+/// state decoded from it.
+fn round_trip(state: &FittedState) -> FittedState {
+    assert_text_fixed_point(state, state.variant());
+    FittedState::from_json_text(&state.to_json_text()).unwrap()
+}
+
+/// A PGM model over a random domain, and the model decoded from the
+/// encoding of its fitted state. A model has no codec of its own.
+fn pgm_round_trip(rng: &mut StdRng) -> (FittedModel, FittedModel) {
+    let domain = arb_domain(rng);
+    let state = FittedState::Pgm {
+        model: arb_fitted_model(rng, &domain),
+        domain,
+    };
+    match (round_trip(&state), state) {
+        (FittedState::Pgm { model: back, .. }, FittedState::Pgm { model, .. }) => (model, back),
+        _ => panic!("variant changed"),
     }
 }
 
+/// PrivBayes nodes over a random domain, and the nodes decoded from the
+/// encoding of their fitted state. Nodes and their tables have no codec of
+/// their own.
+fn privbayes_round_trip(rng: &mut StdRng) -> (Vec<BayesNode>, Vec<BayesNode>) {
+    let domain = arb_domain(rng);
+    let state = FittedState::PrivBayes {
+        nodes: arb_bayes_nodes(rng, &domain),
+        domain,
+    };
+    match (round_trip(&state), state) {
+        (FittedState::PrivBayes { nodes: back, .. }, FittedState::PrivBayes { nodes, .. }) => {
+            (nodes, back)
+        }
+        _ => panic!("variant changed"),
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
 /// `encode ∘ decode ∘ encode` is the identity on bytes.
-fn assert_text_fixed_point<T: JsonCodec>(value: &T, what: &str) {
+fn assert_text_fixed_point<T: JsonDecode>(value: &T, what: &str) {
     let text = value.to_json_text();
     let back = T::from_json_text(&text)
         .unwrap_or_else(|e| panic!("{what}: decode of own encoding failed: {e}"));
@@ -203,37 +236,6 @@ proptest! {
     fn domain_codec_is_a_text_fixed_point(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         assert_text_fixed_point(&arb_domain(&mut rng), "domain");
-    }
-
-    #[test]
-    fn marginal_codec_is_a_text_fixed_point(seed in 0u64..u64::MAX) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = arb_marginal(&mut rng);
-        assert_text_fixed_point(&m, "marginal");
-        // Counts survive bit-for-bit, NaN and ±∞ included.
-        let back = Marginal::from_json_text(&m.to_json_text()).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(back.counts()), bits(m.counts()));
-    }
-
-    #[test]
-    fn fitted_model_codec_rebuilds_the_same_tree(seed in 0u64..u64::MAX) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model = arb_fitted_model(&mut rng);
-        assert_text_fixed_point(&model, "fitted model");
-        let back = FittedModel::from_json_text(&model.to_json_text()).unwrap();
-        // The tree is rebuilt from its cliques; rebuild must be exact.
-        prop_assert_eq!(back.tree().domain_shape(), model.tree().domain_shape());
-        prop_assert_eq!(back.tree().cliques(), model.tree().cliques());
-        prop_assert_eq!(back.tree().edges(), model.tree().edges());
-        // Belief tables survive bit-for-bit (== would reject NaN == NaN).
-        prop_assert_eq!(back.calibrated().beliefs.len(), model.calibrated().beliefs.len());
-        for (b, m) in back.calibrated().beliefs.iter().zip(&model.calibrated().beliefs) {
-            prop_assert_eq!(b.attrs(), m.attrs());
-            prop_assert_eq!(b.shape(), m.shape());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(b.log_values()), bits(m.log_values()));
-        }
     }
 
     #[test]
@@ -255,17 +257,56 @@ proptest! {
         prop_assert_eq!(back.output_activation, state.output_activation);
     }
 
+    /// A PrivBayes table's counts survive bit for bit, NaN and ±∞ included
+    /// (`==` would reject NaN == NaN).
+    #[test]
+    fn marginal_codec_is_a_text_fixed_point(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (nodes, back) = privbayes_round_trip(&mut rng);
+        prop_assert_eq!(back.len(), nodes.len());
+        for (b, n) in back.iter().zip(&nodes) {
+            prop_assert_eq!(bits(b.table.counts()), bits(n.table.counts()));
+        }
+    }
+
+    /// The tree is rebuilt from its cliques; the rebuild must be exact, and
+    /// every belief survives bit for bit.
+    #[test]
+    fn fitted_model_codec_rebuilds_the_same_tree(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (model, back) = pgm_round_trip(&mut rng);
+        prop_assert_eq!(back.tree().domain_shape(), model.tree().domain_shape());
+        prop_assert_eq!(back.tree().cliques(), model.tree().cliques());
+        prop_assert_eq!(back.tree().edges(), model.tree().edges());
+        let (bb, mb) = (&back.calibrated().beliefs, &model.calibrated().beliefs);
+        prop_assert_eq!(bb.len(), mb.len());
+        for (b, m) in bb.iter().zip(mb) {
+            prop_assert_eq!(b.attrs(), m.attrs());
+            prop_assert_eq!(b.shape(), m.shape());
+            prop_assert_eq!(bits(b.log_values()), bits(m.log_values()));
+        }
+    }
+
+    /// Each node's table is rebuilt from the node and the domain; the
+    /// rebuild must be exact.
     #[test]
     fn bayes_nodes_codec_is_a_text_fixed_point(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for node in arb_bayes_nodes(&mut rng) {
-            assert_text_fixed_point(&node, "bayes node");
+        let (nodes, back) = privbayes_round_trip(&mut rng);
+        prop_assert_eq!(back.len(), nodes.len());
+        for (b, n) in back.iter().zip(&nodes) {
+            prop_assert_eq!(b.attr, n.attr);
+            prop_assert_eq!(&b.parents, &n.parents);
+            prop_assert_eq!(b.table.attrs(), n.table.attrs());
+            prop_assert_eq!(b.table.shape(), n.table.shape());
         }
     }
 
     #[test]
     fn fitted_state_codec_is_a_text_fixed_point(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        assert_text_fixed_point(&arb_fitted_state(&mut rng), "fitted state");
+        for state in arb_fitted_states(&mut rng) {
+            prop_assert_eq!(round_trip(&state).variant(), state.variant());
+        }
     }
 }

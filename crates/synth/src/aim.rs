@@ -14,7 +14,7 @@ use crate::common::{
 };
 use crate::error::{Result, SynthError};
 use crate::scoring::{aim_candidate_score, map_scores, parallel_scoring};
-use crate::workload::{all_pairs_under, WorkloadQuery};
+use crate::workload::all_pairs_under;
 use crate::{FitContext, FittedState, Synthesizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +69,7 @@ impl Synthesizer for Aim {
         };
 
         // Workload: all pairs that fit the cell limit.
-        let workload: Vec<WorkloadQuery> = all_pairs_under(data.domain(), CLIQUE_CELL_LIMIT);
+        let workload = all_pairs_under(data.domain());
         if workload.is_empty() {
             return Err(SynthError::Infeasible {
                 reason: "AIM: no workload query fits the clique cell limit".to_string(),
@@ -82,8 +82,7 @@ impl Synthesizer for Aim {
         // whole pool in one fused sweep over the data; later rounds are pure
         // cache hits.
         if rounds > 0 {
-            let sets: Vec<Vec<usize>> = workload.iter().map(|q| q.attrs.clone()).collect();
-            engine.prefetch(&sets)?;
+            engine.prefetch(&workload)?;
         }
         let mut chosen_sets: Vec<Vec<usize>> = Vec::with_capacity(rounds + 1);
         // Candidates proven intractable are never re-probed: adding a chosen
@@ -110,16 +109,16 @@ impl Synthesizer for Aim {
             // count is needed here — under a cache budget too small for
             // the workload, the scoring fallback recounts exactly once per
             // round instead of twice.
-            let mut cand: Vec<&WorkloadQuery> = Vec::new();
+            let mut cand: Vec<&Vec<usize>> = Vec::new();
             for (qi, q) in workload.iter().enumerate() {
-                if infeasible[qi] || chosen_sets.iter().any(|s| s == &q.attrs) {
+                if infeasible[qi] || chosen_sets.contains(q) {
                     continue;
                 }
                 // Junction-tree guard: adding this set must stay tractable.
                 // `chosen_sets` doubles as the scratch — push the candidate,
                 // probe, pop — instead of cloning the whole set list per
                 // candidate per round.
-                chosen_sets.push(q.attrs.clone());
+                chosen_sets.push(q.clone());
                 let feasible = JunctionTree::build(&shape, &chosen_sets, CLIQUE_CELL_LIMIT).is_ok();
                 chosen_sets.pop();
                 if !feasible {
@@ -145,28 +144,23 @@ impl Synthesizer for Aim {
             let engine_ref = &engine;
             let scores = map_scores(&cand, parallel_scoring(cand.len()), |q| {
                 let recounted;
-                let true_counts = match engine_ref.peek(&q.attrs) {
+                let true_counts = match engine_ref.peek(q) {
                     Some(m) => m,
                     None => {
                         // Evicted under a tight cache budget: recount
                         // outside the engine (same kernel, same counts).
-                        recounted = Marginal::count(engine_ref.dataset(), &q.attrs)?;
+                        recounted = Marginal::count(engine_ref.dataset(), q)?;
                         &recounted
                     }
                 };
-                let model_probs = model.marginal_or_independent(&q.attrs)?;
-                Ok(aim_candidate_score(
-                    true_counts,
-                    &model_probs,
-                    sigma_next,
-                    q.weight,
-                ))
+                let model_probs = model.marginal_or_independent(q)?;
+                Ok(aim_candidate_score(true_counts, &model_probs, sigma_next))
             })?;
             accountant.spend(rho_select)?;
             let eps_select = exponential_epsilon(rho_select)?;
             // Sensitivity: one record shifts a pair's L1 error by ≤ 2.
             let pick = exponential_mechanism(&scores, 2.0, eps_select, &mut rng)?;
-            let attrs = cand[pick].attrs.clone();
+            let attrs = cand[pick].clone();
 
             accountant.spend(rho_measure)?;
             measurements.push(measure_gaussian(

@@ -209,8 +209,7 @@ impl Synthesizer for Gem {
         // so count the whole workload in one fused sweep up front.
         let rounds = ROUNDS.min(workload.len());
         if rounds > 0 {
-            let sets: Vec<Vec<usize>> = workload.iter().map(|q| q.attrs.clone()).collect();
-            engine.prefetch(&sets)?;
+            engine.prefetch(&workload)?;
         }
         let mut chosen: Vec<Vec<usize>> = Vec::new();
         let mut probs: Vec<Vec<Vec<f64>>> = Vec::new();
@@ -230,18 +229,18 @@ impl Synthesizer for Gem {
             let mut cands: Vec<&Vec<usize>> = Vec::new();
             let mut scores: Vec<f64> = Vec::new();
             for q in &workload {
-                if chosen.contains(&q.attrs) {
+                if chosen.contains(q) {
                     continue;
                 }
-                let true_counts = engine.count(&q.attrs)?;
-                table_marginal(&probs, &q.attrs, &mut model_probs);
+                let true_counts = engine.count(q)?;
+                table_marginal(&probs, q, &mut model_probs);
                 let l1: f64 = true_counts
                     .counts()
                     .iter()
                     .zip(&model_probs)
                     .map(|(&c, &p)| (c - n * p).abs())
                     .sum();
-                cands.push(&q.attrs);
+                cands.push(q);
                 scores.push(l1);
             }
             if cands.is_empty() {
@@ -803,7 +802,7 @@ mod tests {
             let pairs = all_pairs(data.domain());
             let mut pending = Vec::new();
             for q in &pairs {
-                let m = measure_gaussian(&mut engine, &q.attrs, 2.0, &mut rng).unwrap();
+                let m = measure_gaussian(&mut engine, q, 2.0, &mut rng).unwrap();
                 let w = 1.0 / m.sigma.powi(2);
                 pending.push((m, w));
             }
@@ -828,7 +827,7 @@ mod tests {
             softmax_table(&fast.logits, &mut probs);
             let mut out = Vec::new();
             let singles: Vec<Vec<usize>> = (0..d).map(|a| vec![a]).collect();
-            for attrs in singles.iter().chain(pairs.iter().map(|q| &q.attrs)) {
+            for attrs in singles.iter().chain(&pairs) {
                 table_marginal(&probs, attrs, &mut out);
                 assert_eq!(bits(&out), bits(&fast.marginal(attrs)), "{name} {attrs:?}");
             }

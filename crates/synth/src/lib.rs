@@ -36,7 +36,7 @@ pub use patectgan::PateCtgan;
 pub use privbayes::{BayesNode, PrivBayes};
 pub use privmrf::PrivMrf;
 pub use scoring::{aim_candidate_score, map_scores, mst_edge_score};
-pub use workload::{all_pairs, all_pairs_under, WorkloadQuery};
+pub use workload::all_pairs;
 // The sampling-side process counter (mirror of the grid fit counter and the
 // marginal counting counter), re-exported so the grid driver and tests can
 // read it without a direct synrd-pgm dependency.
@@ -100,7 +100,7 @@ pub enum FittedState {
     Pgm {
         /// Domain the model was fitted on.
         domain: Domain,
-        /// Calibrated junction-tree potentials and the private row count.
+        /// Calibrated junction-tree beliefs.
         model: FittedModel,
     },
     /// PrivBayes: the ancestral network of noisy CPTs, in sampling order.
@@ -117,16 +117,14 @@ pub enum FittedState {
         /// Mixture logits.
         model: GemState,
     },
-    /// PATECTGAN: the generator network and its one-hot output layout.
+    /// PATECTGAN: the generator network. Its input width is the latent
+    /// dimension; its output is one softmax block per attribute of the
+    /// domain, in domain order.
     PateCtgan {
         /// Domain the generator was fitted on.
         domain: Domain,
         /// Generator MLP weights, biases and output activation.
         generator: MlpState,
-        /// `(offset, cardinality)` of each attribute's softmax block.
-        blocks: Vec<(usize, usize)>,
-        /// Latent input dimension.
-        z_dim: usize,
     },
 }
 

@@ -69,10 +69,7 @@ impl Synthesizer for Mst {
         // Phase 2: private maximum spanning tree (rho/3 across d-1 picks).
         // All pairwise joints are counted in one fused sweep over the data.
         let n = data.n_rows() as f64;
-        let pair_sets: Vec<Vec<usize>> = all_pairs(data.domain())
-            .into_iter()
-            .map(|q| q.attrs)
-            .collect();
+        let pair_sets = all_pairs(data.domain());
         engine.prefetch(&pair_sets)?;
         // L1 gap between true pair counts and the independent approximation
         // from the (noisy, already-paid-for) 1-ways — pure reads of the

@@ -78,8 +78,23 @@ pub struct PateCtgan {
 struct Fitted {
     domain: Domain,
     generator: Mlp,
-    blocks: Vec<(usize, usize)>, // (offset, cardinality) per attribute
-    z_dim: usize,
+    blocks: Vec<(usize, usize)>,
+}
+
+/// `(offset, cardinality)` of each attribute's softmax block in the
+/// generator's one-hot output, in domain order: the layout `fit` trains and
+/// `restore_state` checks a generator against.
+fn one_hot_blocks(domain: &Domain) -> Vec<(usize, usize)> {
+    let mut offset = 0;
+    domain
+        .shape()
+        .into_iter()
+        .map(|card| {
+            let block = (offset, card);
+            offset += card;
+            block
+        })
+        .collect()
 }
 
 /// One-hot encode a row of codes into `out` given attribute blocks.
@@ -207,15 +222,8 @@ impl FitState {
             });
         }
 
-        // Attribute one-hot layout.
-        let mut blocks = Vec::with_capacity(d);
-        let mut offset = 0usize;
-        for a in 0..d {
-            let card = data.domain().cardinality(a)?;
-            blocks.push((offset, card));
-            offset += card;
-        }
-        let onehot_dim = offset;
+        let blocks = one_hot_blocks(data.domain());
+        let onehot_dim = blocks.iter().map(|&(_, card)| card).sum();
 
         // 30% of budget: noisy 1-way histograms for the moment loss.
         let mut engine = MarginalEngine::new(data);
@@ -346,7 +354,6 @@ impl Synthesizer for PateCtgan {
             domain: data.domain().clone(),
             generator: state.generator,
             blocks: state.blocks,
-            z_dim: Z_DIM,
         });
         Ok(())
     }
@@ -355,7 +362,7 @@ impl Synthesizer for PateCtgan {
         let fitted = self.fitted.as_ref().ok_or(SynthError::NotFitted)?;
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "patectgan-sample"));
         let d = fitted.domain.len();
-        let zd = fitted.z_dim;
+        let zd = fitted.generator.input_size();
         // Pre-draw each row's latent vector and per-attribute uniforms in
         // the exact row-major order the per-row sampler consumed them
         // (`standard_normal`'s rare rejection retries stay inside the
@@ -376,7 +383,7 @@ impl Synthesizer for PateCtgan {
         // cache. Each row reads only its own pre-drawn randomness and its
         // own row of the output block, so the tiled parallel pass is
         // bit-identical to the sequential per-row one.
-        let onehot_dim: usize = fitted.blocks.iter().map(|&(_, card)| card).sum();
+        let onehot_dim = fitted.generator.output_size();
         let sample_chunk = |lo: usize, hi: usize| -> Vec<Vec<u32>> {
             let mut cols = vec![Vec::with_capacity(hi - lo); d];
             let mut ws = BatchWorkspace::new();
@@ -415,8 +422,6 @@ impl Synthesizer for PateCtgan {
         self.fitted.as_ref().map(|f| FittedState::PateCtgan {
             domain: f.domain.clone(),
             generator: f.generator.export_state(),
-            blocks: f.blocks.clone(),
-            z_dim: f.z_dim,
         })
     }
 
@@ -425,45 +430,21 @@ impl Synthesizer for PateCtgan {
             reason: format!("PATECTGAN: {reason}"),
         };
         match state {
-            FittedState::PateCtgan {
-                domain,
-                generator,
-                blocks,
-                z_dim,
-            } => {
-                // Blocks must tile the one-hot vector in domain order.
-                if blocks.len() != domain.len() {
-                    return Err(mismatch(format!(
-                        "{} blocks for {} attributes",
-                        blocks.len(),
-                        domain.len()
-                    )));
-                }
-                let mut expected_offset = 0usize;
-                for (a, &(offset, card)) in blocks.iter().enumerate() {
-                    let domain_card = domain.cardinality(a)?;
-                    if offset != expected_offset || card != domain_card {
-                        return Err(mismatch(format!(
-                            "block {a} is ({offset}, {card}), expected ({expected_offset}, {domain_card})"
-                        )));
-                    }
-                    expected_offset += card;
-                }
-                let onehot_dim = expected_offset;
-                let input = generator.layers.first().map(|l| l.input);
-                let output = generator.layers.last().map(|l| l.output);
-                if input != Some(z_dim) || output != Some(onehot_dim) {
-                    return Err(mismatch(format!(
-                        "generator maps {input:?} -> {output:?}, expected Some({z_dim}) -> Some({onehot_dim})"
-                    )));
-                }
+            FittedState::PateCtgan { domain, generator } => {
                 let generator = Mlp::from_state(generator)
                     .map_err(|e| mismatch(format!("generator state: {e}")))?;
+                let blocks = one_hot_blocks(&domain);
+                let onehot_dim: usize = blocks.iter().map(|&(_, card)| card).sum();
+                if generator.output_size() != onehot_dim {
+                    return Err(mismatch(format!(
+                        "generator emits {} values, the domain's one-hot layout has {onehot_dim}",
+                        generator.output_size()
+                    )));
+                }
                 self.fitted = Some(Fitted {
                     domain,
                     generator,
                     blocks,
-                    z_dim,
                 });
                 Ok(())
             }
@@ -545,7 +526,6 @@ impl PateCtgan {
             domain: data.domain().clone(),
             generator: state.generator,
             blocks: state.blocks,
-            z_dim: Z_DIM,
         });
         Ok(())
     }
@@ -558,7 +538,7 @@ impl PateCtgan {
         let d = fitted.domain.len();
         let mut columns = vec![Vec::with_capacity(n); d];
         for _ in 0..n {
-            let z: Vec<f64> = (0..fitted.z_dim)
+            let z: Vec<f64> = (0..fitted.generator.input_size())
                 .map(|_| standard_normal(&mut rng))
                 .collect();
             let logits = fitted.generator.forward_batch_naive(&z, 1);

@@ -141,10 +141,7 @@ impl Synthesizer for PrivBayes {
 
         // Precompute pairwise MI on the real data (used only inside the
         // exponential mechanism, which provides the privacy).
-        let pair_sets: Vec<Vec<usize>> = all_pairs(data.domain())
-            .into_iter()
-            .map(|q| q.attrs)
-            .collect();
+        let pair_sets = all_pairs(data.domain());
         engine.prefetch(&pair_sets)?;
         let mut mi = vec![vec![0.0f64; d]; d];
         for pair in &pair_sets {

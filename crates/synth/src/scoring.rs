@@ -39,15 +39,11 @@ pub(crate) fn parallel_scoring(candidates: usize) -> bool {
     candidates >= 16 && rayon::current_num_threads() > 1
 }
 
-/// AIM's candidate utility: `weight × (L1 model error − expected noise
-/// cost)` for one workload marginal, exactly as the round loop computed it
-/// inline (same op order, so scores are bit-identical wherever computed).
-pub fn aim_candidate_score(
-    true_counts: &Marginal,
-    model_probs: &[f64],
-    sigma_next: f64,
-    weight: f64,
-) -> f64 {
+/// AIM's candidate utility: `L1 model error − expected noise cost` for one
+/// workload marginal, exactly as the round loop computed it inline (same op
+/// order, so scores are bit-identical wherever computed). Every workload
+/// query weighs 1.
+pub fn aim_candidate_score(true_counts: &Marginal, model_probs: &[f64], sigma_next: f64) -> f64 {
     let n = true_counts.total();
     let l1: f64 = true_counts
         .counts()
@@ -57,7 +53,7 @@ pub fn aim_candidate_score(
         .sum();
     let noise_cost =
         (2.0 / std::f64::consts::PI).sqrt() * sigma_next * true_counts.n_cells() as f64;
-    weight * (l1 - noise_cost)
+    l1 - noise_cost
 }
 
 /// MST's edge score: L1 gap between the true pair joint and the

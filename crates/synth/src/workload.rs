@@ -6,40 +6,30 @@
 //! (§2, *Workload-aware synthesizers*).
 
 use synrd_data::Domain;
+use synrd_pgm::CLIQUE_CELL_LIMIT;
 
-/// One workload query: a marginal over an attribute set with a weight.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkloadQuery {
-    /// Sorted attribute indices.
-    pub attrs: Vec<usize>,
-    /// Relative importance.
-    pub weight: f64,
-}
-
-/// All pairs of attributes, uniformly weighted.
-pub fn all_pairs(domain: &Domain) -> Vec<WorkloadQuery> {
+/// All pairs of attributes, as sorted attribute sets.
+pub fn all_pairs(domain: &Domain) -> Vec<Vec<usize>> {
     let d = domain.len();
     let mut out = Vec::with_capacity(d * d.saturating_sub(1) / 2);
     for a in 0..d {
         for b in (a + 1)..d {
-            out.push(WorkloadQuery {
-                attrs: vec![a, b],
-                weight: 1.0,
-            });
+            out.push(vec![a, b]);
         }
     }
     out
 }
 
-/// All pairs, but only those whose marginal table fits under `cell_limit` —
-/// the candidate filter the PGM-based methods need on wide-domain data.
-pub fn all_pairs_under(domain: &Domain, cell_limit: usize) -> Vec<WorkloadQuery> {
+/// All pairs whose marginal table fits under [`CLIQUE_CELL_LIMIT`] — the
+/// candidate filter AIM needs on wide-domain data, so every selected pair
+/// stays estimable.
+pub(crate) fn all_pairs_under(domain: &Domain) -> Vec<Vec<usize>> {
     all_pairs(domain)
         .into_iter()
-        .filter(|q| {
+        .filter(|pair| {
             domain
-                .cells(&q.attrs)
-                .map(|c| c <= cell_limit as u128)
+                .cells(pair)
+                .map(|c| c <= CLIQUE_CELL_LIMIT as u128)
                 .unwrap_or(false)
         })
         .collect()
@@ -60,18 +50,19 @@ mod tests {
         ]);
         let w = all_pairs(&domain);
         assert_eq!(w.len(), 6);
-        assert!(w.iter().all(|q| q.attrs.len() == 2 && q.weight == 1.0));
+        assert!(w.iter().all(|pair| pair.len() == 2 && pair[0] < pair[1]));
     }
 
     #[test]
     fn cell_limit_filters() {
         let domain = Domain::new(vec![
-            Attribute::ordinal("big1", 1000),
-            Attribute::ordinal("big2", 1000),
+            Attribute::ordinal("big1", 2048),
+            Attribute::ordinal("big2", 2048),
             Attribute::binary("small"),
         ]);
-        let w = all_pairs_under(&domain, 5000);
-        // big1×big2 = 1e6 cells excluded; the two big×small pairs stay.
-        assert_eq!(w.len(), 2);
+        let w = all_pairs_under(&domain);
+        // big1×big2 = 4,194,304 cells, above the 2^21 limit, is excluded;
+        // the two big×small pairs stay.
+        assert_eq!(w, [vec![0, 2], vec![1, 2]]);
     }
 }

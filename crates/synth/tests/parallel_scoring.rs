@@ -112,7 +112,7 @@ fn aim_candidate_scores_parallel_bitwise_equal_sequential() {
     let score = |attrs: &Vec<usize>| {
         let true_counts = engine_ref.peek(attrs).expect("prefetched");
         let probs = model_ref.marginal_or_independent(attrs)?;
-        Ok(aim_candidate_score(true_counts, &probs, 7.3, 1.0))
+        Ok(aim_candidate_score(true_counts, &probs, 7.3))
     };
     let sequential = map_scores(&cand, false, score).unwrap();
     for threads in [2usize, 4, 8] {

@@ -5,6 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use synrd_data::{Attribute, Dataset, Domain};
+use synrd_ml::{Activation, DenseState, MlpState};
 use synrd_synth::{FittedState, SynthError, SynthKind};
 
 fn correlated_data(n: usize) -> Dataset {
@@ -147,6 +148,26 @@ fn inconsistent_states_are_rejected() {
         .restore_state(FittedState::Pgm {
             domain: narrow,
             model,
+        })
+        .unwrap_err();
+    assert!(matches!(err, SynthError::StateMismatch { .. }), "{err}");
+
+    // PATECTGAN whose generator emits 3 values for a domain whose one-hot
+    // layout has 2 + 2 + 4.
+    let generator = MlpState {
+        layers: vec![DenseState {
+            input: 1,
+            output: 3,
+            w: vec![0.5; 3],
+            b: vec![0.0; 3],
+        }],
+        output_activation: Activation::Linear,
+    };
+    let err = SynthKind::PateCtgan
+        .build()
+        .restore_state(FittedState::PateCtgan {
+            domain: data.domain().clone(),
+            generator,
         })
         .unwrap_err();
     assert!(matches!(err, SynthError::StateMismatch { .. }), "{err}");

@@ -20,7 +20,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(17);
 
     // 60 random pair queries: total-variation error of the pair marginal.
-    let queries: Vec<&synrd_synth::WorkloadQuery> = (0..60)
+    let queries: Vec<&Vec<usize>> = (0..60)
         .map(|_| &workload[rng.gen_range(0..workload.len())])
         .collect();
 
@@ -43,8 +43,8 @@ fn main() {
         let synthetic = synth.sample(data.n_rows(), 29).expect("sample");
         let mut total = 0.0;
         for q in &queries {
-            let real_m = Marginal::count(&data, &q.attrs).expect("marginal");
-            let synth_m = Marginal::count(&synthetic, &q.attrs).expect("marginal");
+            let real_m = Marginal::count(&data, q).expect("marginal");
+            let synth_m = Marginal::count(&synthetic, q).expect("marginal");
             total += 0.5 * real_m.l1_distance(&synth_m).expect("same shape");
         }
         println!("{:<12} {:>16.4}", kind.name(), total / queries.len() as f64);
