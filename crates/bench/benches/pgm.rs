@@ -1,9 +1,10 @@
 //! Ablation benches for the Private-PGM substrate:
 //! mirror-descent iteration count vs wall time, junction-tree sampling
-//! throughput as the tree widens, and before/after kernel benches pitting
+//! throughput as the tree widens, before/after kernel benches pitting
 //! the stride-based calibration and the batched sampler against their
 //! retained naive oracles (`perfgrid` records the same comparisons to
-//! `BENCH_pgm.json` and `BENCH_sampling.json`).
+//! `BENCH_pgm.json` and `BENCH_sampling.json`), and calibration and a full
+//! fit on the lee2021 MST model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -133,11 +134,57 @@ fn calibrate_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The lee2021 MST model ([`synrd_bench::pgm_lee2021_mst_problem`]), whose
+/// 10^4-cell cliques are where a fit-wide lee2021 MST fit spends its time:
+/// one calibration through the stride kernels and through the naive
+/// algebra, and a 150-iteration fit (every final fit's count) on noisy
+/// counts over the same measurement sets.
+fn lee2021_mst(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pgm_lee2021_mst");
+    group.sample_size(10);
+    let (tree, pots) = synrd_bench::pgm_lee2021_mst_problem();
+    let mut ws = CalibrationWorkspace::new(&tree).expect("workspace");
+    let mut out = CalibratedTree::default();
+    group.bench_function("calibrate_into", |b| {
+        b.iter(|| {
+            calibrate_into(&pots, &mut ws, &mut out).expect("calibrate");
+            out.beliefs[0].log_values()[0]
+        });
+    });
+    group.bench_function("calibrate_naive", |b| {
+        b.iter(|| calibrate_naive(&tree, &pots).expect("calibrate"));
+    });
+    let (shape, sets) = synrd_bench::lee2021_mst_shape();
+    let ms: Vec<NoisyMeasurement> = sets
+        .into_iter()
+        .enumerate()
+        .map(|(i, attrs)| {
+            let cells: usize = attrs.iter().map(|&a| shape[a]).product();
+            NoisyMeasurement {
+                values: (0..cells)
+                    .map(|k| 30.0 + 40.0 * ((k * 7 + i) as f64 * 0.13).sin())
+                    .collect(),
+                sigma: 3.0 + i as f64,
+                attrs,
+            }
+        })
+        .collect();
+    let options = EstimationOptions {
+        iterations: 150,
+        fit_threads: 1,
+    };
+    group.bench_function("estimate_150", |b| {
+        b.iter(|| estimate(&shape, &ms, options).expect("estimate"));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     estimation_iterations,
     sampling_throughput,
     sampling_kernels,
-    calibrate_kernels
+    calibrate_kernels,
+    lee2021_mst
 );
 criterion_main!(benches);

@@ -6,10 +6,10 @@
 //!
 //! Each kernel is timed against its one naive oracle. A small fixed grid of
 //! calibration problems runs through the stride kernels and the naive
-//! factor algebra, plus end-to-end mirror descent and sampler
-//! construction. The synthesizer selection paths (AIM round loops, MST's
-//! all-pairs sweep) run through the `MarginalEngine` and the naive per-row
-//! counter. Batched clique-major `TreeSampler::sample_columns` runs against
+//! factor algebra, the lee2021 MST model with its 10^4-cell cliques among
+//! them, plus end-to-end mirror descent and sampler construction. The
+//! synthesizer selection paths (AIM round loops, MST's all-pairs sweep) run
+//! through the `MarginalEngine` and the naive per-row counter. Batched clique-major `TreeSampler::sample_columns` runs against
 //! the per-row `NaiveSampler`, with batched-vs-naive and
 //! parallel-vs-sequential bit-identity asserted on every problem. The
 //! storage side records decode throughput and packed bytes per row across
@@ -63,6 +63,16 @@ fn triples(d: usize, card: usize) -> Problem {
     let (tree, pots) = synrd_bench::pgm_triples_problem(d, card);
     Problem {
         name: format!("triples-d{d}-c{card}"),
+        tree,
+        pots,
+    }
+}
+
+/// The lee2021 MST model (see [`synrd_bench::pgm_lee2021_mst_problem`]).
+fn lee2021_mst() -> Problem {
+    let (tree, pots) = synrd_bench::pgm_lee2021_mst_problem();
+    Problem {
+        name: "lee2021-mst".to_string(),
         tree,
         pots,
     }
@@ -794,7 +804,13 @@ fn main() {
     let reps = if quick { 7 } else { 31 };
 
     // --- Kernel grid: stride vs naive calibration -------------------------
-    let problems = vec![chain(8, 4), chain(6, 10), triples(7, 4), triples(5, 8)];
+    let problems = vec![
+        chain(8, 4),
+        chain(6, 10),
+        triples(7, 4),
+        triples(5, 8),
+        lee2021_mst(),
+    ];
     let mut kernel_rows = Vec::new();
     let mut speedups = Vec::new();
     for p in &problems {

@@ -471,6 +471,36 @@ pub fn pgm_triples_problem(
     )
 }
 
+/// The lee2021 MST model at quick scale, the shape perfbench's fit-wide
+/// workload spends its time in: nine attributes of 120, 120, 100 ×5, 60 and
+/// 60 values, and as measurement sets the tree's eight pairs plus all nine
+/// one-way marginals. Returns `(shape, sets)`.
+pub fn lee2021_mst_shape() -> (Vec<usize>, Vec<Vec<usize>>) {
+    let shape = vec![120, 120, 100, 100, 100, 100, 100, 60, 60];
+    let pairs = [
+        [0, 1],
+        [0, 3],
+        [0, 5],
+        [0, 6],
+        [1, 2],
+        [1, 7],
+        [1, 8],
+        [4, 6],
+    ];
+    let sets = pairs
+        .iter()
+        .map(|p| p.to_vec())
+        .chain((0..9).map(|a| vec![a]));
+    (shape, sets.collect())
+}
+
+/// Calibration problem on [`lee2021_mst_shape`]: one clique per pair
+/// (7,200–14,400 cells) under a degree-6 root.
+pub fn pgm_lee2021_mst_problem() -> (synrd_pgm::JunctionTree, Vec<synrd_pgm::Factor>) {
+    let (shape, sets) = lee2021_mst_shape();
+    pgm_problem(shape, sets)
+}
+
 /// Mixed-cardinality shape for the marginal-engine benches: `d` attributes
 /// cycling through small-to-medium cardinalities (the regime of the paper's
 /// social-science domains).

@@ -10,13 +10,16 @@
 //!
 //! The hot path (belief propagation inside mirror descent) never
 //! materializes a union scope: calibration and the mirror-descent gradient
-//! call the slice kernels `bcast_add` and `bcast_assign`, which walk the
-//! larger operand once with a precomputed per-axis stride table
-//! (`StridePlan`), and [`Factor::marginalize_keep`] accumulates through the
-//! same strided walk. Every kernel performs the *same floating-point
-//! operations in the same order* as the retained naive expand-then-zip
-//! implementations, so results are bit-identical — a property pinned by the
-//! differential proptests in `tests/factor_equivalence.rs` and
+//! call the slice kernels `bcast_add` and `bcast_assign`, and calibration,
+//! the loss pass and [`Factor::marginalize_keep`] call `marg_max` and
+//! `marg_sum`. Each kernel walks the larger operand once, run by run, with
+//! a precomputed plan (`StridePlan`): a run is a stretch of contiguous big
+//! cells that maps to one small cell (stride 0) or to a contiguous stretch
+//! of small cells (stride 1), so every kernel is a plain slice loop per run.
+//! Every small cell sees the *same floating-point operations in the same
+//! order* as in the retained naive expand-then-zip implementations, so
+//! results are bit-identical — a property pinned by the differential
+//! proptests in `tests/factor_equivalence.rs` and
 //! `tests/calibration_determinism.rs`.
 
 use crate::error::{PgmError, Result};
@@ -51,30 +54,41 @@ pub(crate) fn note_buffer_alloc() {
     FACTOR_BUFFER_ALLOCS.with(|c| c.set(c.get() + 1));
 }
 
-/// Precomputed per-axis stride walk: while iterating the cells of a "big"
-/// row-major shape in ascending index order, maintains the corresponding
-/// index into a "small" operand whose axes are a subset of the big scope.
+/// Precomputed run walk: while iterating the cells of a "big" row-major
+/// shape in ascending index order, maintains the corresponding index into a
+/// "small" operand whose sorted axes are a subset of the big scope.
 ///
-/// `inc[axis]` is the small-operand stride gained when the big counter's
-/// `axis` digit increments (0 for axes absent from the small scope);
-/// `wrap[axis] = inc[axis] · big_shape[axis]` is subtracted when the digit
-/// wraps. One plan powers broadcasting (small read while big is written)
-/// and marginalization (small written while big is read).
+/// The plan drops the big scope's cardinality-1 axes (they never advance
+/// the index) and merges adjacent axes whose small strides chain
+/// (`inc[i] == inc[i + 1] · shape[i + 1]`). The innermost merged axis is
+/// the *run*: `run_len` consecutive big cells that map either to one small
+/// cell (stride 0, the axis is absent from the small scope) or to
+/// `run_len` consecutive small cells (stride 1). Because the small axes are
+/// sorted, no other stride can arise. The remaining outer axes form a
+/// mixed-radix counter that advances once per run: `outer_inc[axis]` is the
+/// small stride gained when its digit increments and
+/// `outer_wrap[axis] = outer_inc[axis] · outer_shape[axis]` is subtracted
+/// when the digit wraps. One plan powers broadcasting (small read while big
+/// is written) and marginalization (small written while big is read).
 #[derive(Debug, Clone)]
 pub(crate) struct StridePlan {
-    big_shape: Vec<usize>,
-    inc: Vec<usize>,
-    wrap: Vec<usize>,
+    outer_shape: Vec<usize>,
+    outer_inc: Vec<usize>,
+    outer_wrap: Vec<usize>,
+    run_len: usize,
+    /// True when a run maps to consecutive small cells (stride 1); false
+    /// when it maps to one small cell (stride 0).
+    contiguous: bool,
     big_cells: usize,
     small_cells: usize,
     /// True when the small scope *is* the big scope (index map is identity).
     identity: bool,
 }
 
-/// Stack space for the mixed-radix counter; factor ranks are bounded far
-/// below this by the clique cell limit (2^21 cells ⇒ ≤ 21 non-trivial
-/// axes). Larger ranks fall back to a heap counter.
-const MAX_STACK_AXES: usize = 64;
+/// Capacity of the stack counter over the outer axes. Every kept axis has
+/// at least two cells, so a plan over a shape whose cell count fits in a
+/// `usize` has fewer than 64 axes.
+const MAX_AXES: usize = 64;
 
 impl StridePlan {
     /// Plan for embedding `small` (sorted attrs, matching cardinalities)
@@ -103,34 +117,49 @@ impl StridePlan {
         if si != small_attrs.len() {
             return Err(PgmError::ScopeMismatch);
         }
-        let mut plan = StridePlan::from_axis_strides(big_shape, inc, small_shape.iter().product());
-        // Exact scope equality — the condition the historical identity fast
-        // paths used (stride equality alone can misfire on card-1 axes,
-        // where a recompute is NOT a bitwise no-op: `-0.0 + 0.0 == +0.0`).
-        plan.identity = small_attrs == big_attrs;
-        Ok(plan)
-    }
 
-    /// Plan from explicit per-big-axis small strides (0 = axis summed out /
-    /// replicated). Used directly by `marginalize_keep`, whose `keep` order
-    /// need not be sorted.
-    pub(crate) fn from_axis_strides(
-        big_shape: &[usize],
-        inc: Vec<usize>,
-        small_cells: usize,
-    ) -> StridePlan {
-        let wrap: Vec<usize> = inc.iter().zip(big_shape).map(|(&i, &s)| i * s).collect();
-        let big_cells = big_shape.iter().product();
-        StridePlan {
-            big_shape: big_shape.to_vec(),
-            inc,
-            wrap,
-            big_cells,
-            small_cells,
-            // Callers that can prove exact scope equality set this
-            // (see `embed`); raw plans always take the strided walk.
-            identity: false,
+        // Fold the axes into (shape, small stride) pairs, outermost first:
+        // skip cardinality-1 axes, and merge an axis into its outer
+        // neighbour when the neighbour's stride is this axis's stride times
+        // its cardinality (both absent, or adjacent in the small scope too).
+        let mut axes: Vec<(usize, usize)> = Vec::with_capacity(big_shape.len());
+        for (&card, &stride) in big_shape.iter().zip(&inc) {
+            if card == 1 {
+                continue;
+            }
+            match axes.last_mut() {
+                Some((outer_card, outer_stride)) if *outer_stride == stride * card => {
+                    *outer_card *= card;
+                    *outer_stride = stride;
+                }
+                _ => axes.push((card, stride)),
+            }
         }
+        let big_cells: usize = big_shape.iter().product();
+        // No axis left means one cell; a zero cardinality means no run.
+        let (run_len, run_stride) = axes.pop().filter(|_| big_cells > 0).unwrap_or((1, 0));
+        debug_assert!(
+            run_stride <= 1,
+            "sorted scopes give stride-0 or stride-1 runs"
+        );
+        assert!(
+            axes.len() <= MAX_AXES,
+            "factor rank exceeds the run counter"
+        );
+        Ok(StridePlan {
+            outer_wrap: axes.iter().map(|&(card, stride)| card * stride).collect(),
+            outer_shape: axes.iter().map(|&(card, _)| card).collect(),
+            outer_inc: axes.iter().map(|&(_, stride)| stride).collect(),
+            run_len,
+            contiguous: run_stride == 1,
+            big_cells,
+            small_cells: small_shape.iter().product(),
+            // Exact scope equality — the condition the historical identity
+            // fast paths used (stride equality alone can misfire on card-1
+            // axes, where a recompute is NOT a bitwise no-op:
+            // `-0.0 + 0.0 == +0.0`).
+            identity: small_attrs == big_attrs,
+        })
     }
 
     /// Cells of the small scope.
@@ -143,60 +172,70 @@ impl StridePlan {
         self.identity
     }
 
-    /// Visit `(big_index, small_index)` for every big cell in ascending big
-    /// order. Heap-free for ranks up to [`MAX_STACK_AXES`].
+    /// Visit `(big_start, small_start)` for every run in ascending big
+    /// order: big cells `big_start..big_start + run_len` map to small cell
+    /// `small_start` (stride 0) or to small cells
+    /// `small_start..small_start + run_len` (stride 1).
     #[inline]
-    pub(crate) fn walk(&self, mut f: impl FnMut(usize, usize)) {
-        let k = self.big_shape.len();
-        if k <= MAX_STACK_AXES {
-            let mut codes = [0usize; MAX_STACK_AXES];
-            self.walk_with(&mut codes[..k], &mut f);
-        } else {
-            let mut codes = vec![0usize; k];
-            self.walk_with(&mut codes, &mut f);
-        }
-    }
-
-    #[inline]
-    fn walk_with(&self, codes: &mut [usize], f: &mut impl FnMut(usize, usize)) {
-        let k = codes.len();
+    fn for_each_run(&self, mut f: impl FnMut(usize, usize)) {
+        let k = self.outer_shape.len();
+        let mut codes = [0usize; MAX_AXES];
         let mut small = 0usize;
-        for big in 0..self.big_cells {
+        for big in (0..self.big_cells).step_by(self.run_len) {
             f(big, small);
             for axis in (0..k).rev() {
                 codes[axis] += 1;
-                small += self.inc[axis];
-                if codes[axis] < self.big_shape[axis] {
+                small += self.outer_inc[axis];
+                if codes[axis] < self.outer_shape[axis] {
                     break;
                 }
                 codes[axis] = 0;
-                small -= self.wrap[axis];
+                small -= self.outer_wrap[axis];
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Slice kernels. All iterate the big scope in ascending index order so the
-// per-cell operation sequence matches the naive implementations exactly.
+// Slice kernels. Each is one loop over the plan's runs with a stride-0 arm
+// (one small cell) and a stride-1 arm (a zip over two slices). Runs come in
+// ascending big order, so every small cell sees the same floating-point
+// operations in the same order as in the naive implementations.
 // ---------------------------------------------------------------------------
 
 /// `dst[i] = src[plan(i)]` — broadcast copy (replication over absent axes).
 pub(crate) fn bcast_assign(dst: &mut [f64], src: &[f64], plan: &StridePlan) {
     debug_assert_eq!(dst.len(), plan.big_cells);
     debug_assert_eq!(src.len(), plan.small_cells);
-    if plan.identity {
-        dst.copy_from_slice(src);
-        return;
-    }
-    plan.walk(|big, small| dst[big] = src[small]);
+    let n = plan.run_len;
+    plan.for_each_run(|big, small| {
+        let run = &mut dst[big..big + n];
+        if plan.contiguous {
+            run.copy_from_slice(&src[small..small + n]);
+        } else {
+            run.fill(src[small]);
+        }
+    });
 }
 
 /// `dst[i] += src[plan(i)]` — in-place log-space product.
 pub(crate) fn bcast_add(dst: &mut [f64], src: &[f64], plan: &StridePlan) {
     debug_assert_eq!(dst.len(), plan.big_cells);
     debug_assert_eq!(src.len(), plan.small_cells);
-    plan.walk(|big, small| dst[big] += src[small]);
+    let n = plan.run_len;
+    plan.for_each_run(|big, small| {
+        let run = &mut dst[big..big + n];
+        if plan.contiguous {
+            for (d, &s) in run.iter_mut().zip(&src[small..small + n]) {
+                *d += s;
+            }
+        } else {
+            let s = src[small];
+            for d in run {
+                *d += s;
+            }
+        }
+    });
 }
 
 /// Pass 1 of strided marginalization: per-output-cell maximum (for the
@@ -204,10 +243,23 @@ pub(crate) fn bcast_add(dst: &mut [f64], src: &[f64], plan: &StridePlan) {
 pub(crate) fn marg_max(src: &[f64], maxes: &mut [f64], plan: &StridePlan) {
     debug_assert_eq!(src.len(), plan.big_cells);
     debug_assert_eq!(maxes.len(), plan.small_cells);
-    plan.walk(|big, small| {
-        let lv = src[big];
-        if lv > maxes[small] {
-            maxes[small] = lv;
+    let n = plan.run_len;
+    plan.for_each_run(|big, small| {
+        let run = &src[big..big + n];
+        if plan.contiguous {
+            for (m, &lv) in maxes[small..small + n].iter_mut().zip(run) {
+                if lv > *m {
+                    *m = lv;
+                }
+            }
+        } else {
+            let mut m = maxes[small];
+            for &lv in run {
+                if lv > m {
+                    m = lv;
+                }
+            }
+            maxes[small] = m;
         }
     });
 }
@@ -216,9 +268,27 @@ pub(crate) fn marg_max(src: &[f64], maxes: &mut [f64], plan: &StridePlan) {
 pub(crate) fn marg_sum(src: &[f64], maxes: &[f64], sums: &mut [f64], plan: &StridePlan) {
     debug_assert_eq!(src.len(), plan.big_cells);
     debug_assert_eq!(sums.len(), plan.small_cells);
-    plan.walk(|big, small| {
-        if maxes[small].is_finite() {
-            sums[small] += (src[big] - maxes[small]).exp();
+    let n = plan.run_len;
+    plan.for_each_run(|big, small| {
+        let run = &src[big..big + n];
+        if plan.contiguous {
+            let cells = sums[small..small + n]
+                .iter_mut()
+                .zip(&maxes[small..small + n]);
+            for ((s, &m), &lv) in cells.zip(run) {
+                if m.is_finite() {
+                    *s += (lv - m).exp();
+                }
+            }
+        } else {
+            let m = maxes[small];
+            if m.is_finite() {
+                let mut s = sums[small];
+                for &lv in run {
+                    s += (lv - m).exp();
+                }
+                sums[small] = s;
+            }
         }
     });
 }
@@ -375,35 +445,27 @@ impl Factor {
         probabilities_into_slice(&self.log_values, out);
     }
 
-    /// Strided-marginalization plan from this factor's scope onto `keep`
-    /// (in `keep` order; unsorted keeps are rejected later by factor
-    /// construction, matching the historical behavior).
-    fn keep_plan(&self, keep: &[usize]) -> Result<(StridePlan, Vec<usize>)> {
-        let mut keep_pos = Vec::with_capacity(keep.len());
-        for &k in keep {
-            match self.attrs.iter().position(|&a| a == k) {
-                Some(p) => keep_pos.push(p),
-                None => return Err(PgmError::ScopeMismatch),
-            }
-        }
-        let out_shape: Vec<usize> = keep_pos.iter().map(|&p| self.shape[p]).collect();
-        let out_strides = strides_of(&out_shape);
-        let mut inc = vec![0usize; self.shape.len()];
-        for (k, &p) in keep_pos.iter().enumerate() {
-            inc[p] = out_strides[k];
-        }
-        let plan = StridePlan::from_axis_strides(&self.shape, inc, out_shape.iter().product());
-        Ok((plan, out_shape))
-    }
-
     /// Marginalize onto a kept subset of global attribute ids (sorted),
-    /// summing out the rest in linear space (max-shifted), in one strided
-    /// walk per pass.
+    /// summing out the rest in linear space (max-shifted), in one run loop
+    /// per pass.
+    ///
+    /// # Errors
+    /// [`PgmError::ScopeMismatch`] if `keep` names an attribute outside the
+    /// scope, else [`PgmError::UnsortedAttributes`] if `keep` is not
+    /// strictly ascending; both before any cell is read.
     pub fn marginalize_keep(&self, keep: &[usize]) -> Result<Factor> {
         if keep == self.attrs.as_slice() {
             return Ok(self.clone());
         }
-        let (plan, out_shape) = self.keep_plan(keep)?;
+        let mut out_shape = Vec::with_capacity(keep.len());
+        for &k in keep {
+            let p = self.attrs.iter().position(|&a| a == k);
+            out_shape.push(self.shape[p.ok_or(PgmError::ScopeMismatch)?]);
+        }
+        if !keep.windows(2).all(|w| w[0] < w[1]) {
+            return Err(PgmError::UnsortedAttributes);
+        }
+        let plan = StridePlan::embed(keep, &out_shape, &self.attrs, &self.shape)?;
         let out_cells = plan.small_cells();
         let mut maxes = vec![f64::NEG_INFINITY; out_cells];
         let mut sums = vec![0.0f64; out_cells];
@@ -696,6 +758,30 @@ mod tests {
         );
         assert!(Factor::uniform(vec![1, 0], vec![2, 2]).is_err());
         assert!(Factor::uniform(vec![0, 0], vec![2, 2]).is_err());
+    }
+
+    #[test]
+    fn plans_drop_unit_axes_and_merge_chained_ones() {
+        // Big (a, b, c, d) = (3, 1, 4, 5) with small (a, c): b is dropped,
+        // a and c chain (stride 4 = 1 · 4), d is a stride-0 run of 5.
+        let plan = StridePlan::embed(&[0, 2], &[3, 4], &[0, 1, 2, 3], &[3, 1, 4, 5]).unwrap();
+        assert_eq!(
+            (plan.outer_shape.as_slice(), plan.outer_inc.as_slice()),
+            (&[12][..], &[1][..])
+        );
+        assert_eq!((plan.run_len, plan.contiguous), (5, false));
+        // Small (c, d) of the same big scope: a is a stride-0 outer axis,
+        // b is dropped, and c and d merge into one contiguous run of 20.
+        let plan = StridePlan::embed(&[2, 3], &[4, 5], &[0, 1, 2, 3], &[3, 1, 4, 5]).unwrap();
+        assert_eq!(
+            (plan.outer_shape.as_slice(), plan.outer_inc.as_slice()),
+            (&[3][..], &[0][..])
+        );
+        assert_eq!((plan.run_len, plan.contiguous), (20, true));
+        // Every axis of cardinality 1: one stride-0 run of one cell.
+        let plan = StridePlan::embed(&[1], &[1], &[0, 1], &[1, 1]).unwrap();
+        assert!(plan.outer_shape.is_empty());
+        assert_eq!((plan.run_len, plan.contiguous), (1, false));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Scratch arena for the calibration hot path.
 //!
 //! [`CalibrationWorkspace`] borrows the junction tree it serves and owns
-//! every buffer and precomputed stride table that belief propagation needs
+//! every buffer and precomputed stride plan that belief propagation needs
 //! for it: the BFS schedule, one separator-scoped message factor per
 //! directed edge, one stride plan per edge side (used both to broadcast a
 //! message onto its clique and to marginalize a clique product onto its

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use synrd_pgm::{
     calibrate, calibrate_into, calibrate_naive, estimate, estimate_naive, factor_buffer_allocs,
     CalibratedTree, CalibrationWorkspace, EstimationOptions, Factor, JunctionTree,
-    NoisyMeasurement,
+    NoisyMeasurement, CLIQUE_CELL_LIMIT,
 };
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -196,6 +196,87 @@ proptest! {
                 bits_eq(a.log_values(), b.log_values()),
                 "fit_threads={} diverged from sequential at clique {}",
                 threads, c
+            );
+        }
+    }
+}
+
+/// The lee2021 MST model at quick scale: nine attributes of 120, 120,
+/// 100 ×5, 60 and 60 values, the tree's eight pairs and all nine one-way
+/// marginals, with noisy counts (some negative).
+fn lee2021_mst_measurements() -> (Vec<usize>, Vec<NoisyMeasurement>) {
+    let domain = vec![120usize, 120, 100, 100, 100, 100, 100, 60, 60];
+    let pairs = [
+        [0, 1],
+        [0, 3],
+        [0, 5],
+        [0, 6],
+        [1, 2],
+        [1, 7],
+        [1, 8],
+        [4, 6],
+    ];
+    let sets = pairs
+        .iter()
+        .map(|p| p.to_vec())
+        .chain((0..9).map(|a| vec![a]));
+    let ms = sets
+        .enumerate()
+        .map(|(i, attrs)| {
+            let cells: usize = attrs.iter().map(|&a| domain[a]).product();
+            NoisyMeasurement {
+                values: (0..cells)
+                    .map(|k| 30.0 + 40.0 * ((k * 7 + i) as f64 * 0.13).sin())
+                    .collect(),
+                sigma: 3.0 + i as f64,
+                attrs,
+            }
+        })
+        .collect();
+    (domain, ms)
+}
+
+/// Mirror descent at lee2021's widths ≡ the naive oracle, bit for bit, at
+/// one and two fit threads. The tree's cliques hold 7,200–14,400 cells
+/// under a degree-6 root, so messages, beliefs, target marginals and the
+/// gradient lift all run over long stride-0 and stride-1 runs.
+#[test]
+fn estimate_matches_naive_bitwise_at_lee2021_widths() {
+    let (domain, ms) = lee2021_mst_measurements();
+    let sets: Vec<Vec<usize>> = ms.iter().map(|m| m.attrs.clone()).collect();
+    let tree = JunctionTree::build(&domain, &sets, CLIQUE_CELL_LIMIT).unwrap();
+    let cells: Vec<usize> = (0..tree.cliques().len())
+        .map(|c| tree.clique_shape(c).iter().product())
+        .collect();
+    assert_eq!(cells.iter().min(), Some(&7_200));
+    assert_eq!(cells.iter().max(), Some(&14_400));
+    let degree = (0..cells.len()).map(|c| tree.neighbors(c).len()).max();
+    assert_eq!(degree, Some(6));
+
+    let opts = EstimationOptions {
+        iterations: 3,
+        fit_threads: 1,
+    };
+    let naive = estimate_naive(&domain, &ms, opts).unwrap();
+    for fit_threads in [1, 2] {
+        let fast = estimate(
+            &domain,
+            &ms,
+            EstimationOptions {
+                fit_threads,
+                ..opts
+            },
+        )
+        .unwrap();
+        let pairs = fast
+            .calibrated()
+            .beliefs
+            .iter()
+            .zip(&naive.calibrated().beliefs);
+        for (c, (a, b)) in pairs.enumerate() {
+            assert!(
+                bits_eq(a.log_values(), b.log_values()),
+                "fit_threads={fit_threads}: estimate diverged from naive at clique {c}"
             );
         }
     }

@@ -8,7 +8,7 @@
 //! and the golden report digests survive kernel rewrites.
 
 use proptest::prelude::*;
-use synrd_pgm::Factor;
+use synrd_pgm::{Factor, PgmError};
 
 /// Bit-exact comparison (NaN == NaN iff same payload; -0.0 != +0.0).
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -111,6 +111,51 @@ fn factor_with_sub() -> impl Strategy<Value = (Factor, Factor)> {
     })
 }
 
+/// Cells of a wide factor are capped so a debug-build case stays short.
+const WIDE_CELL_CAP: usize = 1 << 16;
+
+/// A factor over 2–3 axes at lee2021's widths (cardinalities up to 130, one
+/// axis forced to cardinality 1 in some cases) and a random kept subset.
+/// Runs here are up to thousands of cells long, where the default
+/// strategies' cardinalities of 1–4 make them a few cells. Values come from
+/// a seeded SplitMix64 stream, with one cell in 32 `±inf`, NaN or `±0.0`.
+fn wide_factor_with_keep() -> impl Strategy<Value = (Factor, Vec<usize>)> {
+    (
+        proptest::collection::vec(1usize..=130, 2..=3),
+        0usize..6,
+        proptest::collection::vec(0u8..=1, 3..=3),
+        0u64..u64::MAX,
+    )
+        .prop_map(|(mut shape, unit_axis, mask, seed)| {
+            // The last axis shrinks to keep the cells within the cap (at
+            // least 3 remain for a third axis).
+            let (last, lead) = shape.split_last_mut().unwrap();
+            *last = (*last).min(WIDE_CELL_CAP / lead.iter().product::<usize>());
+            if let Some(card) = shape.get_mut(unit_axis) {
+                *card = 1;
+            }
+            let attrs: Vec<usize> = (0..shape.len()).collect();
+            let keep: Vec<usize> = attrs.iter().copied().filter(|&a| mask[a] == 1).collect();
+            let mut state = seed;
+            let values = (0..shape.iter().product::<usize>())
+                .map(|_| {
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    z ^= z >> 31;
+                    match z % 32 {
+                        0 => [f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -0.0, 0.0]
+                            [(z >> 5) as usize % 5],
+                        _ => ((z >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 100.0,
+                    }
+                })
+                .collect();
+            let factor = Factor::from_log_values(attrs, shape, values).unwrap();
+            (factor, keep)
+        })
+}
+
 proptest! {
     /// `marginalize_keep` ≡ `naive_marginalize_keep` on random kept subsets
     /// (max-shifted sums hit the ±inf and NaN finalization branches).
@@ -126,12 +171,54 @@ proptest! {
         );
     }
 
+    /// The same law at lee2021's widths, where runs are long, cardinality-1
+    /// axes sit between wide ones and adjacent axes merge into one run.
+    #[test]
+    fn wide_marginalize_is_bit_identical((fa, keep) in wide_factor_with_keep()) {
+        let stride = fa.marginalize_keep(&keep).unwrap();
+        let naive = fa.naive_marginalize_keep(&keep).unwrap();
+        prop_assert!(
+            factor_bits_eq(&stride, &naive).is_ok(),
+            "marginalize {:?} keep {:?}: {}",
+            fa.shape(), keep, factor_bits_eq(&stride, &naive).unwrap_err()
+        );
+    }
+
     /// Scope errors agree between the two paths on arbitrary scope pairs.
     #[test]
     fn scope_errors_agree((fa, fb) in factor_pair()) {
         prop_assert_eq!(
-            fa.marginalize_keep(fb.attrs()).is_err(),
-            fa.naive_marginalize_keep(fb.attrs()).is_err()
+            fa.marginalize_keep(fb.attrs()).err(),
+            fa.naive_marginalize_keep(fb.attrs()).err()
         );
+    }
+
+    /// A reversed or repeated keep is rejected with the same error by both
+    /// paths, and one that also names an attribute outside the scope gives
+    /// `ScopeMismatch` first.
+    #[test]
+    fn unsorted_and_repeated_keeps_agree((fa, fsub) in factor_with_sub()) {
+        let keep = fsub.attrs();
+        let mut reversed = keep.to_vec();
+        reversed.reverse();
+        let mut repeated = keep.to_vec();
+        repeated.push(keep[keep.len() - 1]);
+        let mut outside = repeated.clone();
+        outside.push(usize::MAX);
+        let mut bad = vec![
+            (repeated, PgmError::UnsortedAttributes),
+            (outside, PgmError::ScopeMismatch),
+        ];
+        if keep.len() > 1 {
+            bad.push((reversed, PgmError::UnsortedAttributes));
+        }
+        for (keep, want) in bad {
+            let (stride, naive) = (fa.marginalize_keep(&keep), fa.naive_marginalize_keep(&keep));
+            prop_assert!(
+                stride.as_ref().err() == Some(&want) && naive.as_ref().err() == Some(&want),
+                "keep {:?}: stride {:?}, naive {:?}, want {:?}",
+                keep, stride.err(), naive.err(), want
+            );
+        }
     }
 }

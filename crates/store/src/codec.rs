@@ -7,7 +7,8 @@
 //! people and tools and never read back, so [`PaperReport`],
 //! [`AggregateSeries`] and [`BenchmarkConfig`] only encode. Decoding
 //! ([`JsonDecode`]) exists for what [`crate::DiskStore`] loads: a
-//! [`CellOutcome`] here, a fitted state and its parts in [`crate::fitted`].
+//! [`CellOutcome`] here and a fitted state in [`crate::fitted`], whose parts
+//! decode through private functions there.
 //! For those `encode ∘ decode ∘ encode` is the identity on bytes, the
 //! property the round-trip proptests pin down. Floats survive bit-for-bit
 //! (finite values via shortest round-trip text, NaN normalized to the quiet
@@ -33,7 +34,9 @@ pub trait JsonCodec {
     }
 }
 
-/// A type the store reads back: decodes what [`JsonCodec`] wrote.
+/// A type the store reads back: decodes what [`JsonCodec`] wrote. The two
+/// [`crate::Keyspace`] values, [`CellOutcome`] and `FittedState`, implement
+/// it.
 pub trait JsonDecode: JsonCodec + Sized {
     /// Decode from a document.
     ///

@@ -131,30 +131,28 @@ impl JsonCodec for Attribute {
     }
 }
 
-impl JsonDecode for Attribute {
-    fn from_json(value: &JsonValue) -> Result<Attribute, StoreError> {
-        let categories = arr_field(value, "categories")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| codec_err("non-string category"))
-            })
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        let numeric_value = field(value, "numeric_values")?;
-        let numeric_values = if numeric_value.is_null() {
-            None
-        } else {
-            Some(f64_items(numeric_value, "numeric_values")?)
-        };
-        Attribute::from_parts(
-            str_field(value, "name")?,
-            attr_kind_from_code(str_field(value, "kind")?)?,
-            categories,
-            numeric_values,
-        )
-        .map_err(|e| codec_err(format!("invalid attribute: {e}")))
-    }
+fn attribute_from_json(value: &JsonValue) -> Result<Attribute, StoreError> {
+    let categories = arr_field(value, "categories")?
+        .iter()
+        .map(|v| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| codec_err("non-string category"))
+        })
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    let numeric_value = field(value, "numeric_values")?;
+    let numeric_values = if numeric_value.is_null() {
+        None
+    } else {
+        Some(f64_items(numeric_value, "numeric_values")?)
+    };
+    Attribute::from_parts(
+        str_field(value, "name")?,
+        attr_kind_from_code(str_field(value, "kind")?)?,
+        categories,
+        numeric_values,
+    )
+    .map_err(|e| codec_err(format!("invalid attribute: {e}")))
 }
 
 impl JsonCodec for Domain {
@@ -163,16 +161,14 @@ impl JsonCodec for Domain {
     }
 }
 
-impl JsonDecode for Domain {
-    fn from_json(value: &JsonValue) -> Result<Domain, StoreError> {
-        let attrs = value
-            .as_arr()
-            .ok_or_else(|| codec_err("domain is not an array"))?
-            .iter()
-            .map(Attribute::from_json)
-            .collect::<Result<Vec<_>, StoreError>>()?;
-        Ok(Domain::new(attrs))
-    }
+fn domain_from_json(value: &JsonValue) -> Result<Domain, StoreError> {
+    let attrs = value
+        .as_arr()
+        .ok_or_else(|| codec_err("domain is not an array"))?
+        .iter()
+        .map(attribute_from_json)
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    Ok(Domain::new(attrs))
 }
 
 /// A PGM model: its cliques and one bare log-value array per clique.
@@ -243,12 +239,10 @@ impl JsonCodec for GemState {
     }
 }
 
-impl JsonDecode for GemState {
-    fn from_json(value: &JsonValue) -> Result<GemState, StoreError> {
-        Ok(GemState {
-            logits: tensor3_field(value, "logits")?,
-        })
-    }
+fn gem_from_json(value: &JsonValue) -> Result<GemState, StoreError> {
+    Ok(GemState {
+        logits: tensor3_field(value, "logits")?,
+    })
 }
 
 fn activation_code(a: Activation) -> &'static str {
@@ -279,15 +273,13 @@ impl JsonCodec for DenseState {
     }
 }
 
-impl JsonDecode for DenseState {
-    fn from_json(value: &JsonValue) -> Result<DenseState, StoreError> {
-        Ok(DenseState {
-            input: usize_field(value, "input")?,
-            output: usize_field(value, "output")?,
-            w: f64_vec(value, "w")?,
-            b: f64_vec(value, "b")?,
-        })
-    }
+fn dense_from_json(value: &JsonValue) -> Result<DenseState, StoreError> {
+    Ok(DenseState {
+        input: usize_field(value, "input")?,
+        output: usize_field(value, "output")?,
+        w: f64_vec(value, "w")?,
+        b: f64_vec(value, "b")?,
+    })
 }
 
 impl JsonCodec for MlpState {
@@ -305,16 +297,14 @@ impl JsonCodec for MlpState {
     }
 }
 
-impl JsonDecode for MlpState {
-    fn from_json(value: &JsonValue) -> Result<MlpState, StoreError> {
-        Ok(MlpState {
-            layers: arr_field(value, "layers")?
-                .iter()
-                .map(DenseState::from_json)
-                .collect::<Result<Vec<_>, StoreError>>()?,
-            output_activation: activation_from_code(str_field(value, "output_activation")?)?,
-        })
-    }
+fn mlp_from_json(value: &JsonValue) -> Result<MlpState, StoreError> {
+    Ok(MlpState {
+        layers: arr_field(value, "layers")?
+            .iter()
+            .map(dense_from_json)
+            .collect::<Result<Vec<_>, StoreError>>()?,
+        output_activation: activation_from_code(str_field(value, "output_activation")?)?,
+    })
 }
 
 impl JsonCodec for FittedState {
@@ -338,7 +328,7 @@ impl JsonCodec for FittedState {
 
 impl JsonDecode for FittedState {
     fn from_json(value: &JsonValue) -> Result<FittedState, StoreError> {
-        let domain = Domain::from_json(field(value, "domain")?)?;
+        let domain = domain_from_json(field(value, "domain")?)?;
         match str_field(value, "kind")? {
             "pgm" => Ok(FittedState::Pgm {
                 model: model_from_json(field(value, "model")?, &domain)?,
@@ -353,11 +343,11 @@ impl JsonDecode for FittedState {
             }),
             "gem" => Ok(FittedState::Gem {
                 domain,
-                model: GemState::from_json(field(value, "model")?)?,
+                model: gem_from_json(field(value, "model")?)?,
             }),
             "patectgan" => Ok(FittedState::PateCtgan {
                 domain,
-                generator: MlpState::from_json(field(value, "generator")?)?,
+                generator: mlp_from_json(field(value, "generator")?)?,
             }),
             other => Err(codec_err(format!("unknown fitted-state kind '{other}'"))),
         }
@@ -383,7 +373,7 @@ mod tests {
             .unwrap(),
         ] {
             let text = attr.to_json_text();
-            let back = Attribute::from_json_text(&text).unwrap();
+            let back = attribute_from_json(&crate::parse(&text).unwrap()).unwrap();
             assert_eq!(back.to_json_text(), text, "{}", attr.name());
             assert_eq!(back.name(), attr.name());
             assert_eq!(back.kind(), attr.kind());
